@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_math import PeaParams, Phase, ThetaMode, wrap_phase
-from .mle import mle_counting_batch, mle_estimate_counting
-from .sampler import RNG_ALGORITHM, RngSeed, derive_seed, make_rng, sample_upea, sample_upea_block
+from .phase_math import PeaParams, Phase, ThetaMode
+from .mle import mle_counting_batch
+from .sampler import RNG_ALGORITHM, RngSeed, derive_seed, make_rng, sample_upea_block
 
 __all__ = [
     "CountingInstance",
@@ -163,11 +163,8 @@ def sample_uqca(params: PeaParams, m: float, rng: np.random.Generator) -> Counti
     """One counting trial: draw the eigenphase sign (one flip per trial,
     shared by all R runs), estimate the phase R times, combine with the
     mixture MLE (R = 1: fold), and map back to a count fraction."""
-    phi = phi_from_m(m)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    estimates = [sample_upea(params, sign * phi, rng).phi_tilde for _ in range(params.R)]
-    phi_hat = mle_estimate_counting(params, estimates).phi_hat
-    return CountingEstimate(m_from_phi(phi_hat), phi_hat, params.R)
+    phi_hat, m_tilde = sample_uqca_block(params, m, rng, 1)
+    return CountingEstimate(float(m_tilde[0]), float(phi_hat[0]), params.R)
 
 
 def sample_uqca_block(
@@ -175,7 +172,7 @@ def sample_uqca_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized block of n counting trials; returns (phi_hat, m_tilde)
     arrays.  Stream order: sign vector, then per repetition a theta vector
-    and a uniform vector (see sampler module on block-vs-scalar streams)."""
+    and a uniform vector (see the sampler module on block streams)."""
     phi = phi_from_m(m)
     sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     est = np.empty((n, params.R))

@@ -20,6 +20,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .counting import (
     sample_uqca_block,
 )
 from .mle import mle_batch
-from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, pea_kernel
+from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, pea_kernel
 from .sampler import RNG_ALGORITHM, derive_seed, make_rng, sample_upea_block
 from .statevector import analytic_counting_pmf, grover_pea_pmf, _pea_pmf_impl
 
@@ -212,51 +213,62 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _circular_err(est: np.ndarray, truth: float) -> np.ndarray:
-    d = est - truth
-    d -= np.floor(d)
-    return np.where(d > 0.5, d - 1.0, d)
+def _run_rows(config: SweepConfig, workers: int, cells, truths) -> list[BiasMaeEntry]:
+    """Run every (row, slot, seed path, draw) cell over the config's trial
+    chunks on a pool of workers threads, and reduce each row to one entry at
+    its ground truth.
 
+    A chunk's generator is seeded by sha256(base seed | experiment | seed
+    path | chunk index); draw(rng, size) returns the chunk's errors, which
+    land in the preallocated slot (slot * n_chunks + chunk index) of their
+    row, so scheduling order cannot matter.
+    """
+    chunks = _chunks(config.n_samples)
+    slots = [0] * len(truths)
+    for row, *_ in cells:
+        slots[row] += 1
+    moments = [_Moments(n * len(chunks)) for n in slots]
 
-def _run_cells(tasks, workers: int) -> None:
-    """Execute thunks either inline or on a thread pool; each writes its
-    result into a preallocated slot, so scheduling order cannot matter."""
-    if workers <= 1:
-        for t in tasks:
-            t()
-        return
+    def work(row: int, slot: int, path: tuple, draw, ci: int, size: int) -> None:
+        rng = make_rng(derive_seed(config.base_seed, config.experiment, *path, ci))
+        moments[row].put(slot * len(chunks) + ci, draw(rng, size))
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(t) for t in tasks]
+        futures = [pool.submit(work, *cell, ci, size) for cell in cells for ci, size in chunks]
         for f in futures:
             f.result()
+    return [m.entry(t) for m, t in zip(moments, truths)]
+
+
+def _phase_errors(params: PeaParams, phi: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Circular errors of size single-run (R = 1) or pooled-MLE estimates."""
+    if params.R == 1:
+        _, _, est = sample_upea_block(params, phi, rng, size)
+    else:
+        mat = np.empty((size, params.R))
+        for j in range(params.R):
+            _, _, mat[:, j] = sample_upea_block(params, phi, rng, size)
+        est = mle_batch(params, mat)
+    return _circ_dist_array(est, phi)
+
+
+def _count_errors(
+    params: PeaParams, m: float, corrected: bool, b: float | None, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    """Plain errors of size counting estimates, raw or bias-corrected (b is
+    None: the exact single-run correction)."""
+    _, m_tilde = sample_uqca_block(params, m, rng, size)
+    if corrected:
+        m_tilde = correct_single(m_tilde, params.T) if b is None else correct_mle(m_tilde, b)
+    return m_tilde - m
 
 
 def _phase_sweep_entries(config: SweepConfig, workers: int) -> list[BiasMaeEntry]:
     """pea-bias-mae / upea-bias-mae / mle-bias-mae: one row per phase."""
-    R = config.R
-    params = PeaParams.from_T(config.T, R, config.theta_mode)
-    phis = np.arange(config.grid_points) / config.grid_points
-    chunks = _chunks(config.n_samples)
-    moments = [_Moments(len(chunks)) for _ in phis]
-
-    def cell(gi: int, ci: int, size: int):
-        def work() -> None:
-            rng = make_rng(derive_seed(config.base_seed, config.experiment, gi, ci))
-            phi = float(phis[gi])
-            if R == 1:
-                _, _, est = sample_upea_block(params, phi, rng, size)
-            else:
-                mat = np.empty((size, R))
-                for j in range(R):
-                    _, _, mat[:, j] = sample_upea_block(params, phi, rng, size)
-                est = mle_batch(params, mat)
-            moments[gi].put(ci, _circular_err(est, phi))
-
-        return work
-
-    tasks = [cell(gi, ci, size) for gi in range(len(phis)) for ci, size in chunks]
-    _run_cells(tasks, workers)
-    return [moments[gi].entry(float(phis[gi])) for gi in range(len(phis))]
+    params = PeaParams.from_T(config.T, config.R, config.theta_mode)
+    phis = [float(p) for p in np.arange(config.grid_points) / config.grid_points]
+    cells = [(gi, 0, (gi,), partial(_phase_errors, params, phi)) for gi, phi in enumerate(phis)]
+    return _run_rows(config, workers, cells, phis)
 
 
 def _mae_vs_r_entries(config: SweepConfig, workers: int) -> list[BiasMaeEntry]:
@@ -264,34 +276,12 @@ def _mae_vs_r_entries(config: SweepConfig, workers: int) -> list[BiasMaeEntry]:
     kernel period [0, 1/T), where both estimators' error laws live."""
     r_values = config.r_values()
     offsets = (np.arange(config.grid_points) + 0.5) / (config.grid_points * config.T)
-    chunks = _chunks(config.n_samples)
-    moments = [_Moments(config.grid_points * len(chunks)) for _ in r_values]
-
-    def cell(ri: int, oi: int, ci: int, size: int):
-        def work() -> None:
-            R = r_values[ri]
-            params = PeaParams.from_T(config.T, R, config.theta_mode)
-            rng = make_rng(derive_seed(config.base_seed, config.experiment, R, oi, ci))
-            phi = float(offsets[oi])
-            if R == 1:
-                _, _, est = sample_upea_block(params, phi, rng, size)
-            else:
-                mat = np.empty((size, R))
-                for j in range(R):
-                    _, _, mat[:, j] = sample_upea_block(params, phi, rng, size)
-                est = mle_batch(params, mat)
-            moments[ri].put(oi * len(chunks) + ci, _circular_err(est, phi))
-
-        return work
-
-    tasks = [
-        cell(ri, oi, ci, size)
-        for ri in range(len(r_values))
-        for oi in range(config.grid_points)
-        for ci, size in chunks
-    ]
-    _run_cells(tasks, workers)
-    return [moments[ri].entry(float(r_values[ri])) for ri in range(len(r_values))]
+    cells = []
+    for ri, R in enumerate(r_values):
+        params = PeaParams.from_T(config.T, R, config.theta_mode)
+        for oi, phi in enumerate(offsets):
+            cells.append((ri, oi, (R, oi), partial(_phase_errors, params, float(phi))))
+    return _run_rows(config, workers, cells, [float(r) for r in r_values])
 
 
 def _resolve_calibration(
@@ -323,55 +313,27 @@ def _qca_entries(
     corrected = config.experiment == "uqca-corrected"
     r_values = config.r_values()
     pooled = isinstance(config.R, tuple)
-    ms = np.linspace(0.0, 1.0, config.grid_points)
-    chunks = _chunks(config.n_samples)
+    ms = [float(m) for m in np.linspace(0.0, 1.0, config.grid_points)]
 
     if calibration is not None and (not corrected or len(r_values) != 1):
         raise ValueError("a calibration record applies to exactly one corrected (T, R) sweep")
     records: list[CalibrationRecord] = []
-    b_for: dict[int, float | None] = {}
-    for R in r_values:
-        if corrected:
+    b_for: dict[int, float] = {}  # an R left out takes the exact single-run correction
+    if corrected:
+        for R in r_values:
             rec = _resolve_calibration(config, R, calibration)
-            if rec is None:
-                b_for[R] = None  # exact single-run correction
-            else:
+            if rec is not None:
                 records.append(rec)
                 b_for[R] = rec.b
-        else:
-            b_for[R] = None
 
-    n_rows = len(r_values) if pooled else config.grid_points
-    per_row_chunks = config.grid_points * len(chunks) if pooled else len(chunks)
-    moments = [_Moments(per_row_chunks) for _ in range(n_rows)]
-
-    def cell(ri: int, mi: int, ci: int, size: int):
-        def work() -> None:
-            R = r_values[ri]
-            params = PeaParams.from_T(config.T, R, config.theta_mode)
-            rng = make_rng(derive_seed(config.base_seed, config.experiment, R, mi, ci))
-            m = float(ms[mi])
-            _, m_tilde = sample_uqca_block(params, m, rng, size)
-            if corrected:
-                b = b_for[R]
-                vals = correct_single(m_tilde, config.T) if b is None else correct_mle(m_tilde, b)
-            else:
-                vals = m_tilde
-            row = ri if pooled else mi
-            slot = mi * len(chunks) + ci if pooled else ci
-            moments[row].put(slot, vals - m)
-
-        return work
-
-    tasks = [
-        cell(ri, mi, ci, size)
-        for ri in range(len(r_values))
-        for mi in range(config.grid_points)
-        for ci, size in chunks
-    ]
-    _run_cells(tasks, workers)
-    truths = [float(r) for r in r_values] if pooled else [float(m) for m in ms]
-    return [moments[i].entry(truths[i]) for i in range(n_rows)], records
+    cells = []
+    for ri, R in enumerate(r_values):
+        params = PeaParams.from_T(config.T, R, config.theta_mode)
+        for mi, m in enumerate(ms):
+            draw = partial(_count_errors, params, m, corrected, b_for.get(R))
+            cells.append((ri, mi, (R, mi), draw) if pooled else (mi, 0, (R, mi), draw))
+    truths = [float(r) for r in r_values] if pooled else ms
+    return _run_rows(config, workers, cells, truths), records
 
 
 def run_sweep(
@@ -381,6 +343,8 @@ def run_sweep(
 ) -> SweepReport:
     """Execute one experiment; the report depends only on the config (and the
     supplied calibration record), never on the worker count."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     start = time.perf_counter()
     records: list[CalibrationRecord] = []
     if config.experiment in ("pea-bias-mae", "upea-bias-mae", "mle-bias-mae"):

@@ -13,17 +13,18 @@ zeros at k/T).  The counting variant maximizes the even mixture
 over c in [0, 1/2], because the generating process draws the sign of the
 phase uniformly and K is even.
 
-Maximization: coarse scan over max(4*T*R, 1024) equispaced candidates (4x
-oversampling of the likelihood's O(T*R) oscillations), golden-section
-refinement of the winning bracket to width 1e-12, and (plain variant only)
-a guarded Newton polish on dL/dc that pins the peak well below the 1e-9
-shift-equivariance tolerance.  Ties break toward the smaller phase.
-
-Scalar entry points evaluate the kernel exactly everywhere.  The *_batch
-variants serve the Monte Carlo harness: their coarse scan snaps estimates to
-the candidate grid and gathers from a precomputed log-kernel table (30x
-faster), then refines each winning bracket with exact evaluations, landing
-on the same maximizer as the scalar path.
+Each objective has one maximizer, vectorized over rows of estimates; the
+single-trial entry points run it on one row.  Coarse scan over
+max(4*T*R, 1024) equispaced candidates (4x oversampling of the likelihood's
+O(T*R) oscillations) with estimates snapped to the candidate grid and
+factors gathered from a precomputed table; exact re-scoring of the best 16
+cells (plus both interval ends for the mixture, which are stationary points
+of an even objective); a climb to the better neighbouring cell until neither
+neighbour scores higher, so the bracket of the winning cell's two
+neighbours surrounds a local maximum; golden-section refinement of that
+bracket to width 1e-12; and (plain variant only) a guarded Newton polish on
+dL/dc that pins the peak well below the 1e-9 shift-equivariance tolerance.
+Ties break toward the smaller phase.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_math import _TINY, PeaParams, Phase, pea_kernel, wrap_phase
+from .phase_math import _TINY, PeaParams, Phase, _wrap_array, pea_kernel
 
 __all__ = [
     "LOG_ZERO",
@@ -86,140 +87,45 @@ def log_kernel(T: int, delta) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
-    """Sum of log kernel factors at the candidate phase."""
+def _log_mix(k_sum: np.ndarray) -> np.ndarray:
+    """log of the even mixture k_sum/2, where k_sum = K(e - c) + K(e + c) is
+    a sum of two kernel values, with exact zeros mapped to the LOG_ZERO
+    sentinel.  Halves k_sum in place: callers pass a fresh sum, and at scan
+    size (n x G/2) one fewer temporary of that shape is held."""
+    mix = np.multiply(k_sum, 0.5, out=k_sum)
+    return np.where(mix > 0.0, np.log(np.where(mix > 0.0, mix, 1.0)), LOG_ZERO)
+
+
+def _nonempty(estimates) -> np.ndarray:
     est = np.asarray(estimates, dtype=float)
     if est.size == 0:
         raise ValueError("estimates must be nonempty")
+    return est
+
+
+def log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
+    """Sum of log kernel factors at the candidate phase."""
+    est = _nonempty(estimates)
     return float(np.sum(log_kernel(params.T, est - float(phi_cand))))
-
-
-def _mix_ll(T: int, est: np.ndarray, c) -> np.ndarray:
-    """Mixture log likelihood sum_j log[K(e_j - c)/2 + K(e_j + c)/2] for a
-    vector of candidates c; est has shape (R,)."""
-    c = np.asarray(c, dtype=float)
-    a = pea_kernel(T, est[None, :] - c[..., None])
-    b = pea_kernel(T, est[None, :] + c[..., None])
-    mix = 0.5 * (a + b)
-    out = np.where(mix > 0.0, np.log(np.where(mix > 0.0, mix, 1.0)), LOG_ZERO)
-    return out.sum(axis=-1)
 
 
 def mixture_log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
     """Counting-variant objective at one candidate."""
-    est = np.asarray(estimates, dtype=float)
-    if est.size == 0:
-        raise ValueError("estimates must be nonempty")
-    return float(_mix_ll(params.T, est, np.asarray([float(phi_cand)]))[0])
+    est = _nonempty(estimates)
+    c = float(phi_cand)
+    return float(np.sum(_log_mix(pea_kernel(params.T, est - c) + pea_kernel(params.T, est + c))))
 
 
-def _golden(f, lo: float, hi: float, seed_best: tuple[float, float]) -> tuple[float, float, int]:
-    """Golden-section max of f on [lo, hi] to bracket width 1e-12.
-
-    Tracks the best point seen (seeded with the coarse winner) so the result
-    never scores below any evaluated point; ties keep the smaller abscissa.
-    Returns (x, f(x), iterations).
-    """
-    best_x, best_f = seed_best
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    iters = 0
-    while (b - a) > _BRACKET_TOL and iters < 200:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        iters += 1
-    for x, fx in ((c, fc), (d, fd)):
-        if fx > best_f or (fx == best_f and x < best_x):
-            best_x, best_f = x, fx
-    return best_x, best_f, iters
-
-
-def _dll(T: int, est: np.ndarray, c: float) -> tuple[float, float]:
-    """First and second derivative of the plain log likelihood at c.
-
-    d/dc log K(e - c) = -2 pi [T cot(T pi d) - cot(pi d)], d = e - c, with
-    the series branch -2 pi^2 d (T^2-1)/3 * [1 + (pi d)^2 (T^4-1)/(15(T^2-1))]
-    near d = 0 where the two cotangents cancel.
-    """
-    d = est - c
-    d = d - np.round(d)
-    g = np.empty_like(d)
-    gp = np.empty_like(d)
-    small = np.abs(d) < (0.02 / T)
-    ds = d[small]
-    t2 = float(T * T)
-    g[small] = -2.0 * np.pi**2 * ds * (t2 - 1.0) / 3.0 * (
-        1.0 + (np.pi * ds) ** 2 * (t2 * t2 - 1.0) / (15.0 * (t2 - 1.0))
-    )
-    gp[small] = -2.0 * np.pi**2 * (t2 - 1.0) / 3.0 * (
-        1.0 + 3.0 * (np.pi * ds) ** 2 * (t2 * t2 - 1.0) / (15.0 * (t2 - 1.0))
-    )
-    dl = d[~small]
-    g[~small] = 2.0 * np.pi * (T / np.tan(np.pi * T * dl) - 1.0 / np.tan(np.pi * dl))
-    gp[~small] = 2.0 * np.pi**2 * (
-        t2 / np.sin(np.pi * T * dl) ** 2 - 1.0 / np.sin(np.pi * dl) ** 2
-    )
-    # dL/dc = -sum g(d); d2L/dc2 = +sum g'(d)  (two sign flips cancel once)
-    return -float(g.sum()), float(gp.sum())
-
-
-def _newton_polish(
-    T: int, est: np.ndarray, x: float, fx: float, lo: float, hi: float, f
-) -> tuple[float, float, int]:
-    """Up to 3 Newton steps on dL/dc from the golden-section point; keeps the
-    incumbent whenever a step leaves the bracket, hits a non-concave point,
-    or fails to improve the exact objective."""
-    cur = x
-    steps = 0
-    for _ in range(3):
-        d1, d2 = _dll(T, est, cur)
-        if not np.isfinite(d1) or not np.isfinite(d2) or d2 >= 0.0:
-            break
-        step = d1 / d2
-        nxt = cur - step
-        if not (lo - 1e-9 <= nxt <= hi + 1e-9):
-            break
-        steps += 1
-        if abs(nxt - cur) < 1e-16:
-            cur = nxt
-            break
-        cur = nxt
-    if steps and cur != x:
-        fcur = f(cur)
-        if fcur >= fx:
-            return cur, fcur, steps
-    return x, fx, 0
+def _one_row(core, params: PeaParams, estimates) -> MleResult:
+    """Run a batch maximizer on a single row of estimates."""
+    est = _nonempty(estimates).reshape(1, -1)
+    x, fx, grid_points, iters = core(params.T, est)
+    return MleResult(float(x[0]), float(fx[0]), grid_points, iters)
 
 
 def mle_estimate(params: PeaParams, estimates) -> MleResult:
     """Global maximizer of the plain log likelihood over [0, 1)."""
-    est = np.asarray(estimates, dtype=float)
-    if est.size == 0:
-        raise ValueError("estimates must be nonempty")
-    T, R = params.T, est.size
-    if R == 1:
-        x = wrap_phase(float(est[0]))
-        return MleResult(x, 0.0, 0, 0)
-    G = max(4 * T * R, 1024)
-    grid = np.arange(G) / G
-    ll = log_kernel(T, est[None, :] - grid[:, None]).sum(axis=1)
-    k = int(np.argmax(ll))  # first occurrence = smallest candidate on ties
-
-    def f(c: float) -> float:
-        return float(np.sum(log_kernel(T, est - c)))
-
-    lo, hi = (k - 1) / G, (k + 1) / G
-    x, fx, iters = _golden(f, lo, hi, (grid[k], float(ll[k])))
-    x, fx, extra = _newton_polish(T, est, x, fx, lo, hi, f)
-    return MleResult(wrap_phase(x), fx, G, iters + extra)
+    return _one_row(_plain_max, params, estimates)
 
 
 def mle_estimate_counting(params: PeaParams, estimates) -> MleResult:
@@ -231,31 +137,23 @@ def mle_estimate_counting(params: PeaParams, estimates) -> MleResult:
     argmax drifts off the fold when the +-phi peaks overlap, i.e. within
     ~1/T of the interval ends; the fold is the contractual estimator.)
     """
-    est = np.asarray(estimates, dtype=float)
-    if est.size == 0:
-        raise ValueError("estimates must be nonempty")
-    T, R = params.T, est.size
-    if R == 1:
-        w = wrap_phase(float(est[0]))
-        x = min(w, 1.0 - w)
-        return MleResult(x, float(np.log(0.5 * (1.0 + pea_kernel(T, 2.0 * w)))), 0, 0)
-    G = max(4 * T * R, 1024)
-    ncand = G // 2 + 1
-    grid = np.arange(ncand) / G
-    ll = _mix_ll(T, est, grid)
-    k = int(np.argmax(ll))
+    return _one_row(_counting_max, params, estimates)
 
-    def f(c: float) -> float:
-        return float(_mix_ll(T, est, np.asarray([c]))[0])
 
-    lo = max((k - 1) / G, 0.0)
-    hi = min((k + 1) / G, 0.5)
-    x, fx, iters = _golden(f, lo, hi, (grid[k], float(ll[k])))
-    return MleResult(x, fx, ncand, iters)
+def mle_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
+    """Plain MLE for many trials at once; estimates has shape (n, R).
+    Returns phi_hat of shape (n,), row i equal to mle_estimate on row i."""
+    return _plain_max(params.T, np.asarray(estimates, dtype=float))[0]
+
+
+def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
+    """Counting-variant MLE for many trials; estimates (n, R) -> phi_hat (n,)
+    in [0, 1/2], row i equal to mle_estimate_counting on row i."""
+    return _counting_max(params.T, np.asarray(estimates, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
-# batch path
+# maximizers
 
 
 def _zero_cells(T: int, G: int) -> tuple[np.ndarray, np.ndarray]:
@@ -328,33 +226,56 @@ def _golden_batch(f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f:
 _RESCORE = 16  # snapped-scan short-list width re-scored with the exact objective
 
 
-def _shortlist_argmax(snapped: np.ndarray, exact_at: "callable") -> np.ndarray:
-    """Exact argmax over the top candidates of a snapped coarse scan.
+def _local_max_cell(snapped: np.ndarray, score, ends: bool) -> np.ndarray:
+    """Candidate cell per row whose exact score is a local maximum on the grid.
 
     The snapped scan ranks candidates with estimates rounded to the grid,
     which can misorder near-tied likelihood peaks.  Re-scoring the best
-    _RESCORE cells per row with the exact objective restores the scalar
-    path's ranking; candidate indices are sorted ascending so exact ties
-    resolve toward the smaller phase, as in the scalar scan.
+    _RESCORE cells per row (and, with ends=True, the two end cells, which
+    the snapped scan can rank out of the list) with the exact objective
+    restores the exact ranking; candidate indices are sorted ascending so
+    exact ties resolve toward the smaller phase.  The winner then steps to a
+    strictly better neighbouring cell until neither neighbour scores higher:
+    circularly when ends=False, clipped to the candidate range when
+    ends=True.  score maps an (n, m) array of cell indices to exact values.
     """
     n, ncand = snapped.shape
     m = min(_RESCORE, ncand)
     top = np.argpartition(snapped, ncand - m, axis=1)[:, ncand - m :]
+    if ends:
+        top = np.concatenate([top, np.tile([0, ncand - 1], (n, 1))], axis=1)
     top.sort(axis=1)
-    vals = exact_at(top)
-    return top[np.arange(n), np.argmax(vals, axis=1)]
+    vals = score(top)
+    rows = np.arange(n)
+    pick = np.argmax(vals, axis=1)
+    k, fk = top[rows, pick], vals[rows, pick]
+    while True:
+        nb = k[:, None] + np.array([-1, 1])
+        nb = np.clip(nb, 0, ncand - 1) if ends else nb % ncand
+        f_nb = score(nb)
+        pick = np.argmax(f_nb, axis=1)
+        best = f_nb[rows, pick]
+        up = best > fk
+        if not up.any():
+            return k
+        k = np.where(up, nb[rows, pick], k)
+        fk = np.where(up, best, fk)
 
 
-def mle_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
-    """Plain MLE for many trials at once; estimates has shape (n, R).
-    Returns phi_hat of shape (n,).  Same maximizer as mle_estimate."""
-    est = np.asarray(estimates, dtype=float)
+def _plain_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Maximizer of the plain log likelihood for each row of est (n, R).
+    Returns (phi_hat, log likelihood, candidate cells, golden iterations)."""
     n, R = est.shape
-    T = params.T
+
+    def objective(c: np.ndarray) -> np.ndarray:
+        return log_kernel(T, est[:, None, :] - c[:, :, None]).sum(axis=2)
+
+    def f(c: np.ndarray) -> np.ndarray:
+        return objective(c[:, None])[:, 0]
+
     if R == 1:
-        out = est[:, 0] - np.floor(est[:, 0])
-        out[out >= 1.0] = 0.0
-        return out
+        x = _wrap_array(est[:, 0])
+        return x, f(x), 0, 0
     G = max(4 * T * R, 1024)
     tab = _snap_table(T, G)
     idx = np.rint(est * G).astype(np.int64) % G
@@ -362,31 +283,27 @@ def mle_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
     ll = np.zeros((n, G))
     for j in range(R):
         ll += tab[(idx[:, j : j + 1] - k[None, :]) % G]
-
-    def exact_at(cands: np.ndarray) -> np.ndarray:
-        return log_kernel(T, est[:, None, :] - cands[:, :, None] / G).sum(axis=2)
-
-    best = _shortlist_argmax(ll, exact_at)
+    best = _local_max_cell(ll, lambda cells: objective(cells / G), ends=False)
     lo = (best - 1.0) / G
     hi = (best + 1.0) / G
-
-    def f(c: np.ndarray) -> np.ndarray:
-        return log_kernel(T, est - c[:, None]).sum(axis=1)
-
     seed_x = best / G
-    x, fx, _ = _golden_batch(f, lo, hi, seed_x, f(seed_x))
-    x = _newton_polish_batch(T, est, x, fx, lo, hi, f)
-    x -= np.floor(x)
-    x[x >= 1.0] = 0.0
-    return x
+    x, fx, iters = _golden_batch(f, lo, hi, seed_x, f(seed_x))
+    x, fx = _newton_polish_batch(T, est, x, fx, lo, hi, f)
+    return _wrap_array(x), fx, G, iters
 
 
 def _newton_polish_batch(
     T: int, est: np.ndarray, x: np.ndarray, fx: np.ndarray, lo, hi, f
-) -> np.ndarray:
-    """Vectorized counterpart of _newton_polish (3 fixed steps, guarded)."""
-    d = est - x[:, None]
-    d -= np.round(d)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Three guarded Newton steps on dL/dc from the golden-section point.
+
+    d/dc log K(e - c) = -2 pi [T cot(T pi d) - cot(pi d)], d = e - c, with
+    the series branch -2 pi^2 d (T^2-1)/3 * [1 + (pi d)^2 (T^4-1)/(15(T^2-1))]
+    near d = 0 where the two cotangents cancel.  A step is skipped where it
+    would leave the bracket or the objective is not concave, and the
+    polished point replaces the incumbent only where it scores at least as
+    high.  Returns (x, f(x)).
+    """
     cur = x.copy()
     for _ in range(3):
         d = est - cur[:, None]
@@ -406,6 +323,7 @@ def _newton_polish_batch(
         )
         g = np.where(small, g_small, g_big)
         gp = np.where(small, gp_small, gp_big)
+        # dL/dc = -sum g(d); d2L/dc2 = +sum g'(d)  (two sign flips cancel once)
         d1 = -g.sum(axis=1)
         d2 = gp.sum(axis=1)
         ok = np.isfinite(d1) & np.isfinite(d2) & (d2 < 0.0)
@@ -415,52 +333,39 @@ def _newton_polish_batch(
         cur = np.where(ok, nxt, cur)
     f_cur = f(cur)
     accept = f_cur >= fx
-    return np.where(accept, cur, x)
+    return np.where(accept, cur, x), np.where(accept, f_cur, fx)
 
 
-def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
-    """Counting-variant MLE for many trials; estimates (n, R) -> phi_hat (n,)
-    in [0, 1/2].  Same maximizer as mle_estimate_counting."""
-    est = np.asarray(estimates, dtype=float)
+def _counting_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Maximizer of the even mixture log likelihood over [0, 1/2] for each
+    row of est (n, R).  Returns (phi_hat, log likelihood, candidate cells,
+    golden iterations)."""
     n, R = est.shape
-    T = params.T
+
+    def objective(c: np.ndarray) -> np.ndarray:
+        e, cc = est[:, None, :], c[:, :, None]
+        return _log_mix(pea_kernel(T, e - cc) + pea_kernel(T, e + cc)).sum(axis=2)
+
+    def f(c: np.ndarray) -> np.ndarray:
+        return objective(c[:, None])[:, 0]
+
     if R == 1:
-        w = est[:, 0] - np.floor(est[:, 0])
-        w[w >= 1.0] = 0.0
-        return np.minimum(w, 1.0 - w)
+        w = _wrap_array(est[:, 0])
+        x = np.minimum(w, 1.0 - w)
+        return x, f(x), 0, 0
     G = max(4 * T * R, 1024)
     # kernel-value table (not log): the mixture sums kernels before the log
-    k = np.arange(G)
     ktab = _snap_ktable(T, G)
     idx = np.rint(est * G).astype(np.int64) % G
     ncand = G // 2 + 1
-    kk = k[:ncand]
+    k = np.arange(ncand)
     ll = np.zeros((n, ncand))
-    with np.errstate(divide="ignore"):
-        for j in range(R):
-            mix = 0.5 * (
-                ktab[(idx[:, j : j + 1] - kk[None, :]) % G]
-                + ktab[(idx[:, j : j + 1] + kk[None, :]) % G]
-            )
-            ll += np.where(mix > 0.0, np.log(np.where(mix > 0.0, mix, 1.0)), LOG_ZERO)
-
-    def exact_at(cands: np.ndarray) -> np.ndarray:
-        c = cands[:, :, None] / G
-        mix = 0.5 * (pea_kernel(T, est[:, None, :] - c) + pea_kernel(T, est[:, None, :] + c))
-        terms = np.where(mix > 0.0, np.log(np.where(mix > 0.0, mix, 1.0)), LOG_ZERO)
-        return terms.sum(axis=2)
-
-    best = _shortlist_argmax(ll, exact_at)
+    for j in range(R):
+        i = idx[:, j : j + 1]
+        ll += _log_mix(ktab[(i - k[None, :]) % G] + ktab[(i + k[None, :]) % G])
+    best = _local_max_cell(ll, lambda cells: objective(cells / G), ends=True)
     lo = np.maximum((best - 1.0) / G, 0.0)
     hi = np.minimum((best + 1.0) / G, 0.5)
-
-    def f(c: np.ndarray) -> np.ndarray:
-        a = pea_kernel(T, est - c[:, None])
-        b = pea_kernel(T, est + c[:, None])
-        mix = 0.5 * (a + b)
-        out = np.where(mix > 0.0, np.log(np.where(mix > 0.0, mix, 1.0)), LOG_ZERO)
-        return out.sum(axis=1)
-
     seed_x = best / G
-    x, _, _ = _golden_batch(f, lo, hi, seed_x, f(seed_x))
-    return np.clip(x, 0.0, 0.5)
+    x, fx, iters = _golden_batch(f, lo, hi, seed_x, f(seed_x))
+    return np.clip(x, 0.0, 0.5), fx, ncand, iters

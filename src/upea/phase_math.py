@@ -13,8 +13,8 @@ continuous estimate phi_tilde = s/T - theta with density
     rho(d) = sin^2(T pi d) / (T sin^2(pi d)),           d = phi_tilde - phi,
 
 whose limit at integer d is T.  This module evaluates both laws exactly,
-provides circular-distance arithmetic, and computes closed-form / quadrature
-bias and mean-absolute-error functionals of the two estimators.
+provides circular-distance arithmetic, and computes closed-form bias and
+mean-absolute-error functionals of the two estimators.
 """
 
 from __future__ import annotations
@@ -174,11 +174,16 @@ def circ_dist(a: float, b: float) -> float:
     return d - 1.0 if d > 0.5 else d
 
 
+def _wrap_array(x: np.ndarray) -> np.ndarray:
+    """Vectorized wrap_phase: a new array of representatives in [0, 1)."""
+    r = x - np.floor(x)
+    r[r >= 1.0] = 0.0
+    return r
+
+
 def _circ_dist_array(a: np.ndarray, b) -> np.ndarray:
     """Vectorized circ_dist; same tie convention."""
-    d = np.asarray(a, dtype=float) - b
-    d -= np.floor(d)
-    d[d >= 1.0] = 0.0
+    d = _wrap_array(np.asarray(a, dtype=float) - b)
     return np.where(d > 0.5, d - 1.0, d)
 
 
@@ -243,43 +248,14 @@ def exact_bias_mae_pea(params: PeaParams, phi: float) -> BiasMaeEntry:
     return BiasMaeEntry(wrap_phase(phi), bias, mae)
 
 
-def _mae_pea_grid(T: int, phis: np.ndarray) -> np.ndarray:
-    """Vectorized exact single-run MAE at each phase in phis."""
-    s_over_T = np.arange(T) / T
-    delta = s_over_T[None, :] - phis[:, None]
-    p = pea_kernel(T, delta)
-    d = delta - np.floor(delta)
-    d = np.where(d > 0.5, d - 1.0, d)
-    return (np.abs(d) * p).sum(axis=1)
+def exact_mae_upea(params: PeaParams) -> float:
+    """MAE of the randomized estimator, which is independent of the true
+    phase.  The error d = phi_tilde - phi has the Fejer-kernel density
+    sum_{|m|<T} (1 - |m|/T) e^{2 pi i m d} on (-1/2, 1/2]; integrating |d|
+    term by term gives the closed form
 
-
-def exact_mae_upea(params: PeaParams, rel_tol: float = 1e-8) -> float:
-    """MAE of the randomized estimator: the phase average of the raw
-    estimator's exact MAE over one period, which is independent of the true
-    phase.  Composite Simpson quadrature on kink-aligned grids (the integrand
-    bends at multiples of 1/(2T)), doubled until the relative change is below
-    rel_tol.
-
-    Raises RuntimeError if doubling reaches the node cap without converging.
+        1/4 - (2/pi^2) sum_{m odd, m < T} (1 - m/T) / m^2.
     """
     T = params.T
-    if T == 1:
-        # single outcome: estimate is theta-shifted 0, error uniform on the
-        # half-circle; closed form integral of |d| is 1/4
-        return 0.25
-
-    # n must stay a multiple of 2T so Simpson nodes hit every kink
-    n = max(4 * T, 256)
-    prev = None
-    while n <= (1 << 22):
-        x = np.arange(n + 1) / n
-        y = _mae_pea_grid(T, x)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        val = float(np.dot(w, y) / (3.0 * n))
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
-            return val
-        prev = val
-        n *= 2
-    raise RuntimeError("quadrature did not converge to the requested tolerance")
+    m = np.arange(1, T, 2, dtype=float)
+    return float(0.25 - 2.0 / np.pi**2 * np.sum((1.0 - m / T) / m**2))

@@ -1,17 +1,13 @@
 """Seed-reproducible Monte Carlo sampling of phase-register outcomes.
 
-Two call styles share one outcome law:
-
-* per-trial objects (`sample_pea`, `sample_upea`, `run_batch`) draw from an
-  rng stream sequentially (theta then the inverse-CDF uniform, per draw) and
-  suit tests and small studies;
-* vectorized blocks (`sample_upea_block`) draw a theta vector then a uniform
-  vector for a whole block of trials and back the experiment harness.
-
-The two styles consume their streams in different orders, so they produce
-different (equally valid) samples from the same seed; each is individually
-deterministic.  Seeds are 64-bit integers fed to numpy's PCG64 generator;
-the algorithm name is exported as RNG_ALGORITHM for run metadata.
+`sample_upea_block` is the one sampler: it draws a theta vector, then a
+uniform vector, for a block of n trials and inverts each trial's exact
+outcome CDF.  The per-trial entry points (`sample_pea`, `sample_upea`,
+`run_batch`) draw blocks of one trial, so a stream of per-trial calls draws
+theta and the uniform alternately, while one block of n draws all n thetas
+first; the two give different (equally valid) samples from the same seed,
+and each is deterministic.  Seeds are 64-bit integers fed to numpy's PCG64
+generator; the algorithm name is exported as RNG_ALGORITHM for run metadata.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ from .phase_math import (
     Phase,
     ThetaMode,
     _circ_dist_array,
+    _wrap_array,
     pea_kernel,
-    pea_pmf,
     wrap_phase,
 )
 
@@ -94,29 +90,26 @@ def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
     return int.from_bytes(digest[:8], "little")
 
 
-def _draw_theta(mode: ThetaMode, T: int, rng: np.random.Generator, n: int | None = None):
+def _draw_theta(mode: ThetaMode, T: int, rng: np.random.Generator, n: int) -> np.ndarray:
     if mode.kind == "full":
-        return rng.random() if n is None else rng.random(n)
+        return rng.random(n)
     if mode.kind == "period":
-        scale = 1.0 / T
-        return rng.random() * scale if n is None else rng.random(n) * scale
-    return mode.value if n is None else np.full(n, mode.value)
+        return rng.random(n) * (1.0 / T)
+    return np.full(n, mode.value)
 
 
 def sample_pea(params: PeaParams, phi: float, rng: np.random.Generator) -> int:
     """Draw one outcome s from the exact outcome table by inverse CDF."""
-    table = pea_pmf(params, phi)
-    cdf = np.cumsum(table.probs)
-    s = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(s, params.T - 1)
+    unshifted = PeaParams(params.t, params.R, ThetaMode.fixed(0.0))
+    s, _, _ = sample_upea_block(unshifted, phi, rng, 1)
+    return int(s[0])
 
 
 def sample_upea(params: PeaParams, phi: float, rng: np.random.Generator) -> PhaseSample:
     """Draw theta per params.theta_mode, run the estimator at phi + theta,
     and return (s, theta, wrap(s/T - theta))."""
-    theta = float(_draw_theta(params.theta_mode, params.T, rng))
-    s = sample_pea(params, phi + theta, rng)
-    return PhaseSample(s, theta, wrap_phase(s / params.T - theta))
+    s, theta, phi_tilde = sample_upea_block(params, phi, rng, 1)
+    return PhaseSample(int(s[0]), float(theta[0]), float(phi_tilde[0]))
 
 
 def sample_upea_block(
@@ -126,19 +119,15 @@ def sample_upea_block(
     arrays.  Draws the whole theta vector, then the whole uniform vector.
     phi may be a scalar or a length-n vector of per-trial true phases."""
     T = params.T
-    theta = np.asarray(_draw_theta(params.theta_mode, T, rng, n), dtype=float)
+    theta = _draw_theta(params.theta_mode, T, rng, n)
     shifted = np.asarray(phi, dtype=float) + theta
     pmf = pea_kernel(T, np.arange(T)[None, :] / T - shifted[:, None])
     cdf = np.cumsum(pmf, axis=1)
     u = rng.random(n)
-    # count of cdf entries <= u reproduces searchsorted side="right" exactly,
-    # so the block and per-trial paths share one inverse-CDF convention
+    # count of cdf entries <= u: the inverse CDF with searchsorted side="right"
     s = (cdf <= u[:, None]).sum(axis=1)
     np.minimum(s, T - 1, out=s)
-    phi_tilde = s / T - theta
-    phi_tilde -= np.floor(phi_tilde)
-    phi_tilde[phi_tilde >= 1.0] = 0.0
-    return s, theta, phi_tilde
+    return s, theta, _wrap_array(s / T - theta)
 
 
 def run_batch(params: PeaParams, phi: float, rng: np.random.Generator) -> SampleBatch:

@@ -89,6 +89,11 @@ def test_parallel_execution_is_byte_identical() -> None:
     assert a == b
 
 
+def test_run_sweep_rejects_nonpositive_workers() -> None:
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(_small("upea-bias-mae"), workers=0)
+
+
 def test_repeat_run_is_byte_identical() -> None:
     cfg = _small("qca-bias-mae")
     assert csv_text(run_sweep(cfg).entries) == csv_text(run_sweep(cfg).entries)

@@ -29,7 +29,8 @@ P3 = PeaParams.from_T(16, R=3)
 def _brute_force_phase(params: PeaParams, est: np.ndarray) -> float:
     """Independent maximizer of the pooled log likelihood over [0, 1)."""
     grid = np.arange(1 << 15) / (1 << 15)
-    vals = np.array([log_likelihood(params, est, float(c)) for c in grid])
+    with np.errstate(divide="ignore"):
+        vals = np.log(pea_kernel(params.T, est[None, :] - grid[:, None])).sum(axis=1)
     k = int(np.argmax(vals))
     lo, hi = (k - 1) / grid.size, (k + 1) / grid.size
     res = optimize.minimize_scalar(
@@ -39,6 +40,25 @@ def _brute_force_phase(params: PeaParams, est: np.ndarray) -> float:
         options={"xatol": 1e-14},
     )
     return wrap_phase(float(res.x))
+
+
+def _brute_force_counting(params: PeaParams, est: np.ndarray) -> float:
+    """Independent maximizer of the mixture log likelihood over [0, 1/2]."""
+    grid = np.linspace(0.0, 0.5, 1 << 14)
+    c = grid[:, None]
+    mix = 0.5 * (pea_kernel(params.T, est - c) + pea_kernel(params.T, est + c))
+    with np.errstate(divide="ignore"):
+        vals = np.log(mix).sum(axis=1)
+    k = int(np.argmax(vals))
+    lo = max(grid[max(k - 1, 0)], 0.0)
+    hi = min(grid[min(k + 1, grid.size - 1)], 0.5)
+    res = optimize.minimize_scalar(
+        lambda c: -mixture_log_likelihood(params, est, float(c)),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-14},
+    )
+    return float(res.x)
 
 
 def test_log_likelihood_sentinel_at_kernel_zero() -> None:
@@ -96,7 +116,7 @@ def test_mle_shift_equivariance() -> None:
         assert abs(circ_dist(got, wrap_phase(base + shift))) < 1e-9
 
 
-def test_mle_batch_agrees_with_scalar_path() -> None:
+def test_mle_batch_matches_brute_force_oracle() -> None:
     rng = make_rng(99)
     n = 300
     mat = np.empty((n, 3))
@@ -104,8 +124,10 @@ def test_mle_batch_agrees_with_scalar_path() -> None:
         _, _, mat[:, j] = sample_upea_block(P3, 0.44, rng, n)
     batch = mle_batch(P3, mat)
     for i in range(n):
-        scalar = mle_estimate(P3, mat[i]).phi_hat
-        assert abs(circ_dist(batch[i], scalar)) < 2e-9
+        want = _brute_force_phase(P3, mat[i])
+        got_ll = log_likelihood(P3, mat[i], batch[i])
+        assert got_ll >= log_likelihood(P3, mat[i], want) - 1e-12
+        assert abs(circ_dist(batch[i], want)) < 2e-6
 
 
 def test_mle_batch_single_column_is_fold() -> None:
@@ -140,32 +162,40 @@ def test_counting_estimate_stays_in_half_interval() -> None:
 
 def test_counting_mle_matches_brute_force() -> None:
     rng = make_rng(42)
-    grid = np.linspace(0.0, 0.5, 1 << 14)
     for _ in range(15):
         est = rng.random(3)
         got = mle_estimate_counting(P3, est).phi_hat
-        vals = np.array([mixture_log_likelihood(P3, est, float(c)) for c in grid])
-        k = int(np.argmax(vals))
-        lo = max(grid[max(k - 1, 0)], 0.0)
-        hi = min(grid[min(k + 1, grid.size - 1)], 0.5)
-        res = optimize.minimize_scalar(
-            lambda c: -mixture_log_likelihood(P3, est, float(c)),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-14},
-        )
-        want = float(res.x)
-        assert abs(got - want) < 2e-6
+        assert abs(got - _brute_force_counting(P3, est)) < 2e-6
 
 
-def test_counting_batch_agrees_with_scalar_path() -> None:
-    rng = make_rng(17)
-    n = 200
-    mat = rng.random((n, 3))
-    batch = mle_counting_batch(P3, mat)
-    for i in range(n):
-        scalar = mle_estimate_counting(P3, mat[i]).phi_hat
-        assert abs(batch[i] - scalar) < 2e-9
+def _assert_counting_batch_matches_oracle(params: PeaParams, mat: np.ndarray) -> None:
+    batch = mle_counting_batch(params, mat)
+    for i in range(mat.shape[0]):
+        want = _brute_force_counting(params, mat[i])
+        got_ll = mixture_log_likelihood(params, mat[i], batch[i])
+        assert got_ll >= mixture_log_likelihood(params, mat[i], want) - 1e-12
+        assert abs(batch[i] - want) < 2e-6
+
+
+def test_counting_batch_matches_brute_force() -> None:
+    _assert_counting_batch_matches_oracle(P3, make_rng(17).random((200, 3)))
+
+
+@pytest.mark.parametrize(
+    "T, row",
+    [
+        # maximum at the interval end c = 1/2, which the snapped scan ranked
+        # out of the re-scored short list
+        (16, [0.512135814728801, 0.5204405561383632, 0.6370042323010977]),
+        (16, [0.4826071082123309, 0.9224133444730946]),
+        # exact winner on the short list's edge with a better cell just
+        # outside it
+        (4, [0.3901982274452006, 0.6076454827522434]),
+        (2, [0.7661378132245931, 0.7713783307348947, 0.7055694192898343]),
+    ],
+)
+def test_counting_batch_brackets_the_maximizer(T: int, row: list) -> None:
+    _assert_counting_batch_matches_oracle(PeaParams.from_T(T, R=len(row)), np.array([row]))
 
 
 def test_more_runs_concentrate_the_estimate() -> None:

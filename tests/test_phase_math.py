@@ -1,13 +1,14 @@
 """Unit tests for the exact phase-domain math: wrapping, circular distance,
-the outcome kernel, and the closed-form / quadrature error laws."""
+the outcome kernel, and the closed-form error laws."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upea.phase_math import (
@@ -43,8 +44,10 @@ def test_wrap_phase_lands_in_unit_interval(x: float) -> None:
 
 
 @given(finite_reals, st.integers(min_value=-5, max_value=5))
+@example(x=-2.220446049250313e-16, k=-2)  # x + k rounds to -2.0: wraps to 0, not ~1
 def test_wrap_phase_is_periodic(x: float, k: int) -> None:
-    assert wrap_phase(x + k) == pytest.approx(wrap_phase(x), abs=1e-9)
+    # equal as circle points; compare circularly
+    assert abs(circ_dist(wrap_phase(x + k), wrap_phase(x))) < 1e-9
 
 
 def test_wrap_phase_handles_tiny_negative() -> None:
@@ -195,18 +198,31 @@ def test_exact_bias_mae_pinned_values() -> None:
 def test_exact_mae_upea_t1_closed_form() -> None:
     # single outcome: estimate is a uniform shift, E|d| over the circle = 1/4
     assert exact_mae_upea(PeaParams(t=0)) == 0.25
+    # one qubit: the sum has the single term m = 1, (1 - 1/2) / 1
+    assert exact_mae_upea(PeaParams(t=1)) == pytest.approx(0.25 - 1 / math.pi**2, rel=1e-15)
 
 
 def test_exact_mae_upea_matches_high_precision_oracle() -> None:
     # frozen 30-digit adaptive quadrature of the phase-averaged exact MAE
-    # (kink-aligned panels); the quadrature here must land within its stated
-    # relative tolerance of that value
+    # (kink-aligned panels), an independent check of the closed form
     assert exact_mae_upea(P16) == pytest.approx(0.031930774464448815, abs=1e-9)
 
 
 def test_exact_mae_upea_shrinks_with_t() -> None:
     maes = [exact_mae_upea(PeaParams(t=t)) for t in (2, 3, 4, 5)]
     assert all(a > b for a, b in zip(maes, maes[1:]))
+
+
+def test_exact_mae_upea_large_t_stays_small_in_memory() -> None:
+    # a quadrature node x outcome table at T = 1024 would take 512 MiB
+    tracemalloc.start()
+    try:
+        mae = exact_mae_upea(PeaParams.from_T(1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert 0.0 < mae < exact_mae_upea(PeaParams.from_T(512))
 
 
 # ---------------------------------------------------------------------------
