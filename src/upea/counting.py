@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -119,18 +119,7 @@ class CalibrationRecord:
             raise ValueError("b must be finite")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "T": self.T,
-                "R": self.R,
-                "b": self.b,
-                "stderr_b": self.stderr_b,
-                "n_samples": self.n_samples,
-                "seed": self.seed,
-                "rng_algorithm": self.rng_algorithm,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationRecord":

@@ -19,7 +19,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -35,7 +35,7 @@ from .counting import (
 from .mle import mle_batch
 from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, pea_kernel
 from .sampler import RNG_ALGORITHM, derive_seed, make_rng, sample_upea_block
-from .statevector import analytic_counting_pmf, grover_pea_pmf, _pea_pmf_impl
+from .statevector import analytic_counting_pmf, grover_pea_pmf, pea_circuit_pmf
 
 __all__ = [
     "EXPERIMENTS",
@@ -62,6 +62,8 @@ EXPERIMENTS = (
 
 _CHUNK = 4096
 _AUTO_CAL_SAMPLES = 1 << 16
+# largest max |circuit pmf - analytic law| that run_verify_circuit accepts
+_VERIFY_TOLERANCE = 1e-10
 
 CSV_HEADER = "ground_truth,bias,stderr_bias,mae,stderr_mae,n_samples"
 
@@ -112,19 +114,7 @@ class SweepConfig:
         return [self.R]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "experiment": self.experiment,
-                "T": self.T,
-                "R": list(self.R) if isinstance(self.R, tuple) else self.R,
-                "grid_points": self.grid_points,
-                "n_samples": self.n_samples,
-                "theta_mode": str(self.theta_mode),
-                "base_seed": self.base_seed,
-                "output_path": self.output_path,
-            },
-            indent=2,
-        )
+        return json.dumps({**asdict(self), "theta_mode": str(self.theta_mode)}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -163,19 +153,17 @@ PRESETS: dict[str, SweepConfig] = {
 
 class _Moments:
     """Order-independent accumulator: exact compensated reduction of per-chunk
-    (sum d, sum d^2, sum |d|, sum |d|^2, n) partials, combined in chunk-index
-    order regardless of completion order."""
+    (sum d, sum d^2, sum |d|, n) partials, combined in chunk-index order
+    regardless of completion order.  sum |d|^2 is sum d^2 to the last bit."""
 
     def __init__(self, n_chunks: int) -> None:
-        self.parts: list[tuple[float, float, float, float, int] | None] = [None] * n_chunks
+        self.parts: list[tuple[float, float, float, int] | None] = [None] * n_chunks
 
     def put(self, chunk_index: int, d: np.ndarray) -> None:
-        a = np.abs(d)
         self.parts[chunk_index] = (
             float(np.sum(d)),
             float(np.sum(d * d)),
-            float(np.sum(a)),
-            float(np.sum(a * a)),
+            float(np.sum(np.abs(d))),
             int(d.size),
         )
 
@@ -184,13 +172,12 @@ class _Moments:
         sd = math.fsum(p[0] for p in self.parts)
         sd2 = math.fsum(p[1] for p in self.parts)
         sa = math.fsum(p[2] for p in self.parts)
-        sa2 = math.fsum(p[3] for p in self.parts)
-        n = sum(p[4] for p in self.parts)
+        n = sum(p[3] for p in self.parts)
         bias = sd / n
         mae = sa / n
         if n > 1:
             var_d = max(sd2 - n * bias * bias, 0.0) / (n - 1)
-            var_a = max(sa2 - n * mae * mae, 0.0) / (n - 1)
+            var_a = max(sd2 - n * mae * mae, 0.0) / (n - 1)
             se_b = math.sqrt(var_d / n)
             se_m = math.sqrt(var_a / n)
         else:
@@ -315,8 +302,6 @@ def _qca_entries(
     pooled = isinstance(config.R, tuple)
     ms = [float(m) for m in np.linspace(0.0, 1.0, config.grid_points)]
 
-    if calibration is not None and (not corrected or len(r_values) != 1):
-        raise ValueError("a calibration record applies to exactly one corrected (T, R) sweep")
     records: list[CalibrationRecord] = []
     b_for: dict[int, float] = {}  # an R left out takes the exact single-run correction
     if corrected:
@@ -342,14 +327,17 @@ def run_sweep(
     workers: int = 1,
 ) -> SweepReport:
     """Execute one experiment; the report depends only on the config (and the
-    supplied calibration record), never on the worker count."""
+    supplied calibration record), never on the worker count.  A calibration
+    record is accepted only by a single-R uqca-corrected sweep."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if calibration is not None and (
+        config.experiment != "uqca-corrected" or isinstance(config.R, tuple)
+    ):
+        raise ValueError("a calibration record applies to exactly one corrected (T, R) sweep")
     start = time.perf_counter()
     records: list[CalibrationRecord] = []
     if config.experiment in ("pea-bias-mae", "upea-bias-mae", "mle-bias-mae"):
-        if isinstance(config.R, tuple):
-            raise ValueError("phase sweeps take a single R")
         entries = _phase_sweep_entries(config, workers)
     elif config.experiment == "mae-vs-r":
         entries = _mae_vs_r_entries(config, workers)
@@ -410,39 +398,34 @@ def run_verify_circuit(
     n_theta: int = 8,
     seed: int = 1,
     corrupt_theta: bool = False,
-    tolerance: float = 1e-10,
 ) -> dict:
-    """Run the two oracle-equivalence suites and report max deviations.
+    """Run the two oracle-equivalence suites and report max deviations,
+    each of which must stay below 1e-10.
 
-    corrupt_theta flips the sign of the Rz ladder in the estimation circuit,
-    a negative control that must make the check fail.
+    corrupt_theta runs the estimation circuit at -theta (the Rz ladder's
+    sign flipped), a negative control that must make the check fail.
     """
     if pea_max_t > 6:
         raise ValueError("PEA check supports t <= 6")
     if grover_max_t > 5 or grover_max_n > 4:
         raise ValueError("counting check supports t <= 5, n <= 4")
     rng = make_rng(derive_seed(seed, "verify-circuit"))
-    checks = []
+
+    def check(name: str, worst: float) -> dict:
+        tol = _VERIFY_TOLERANCE
+        return {"name": name, "max_deviation": worst, "tolerance": tol, "passed": worst < tol}
 
     worst = 0.0
-    sign = -1.0 if corrupt_theta else 1.0
     for t in range(1, pea_max_t + 1):
         T = 1 << t
         phis = rng.random(n_phi)
         thetas = rng.random(n_theta)
         for phi in phis:
             for theta in thetas:
-                pmf = _pea_pmf_impl(t, float(phi), float(theta), sign).probs
+                pmf = pea_circuit_pmf(t, phi, -theta if corrupt_theta else theta).probs
                 ref = pea_kernel(T, np.arange(T) / T - (phi + theta))
                 worst = max(worst, float(np.max(np.abs(pmf - ref))))
-    checks.append(
-        {
-            "name": "pea-circuit-vs-analytic",
-            "max_deviation": worst,
-            "tolerance": tolerance,
-            "passed": worst < tolerance,
-        }
-    )
+    checks = [check("pea-circuit-vs-analytic", worst)]
 
     worst = 0.0
     for t in range(1, grover_max_t + 1):
@@ -454,13 +437,6 @@ def run_verify_circuit(
                 pmf = grover_pea_pmf(t, inst, theta).probs
                 ref = analytic_counting_pmf(t, M / N, theta)
                 worst = max(worst, float(np.max(np.abs(pmf - ref))))
-    checks.append(
-        {
-            "name": "counting-circuit-vs-mixture",
-            "max_deviation": worst,
-            "tolerance": tolerance,
-            "passed": worst < tolerance,
-        }
-    )
+    checks.append(check("counting-circuit-vs-mixture", worst))
 
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}

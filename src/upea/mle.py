@@ -13,18 +13,21 @@ zeros at k/T).  The counting variant maximizes the even mixture
 over c in [0, 1/2], because the generating process draws the sign of the
 phase uniformly and K is even.
 
-Each objective has one maximizer, vectorized over rows of estimates; the
-single-trial entry points run it on one row.  Coarse scan over
-max(4*T*R, 1024) equispaced candidates (4x oversampling of the likelihood's
-O(T*R) oscillations) with estimates snapped to the candidate grid and
-factors gathered from a precomputed table; exact re-scoring of the best 16
-cells (plus both interval ends for the mixture, which are stationary points
-of an even objective); a climb to the better neighbouring cell until neither
-neighbour scores higher, so the bracket of the winning cell's two
-neighbours surrounds a local maximum; golden-section refinement of that
-bracket to width 1e-12; and (plain variant only) a guarded Newton polish on
-dL/dc that pins the peak well below the 1e-9 shift-equivariance tolerance.
-Ties break toward the smaller phase.
+Each objective is written once, as a broadcasting function that the public
+log-likelihoods and the maximizers all call, and has one maximizer,
+vectorized over rows of estimates; the single-trial entry points run it on
+one row.  Coarse scan over max(4*T*R, 1024) equispaced candidates (4x
+oversampling of the likelihood's O(T*R) oscillations) with estimates snapped
+to the candidate grid and factors gathered from one precomputed table of
+kernel values, whose exact zeros are clamped to the value half a cell away
+(the plain scan takes its log; the mixture sums before the log); exact
+re-scoring of the best 16 cells (plus both interval ends for the mixture,
+which are stationary points of an even objective); a climb to the better
+neighbouring cell until neither neighbour scores higher, so the bracket of
+the winning cell's two neighbours surrounds a local maximum; golden-section
+refinement of that bracket to width 1e-12; and (plain variant only) a
+guarded Newton polish on dL/dc that pins the peak well below the 1e-9
+shift-equivariance tolerance.  Ties break toward the smaller phase.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_math import _TINY, PeaParams, Phase, _wrap_array, pea_kernel
+from .phase_math import PeaParams, Phase, _kernel_parts, _wrap_array, pea_kernel
 
 __all__ = [
     "LOG_ZERO",
@@ -70,17 +73,11 @@ class MleResult:
 
 def log_kernel(T: int, delta) -> np.ndarray | float:
     """log of pea_kernel with exact zeros mapped to the LOG_ZERO sentinel."""
-    delta = np.asarray(delta, dtype=float)
-    e = delta - np.round(delta)
-    u = T * e
-    f = u - np.round(u)
-    num = np.abs(np.sin(np.pi * f))
-    den = T * np.abs(np.sin(np.pi * e))
-    # same subnormal guard as pea_kernel: log of the limit value is exactly 0
-    lattice = np.abs(e) < _TINY
+    num, den, lattice = _kernel_parts(T, delta)
     zero = (num == 0.0) & ~lattice
-    num = np.where(zero | lattice, 1.0, num)
-    den = np.where(zero | lattice, 1.0, den)
+    # on the lattice the log of the limit value is exactly 0
+    num = np.where(zero | lattice, 1.0, np.abs(num))
+    den = np.where(zero | lattice, 1.0, np.abs(den))
     out = 2.0 * (np.log(num) - np.log(den))
     out = np.where(zero, LOG_ZERO, out)
     out = np.where(lattice, 0.0, out)
@@ -103,17 +100,26 @@ def _nonempty(estimates) -> np.ndarray:
     return est
 
 
+def _plain_ll(T: int, est: np.ndarray, c) -> np.ndarray:
+    """Plain log likelihood sum_j log K(est_j - c), summed over the last
+    axis of the broadcast of est and c."""
+    return log_kernel(T, est - c).sum(axis=-1)
+
+
+def _mixture_ll(T: int, est: np.ndarray, c) -> np.ndarray:
+    """Even mixture log likelihood sum_j log [K(est_j - c) + K(est_j + c)]/2,
+    summed over the last axis of the broadcast of est and c."""
+    return _log_mix(pea_kernel(T, est - c) + pea_kernel(T, est + c)).sum(axis=-1)
+
+
 def log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
     """Sum of log kernel factors at the candidate phase."""
-    est = _nonempty(estimates)
-    return float(np.sum(log_kernel(params.T, est - float(phi_cand))))
+    return float(_plain_ll(params.T, _nonempty(estimates).ravel(), float(phi_cand)))
 
 
 def mixture_log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
     """Counting-variant objective at one candidate."""
-    est = _nonempty(estimates)
-    c = float(phi_cand)
-    return float(np.sum(_log_mix(pea_kernel(params.T, est - c) + pea_kernel(params.T, est + c))))
+    return float(_mixture_ll(params.T, _nonempty(estimates).ravel(), float(phi_cand)))
 
 
 def _one_row(core, params: PeaParams, estimates) -> MleResult:
@@ -156,37 +162,16 @@ def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
 # maximizers
 
 
-def _zero_cells(T: int, G: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cells of the i/G candidate grid that sit within half a cell of a
-    kernel zero, and the kernel value half a cell away from that zero (the
-    cell's representative magnitude)."""
-    i = np.arange(G)
-    e = i / G - np.round(i / G)
-    u = T * e
-    f = u - np.round(u)
-    near_zero = (np.abs(f) < T / (2.0 * G)) & (e != 0.0)
-    den = T * np.abs(np.sin(np.pi * e))
-    num_rep = np.sin(np.pi * T / (2.0 * G))
-    rep = np.divide(num_rep, den, out=np.ones(G), where=den > 0) ** 2
-    return near_zero, rep
-
-
-def _snap_table(T: int, G: int) -> np.ndarray:
-    """log-kernel table on the candidate grid i/G with kernel-zero cells
-    clamped to their half-cell representative value, so a snapped coarse scan
-    never spuriously discards a candidate whose true factor is merely small."""
-    tab = np.asarray(log_kernel(T, np.arange(G) / G), dtype=float)
-    near_zero, rep = _zero_cells(T, G)
-    with np.errstate(divide="ignore"):
-        return np.where(near_zero, np.log(np.where(rep > 0, rep, 1.0)), tab)
-
-
-def _snap_ktable(T: int, G: int) -> np.ndarray:
-    """Kernel-value table with the same zero-cell clamping as _snap_table,
-    for the mixture scan (which sums kernels before taking the log)."""
-    tab = np.asarray(pea_kernel(T, np.arange(G) / G), dtype=float)
-    near_zero, rep = _zero_cells(T, G)
-    return np.where(near_zero, rep, tab)
+def _scan_table(T: int, G: int) -> np.ndarray:
+    """Kernel values on the candidate grid i/G for the snapped coarse scans,
+    with each exact kernel zero clamped to the kernel value half a cell away
+    from it, so a snapped scan never spuriously discards a candidate whose
+    true factor is merely small.  G is a multiple of T, so the zeros k/T are
+    grid points and their reduced numerator is exactly 0."""
+    num, den, lattice = _kernel_parts(T, np.arange(G) / G)
+    num = np.where((num == 0.0) & ~lattice, np.sin(np.pi * T / (2.0 * G)), num)
+    r = np.divide(num, den, out=np.ones(G), where=~lattice)
+    return r * r
 
 
 def _golden_batch(f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f: np.ndarray):
@@ -268,7 +253,7 @@ def _plain_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, in
     n, R = est.shape
 
     def objective(c: np.ndarray) -> np.ndarray:
-        return log_kernel(T, est[:, None, :] - c[:, :, None]).sum(axis=2)
+        return _plain_ll(T, est[:, None, :], c[:, :, None])
 
     def f(c: np.ndarray) -> np.ndarray:
         return objective(c[:, None])[:, 0]
@@ -277,7 +262,7 @@ def _plain_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, in
         x = _wrap_array(est[:, 0])
         return x, f(x), 0, 0
     G = max(4 * T * R, 1024)
-    tab = _snap_table(T, G)
+    tab = np.log(_scan_table(T, G))
     idx = np.rint(est * G).astype(np.int64) % G
     k = np.arange(G)
     ll = np.zeros((n, G))
@@ -343,8 +328,7 @@ def _counting_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int,
     n, R = est.shape
 
     def objective(c: np.ndarray) -> np.ndarray:
-        e, cc = est[:, None, :], c[:, :, None]
-        return _log_mix(pea_kernel(T, e - cc) + pea_kernel(T, e + cc)).sum(axis=2)
+        return _mixture_ll(T, est[:, None, :], c[:, :, None])
 
     def f(c: np.ndarray) -> np.ndarray:
         return objective(c[:, None])[:, 0]
@@ -355,7 +339,7 @@ def _counting_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int,
         return x, f(x), 0, 0
     G = max(4 * T * R, 1024)
     # kernel-value table (not log): the mixture sums kernels before the log
-    ktab = _snap_ktable(T, G)
+    ktab = _scan_table(T, G)
     idx = np.rint(est * G).astype(np.int64) % G
     ncand = G // 2 + 1
     k = np.arange(ncand)

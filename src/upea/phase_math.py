@@ -187,26 +187,35 @@ def _circ_dist_array(a: np.ndarray, b) -> np.ndarray:
     return np.where(d > 0.5, d - 1.0, d)
 
 
-def pea_kernel(T: int, delta) -> np.ndarray | float:
-    """The squared Dirichlet-type ratio (sin(T pi delta) / (T sin(pi delta)))^2.
+def _kernel_parts(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Numerator sin(pi f), denominator T sin(pi e) and lattice mask of the
+    outcome kernel at delta, with e = delta - round(delta) and
+    f = T*e - round(T*e).  Because T is a power of two both reductions are
+    exact in binary floating point, so the numerator is exactly 0 at the
+    kernel zeros k/T (k not divisible by T).
 
-    Evaluated exactly for any real delta: arguments are reduced as
-    e = delta - round(delta) and f = T*e - round(T*e); because T is a power
-    of two both reductions are exact in binary floating point, so the value
-    is exactly 1 at integer delta and exactly 0 at the kernel zeros k/T
-    (k not divisible by T).  Sums to 1 over the outcome lattice.
+    The lattice mask marks |e| below _TINY, where the products pi*e and pi*f
+    round in the subnormal range and their ratio loses relative precision
+    (it can exceed 1); the kernel's true value there is 1.0 to the last bit,
+    so callers substitute the limit.  e == 0 is included; a subnormal f near
+    a kernel zero is harmless (ratio ~ 0).
     """
     delta = np.asarray(delta, dtype=float)
     e = delta - np.round(delta)
     u = T * e
     f = u - np.round(u)
-    num = np.sin(np.pi * f)
-    den = T * np.sin(np.pi * e)
-    # for |e| below _TINY the products pi*e and pi*f round in the subnormal
-    # range and their ratio loses relative precision (can exceed 1); the true
-    # value there is 1.0 to the last bit, so widen the lattice mask (e == 0
-    # included; a subnormal f near a kernel zero is harmless, ratio ~ 0)
-    lattice = np.abs(e) < _TINY
+    return np.sin(np.pi * f), T * np.sin(np.pi * e), np.abs(e) < _TINY
+
+
+def pea_kernel(T: int, delta) -> np.ndarray | float:
+    """The squared Dirichlet-type ratio (sin(T pi delta) / (T sin(pi delta)))^2.
+
+    Evaluated exactly for any real delta through the argument reduction of
+    _kernel_parts: the value is exactly 1 at integer delta and exactly 0 at
+    the kernel zeros k/T (k not divisible by T).  Sums to 1 over the outcome
+    lattice.
+    """
+    num, den, lattice = _kernel_parts(T, delta)
     r = np.divide(num, den, out=np.ones_like(num), where=~lattice)
     out = r * r
     return float(out) if out.ndim == 0 else out

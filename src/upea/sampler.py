@@ -47,6 +47,11 @@ RNG_ALGORITHM = "numpy-pcg64"
 # 64-bit unsigned seed
 RngSeed = int
 
+# pmf/cdf cells per row slice of sample_upea_block: 64 KiB per float64
+# array, small enough for malloc to reuse heap memory across slices (MiB-sized
+# temporaries are handed back to the OS and page-faulted in again each slice)
+_SLICE_CELLS = 1 << 13
+
 
 @dataclass(frozen=True)
 class PhaseSample:
@@ -117,15 +122,20 @@ def sample_upea_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized block of n independent runs; returns (s, theta, phi_tilde)
     arrays.  Draws the whole theta vector, then the whole uniform vector.
-    phi may be a scalar or a length-n vector of per-trial true phases."""
+    phi may be a scalar or a length-n vector of per-trial true phases.
+    Outcome CDFs are built and inverted a slice of rows at a time, about
+    _SLICE_CELLS cells per slice, so memory stays bounded for large T."""
     T = params.T
     theta = _draw_theta(params.theta_mode, T, rng, n)
     shifted = np.asarray(phi, dtype=float) + theta
-    pmf = pea_kernel(T, np.arange(T)[None, :] / T - shifted[:, None])
-    cdf = np.cumsum(pmf, axis=1)
     u = rng.random(n)
-    # count of cdf entries <= u: the inverse CDF with searchsorted side="right"
-    s = (cdf <= u[:, None]).sum(axis=1)
+    grid = np.arange(T)[None, :] / T
+    s = np.empty(n, dtype=int)
+    rows = max(1, _SLICE_CELLS // T)
+    for i in range(0, n, rows):
+        cdf = np.cumsum(pea_kernel(T, grid - shifted[i : i + rows, None]), axis=1)
+        # count of cdf entries <= u: the inverse CDF with searchsorted side="right"
+        s[i : i + rows] = (cdf <= u[i : i + rows, None]).sum(axis=1)
     np.minimum(s, T - 1, out=s)
     return s, theta, _wrap_array(s / T - theta)
 

@@ -211,18 +211,6 @@ def grover_operator(instance: CountingInstance) -> np.ndarray:
     return diffusion * oracle[None, :]
 
 
-def _pea_pmf_impl(t: int, phi: float, theta: float, theta_sign: float) -> MeasurementPmf:
-    nq = t + 1
-    state = basis_state(nq, 1 << t)  # register |0...0>, target eigenstate |1>
-    for k in range(t):
-        state = apply_h(state, k)
-    for k in range(t):
-        state = apply_controlled_phase(state, k, t, 2.0 * np.pi * (1 << k) * phi)
-        state = apply_rz(state, k, theta_sign * 2.0 * np.pi * (1 << k) * theta)
-    state = inverse_qft(state, range(t))
-    return measurement_pmf(state, range(t))
-
-
 def pea_circuit_pmf(t: int, phi: float, theta: float = 0.0) -> MeasurementPmf:
     """Exact register pmf of the full estimation circuit.
 
@@ -234,7 +222,15 @@ def pea_circuit_pmf(t: int, phi: float, theta: float = 0.0) -> MeasurementPmf:
     """
     if not (1 <= t <= 12):
         raise ValueError("t must lie in [1, 12]")
-    return _pea_pmf_impl(t, float(phi), float(theta), 1.0)
+    phi, theta = float(phi), float(theta)
+    state = basis_state(t + 1, 1 << t)  # register |0...0>, target eigenstate |1>
+    for k in range(t):
+        state = apply_h(state, k)
+    for k in range(t):
+        state = apply_controlled_phase(state, k, t, 2.0 * np.pi * (1 << k) * phi)
+        state = apply_rz(state, k, 2.0 * np.pi * (1 << k) * theta)
+    state = inverse_qft(state, range(t))
+    return measurement_pmf(state, range(t))
 
 
 def grover_pea_pmf(t: int, instance: CountingInstance, theta: float = 0.0) -> MeasurementPmf:

@@ -167,6 +167,24 @@ def test_calibration_record_rejected_for_r_ranges() -> None:
         run_sweep(_small("uqca-corrected", R=(2, 3), n_samples=200), calibration=rec)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        _small("pea-bias-mae", theta_mode=ThetaMode.fixed(0.0), n_samples=200),
+        _small("upea-bias-mae", n_samples=200),
+        _small("mle-bias-mae", R=2, n_samples=200),
+        _small("mae-vs-r", R=(1, 2), n_samples=200),
+        _small("qca-bias-mae", R=2, n_samples=200),
+        _small("calibrate", R=2, n_samples=200),
+    ],
+    ids=lambda cfg: cfg.experiment,
+)
+def test_calibration_record_rejected_by_experiments_that_ignore_it(cfg: SweepConfig) -> None:
+    rec = calibrate_b(16, 2, 256, 1)
+    with pytest.raises(ValueError, match="exactly one"):
+        run_sweep(cfg, calibration=rec)
+
+
 # ---------------------------------------------------------------------------
 # circuit verification
 
@@ -245,6 +263,17 @@ def test_cli_calibration_flag_round_trip(tmp_path, capsys) -> None:
          "--calibration", str(cal)]
     )
     assert code == 0
+
+
+def test_cli_calibration_flag_rejected_by_other_experiments(tmp_path, capsys) -> None:
+    cal = tmp_path / "cal.json"
+    cli.main(["calibrate", "--R", "2", "--samples", "256", "--seed", "3", "--out", str(cal)])
+    code = cli.main(
+        ["mle-bias-mae", "--R", "3", "--grid", "2", "--samples", "100",
+         "--calibration", str(cal)]
+    )
+    assert code == 1
+    assert "calibration record" in capsys.readouterr().err
 
 
 def test_cli_usage_errors_exit_1(capsys) -> None:

@@ -6,13 +6,18 @@ followed by scipy bounded scalar optimization inside the best cell.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import optimize
 
 from upea.mle import (
     LOG_ZERO,
     MleResult,
+    log_kernel,
     log_likelihood,
     mixture_log_likelihood,
     mle_batch,
@@ -69,6 +74,29 @@ def test_log_likelihood_sentinel_at_kernel_zero() -> None:
     # subnormal offsets sit on the lattice side, not the sentinel side
     sub = np.array([0.25 + 2.2250738585e-313, 0.25, 0.25])
     assert log_likelihood(P3, sub, 0.25) == 0.0
+
+
+@given(
+    st.integers(min_value=0, max_value=16),
+    st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False),
+)
+@example(t=4, delta=0.0)  # lattice points
+@example(t=4, delta=-3.0)
+@example(t=0, delta=0.5)
+@example(t=4, delta=2.2250738585e-313)  # subnormal offsets sit on the lattice
+@example(t=10, delta=-5e-324)
+@example(t=4, delta=1 / 16)  # kernel zeros k/T
+@example(t=4, delta=-2.6875)
+@example(t=16, delta=3.0 + 7 / 65536)
+@example(t=4, delta=1 / 16 + 2**-56)  # one ulp from a kernel zero
+def test_log_kernel_is_log_of_pea_kernel(t: int, delta: float) -> None:
+    T = 1 << t
+    k = pea_kernel(T, delta)
+    lk = log_kernel(T, delta)
+    if k == 0.0:
+        assert lk == LOG_ZERO
+    else:
+        assert abs(lk - math.log(k)) <= 1e-12
 
 
 def test_mle_result_validation() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ def test_block_sampler_vector_phi() -> None:
     s, theta, est = sample_upea_block(P16, phis, make_rng(3), 3)
     assert s.shape == theta.shape == est.shape == (3,)
     assert np.all((0 <= s) & (s < 16))
+
+
+def test_block_sampler_memory_is_bounded_at_large_t() -> None:
+    # n x T pmf and cdf arrays would take 128 MiB each at T = n = 4096
+    tracemalloc.start()
+    try:
+        s, _, _ = sample_upea_block(PeaParams.from_T(4096), 0.3, make_rng(5), 4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.shape == (4096,) and np.all((0 <= s) & (s < 4096))
+    assert peak <= 64 << 20
 
 
 def test_run_batch_shape_and_determinism() -> None:

@@ -1,0 +1,143 @@
+"""Print one sha256 line per upea output, for byte-identity checks.
+
+Run it on two checkouts and diff the output:
+
+    python3 tools/csv_digests.py > before.txt        # in the old checkout
+    python3 tools/csv_digests.py > after.txt         # in the new checkout
+    diff before.txt after.txt
+
+Arguments are base seeds (default: 1 2 3 11 12).  For each seed it digests
+the CSV and config JSON of every sweep experiment at reduced preset sizes,
+the CSVs of the benchmark's three workload configs (written out here, not
+imported), a calibrate_b record, the run_verify_circuit reports with and
+without corrupt_theta, sample_upea_block draws (the generator's next draw
+included) at each T in {1, 2, 16, 256, 1024} and theta mode, and the outputs of mle_batch and mle_counting_batch on 2000
+sampled rows at each T in {2, 4, 16, 64, 256} and R in {2, 3, 5, 16}.
+
+It imports upea from the src/ directory next to this file and nothing else
+outside the standard library but NumPy, which upea itself needs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+import upea  # noqa: E402
+from upea.harness import csv_text  # noqa: E402
+from upea.mle import mle_batch, mle_counting_batch  # noqa: E402
+from upea.sampler import sample_upea_block  # noqa: E402
+
+SEEDS = (1, 2, 3, 11, 12)
+MLE_T = (2, 4, 16, 64, 256)
+MLE_R = (2, 3, 5, 16)
+MLE_ROWS = 2000
+MLE_SLICE = 250  # rows per maximizer call, to bound the n x G scan matrices
+SAMPLER_T = (1, 2, 16, 256, 1024)
+SAMPLER_N = 4096
+
+
+def _reduced_sweeps(seed: int) -> dict:
+    """Every sweep experiment, at preset shapes with fewer samples."""
+    cfg = lambda exp, **kw: upea.SweepConfig(exp, base_seed=seed, **kw)  # noqa: E731
+    fixed = upea.ThetaMode.fixed(0.0)
+    return {
+        "pea-bias-mae": cfg("pea-bias-mae", T=16, grid_points=16, n_samples=1 << 12, theta_mode=fixed),
+        "upea-bias-mae": cfg("upea-bias-mae", T=16, grid_points=64, n_samples=1 << 12),
+        "upea-bias-mae.period": cfg(
+            "upea-bias-mae", T=16, grid_points=16, n_samples=1 << 12, theta_mode=upea.ThetaMode.period()
+        ),
+        "mle-bias-mae": cfg("mle-bias-mae", T=16, R=16, grid_points=8, n_samples=1 << 11),
+        "mae-vs-r": cfg("mae-vs-r", T=16, R=(1, 8), grid_points=8, n_samples=1 << 9),
+        "qca-bias-mae": cfg("qca-bias-mae", T=16, R=(1, 4), grid_points=9, n_samples=1 << 11),
+        "uqca-corrected": cfg("uqca-corrected", T=16, R=3, grid_points=9, n_samples=1 << 11),
+        "uqca-corrected.r1": cfg("uqca-corrected", T=16, R=1, grid_points=9, n_samples=1 << 11),
+    }
+
+
+def _benchmark_csvs(seed: int) -> dict:
+    """The sweeps of the benchmark's single-run, mle-pooled and
+    counting-corrected workloads, with the calibration made in their set-up."""
+    record = upea.calibrate_b(16, 3, 1 << 15, upea.derive_seed(seed, "calibrate", 16, 3))
+    grid = dict(T=16, grid_points=9, n_samples=1 << 12, base_seed=seed)
+    runs = {
+        "bench.single-run": (
+            upea.SweepConfig("upea-bias-mae", T=256, grid_points=8, n_samples=1 << 13, base_seed=seed),
+            None,
+        ),
+        "bench.mle-pooled": (
+            upea.SweepConfig("mae-vs-r", T=16, R=(1, 16), grid_points=2, n_samples=1 << 9, base_seed=seed),
+            None,
+        ),
+        "bench.counting-corrected": (upea.SweepConfig("uqca-corrected", R=3, **grid), record),
+        "bench.counting-raw": (upea.SweepConfig("qca-bias-mae", R=1, **grid), None),
+    }
+    out = {name: csv_text(upea.run_sweep(cfg, rec).entries) for name, (cfg, rec) in runs.items()}
+    out["calibrate_b"] = record.to_json()
+    return out
+
+
+def _sampler_outputs(seed: int):
+    """(name, bytes) of one sample_upea_block call per T and theta mode,
+    followed by the generator's next draw."""
+    modes = (upea.ThetaMode.full(), upea.ThetaMode.period(), upea.ThetaMode.fixed(0.3))
+    for T in SAMPLER_T:
+        for mode in modes:
+            rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "sampler", T, str(mode)))
+            draws = sample_upea_block(upea.PeaParams.from_T(T, 1, mode), 0.2, rng, SAMPLER_N)
+            data = b"".join(a.tobytes() for a in draws) + np.float64(rng.random()).tobytes()
+            yield f"sample_upea_block.T{T}.{mode}", data
+
+
+def _mle_outputs(seed: int):
+    """(name, bytes) of both maximizers on sampled rows: half the rows are R
+    shifted runs at one random phase, half are R uniform estimates."""
+    rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "mle"))
+    for T in MLE_T:
+        for R in MLE_R:
+            params = upea.PeaParams.from_T(T, R)
+            half = MLE_ROWS // 2
+            phi = rng.random(half)
+            near = np.empty((half, R))
+            for j in range(R):
+                _, _, near[:, j] = sample_upea_block(params, phi, rng, half)
+            rows = np.concatenate([near, rng.random((MLE_ROWS - half, R))])
+            for name, fn in (("mle_batch", mle_batch), ("mle_counting_batch", mle_counting_batch)):
+                parts = [fn(params, rows[i : i + MLE_SLICE]) for i in range(0, MLE_ROWS, MLE_SLICE)]
+                yield f"{name}.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
+
+
+def digests(seed: int):
+    """(name, sha256 hex) for every output at one base seed."""
+    sweeps = _reduced_sweeps(seed)
+    texts = {name: csv_text(upea.run_sweep(cfg).entries) for name, cfg in sweeps.items()}
+    texts.update({f"{name}.config": cfg.to_json() for name, cfg in sweeps.items()})
+    texts.update(_benchmark_csvs(seed))
+    verify = dict(n_phi=8, n_theta=4, seed=seed)
+    texts["verify"] = json.dumps(upea.run_verify_circuit(**verify), sort_keys=True)
+    texts["verify.corrupt"] = json.dumps(
+        upea.run_verify_circuit(corrupt_theta=True, **verify), sort_keys=True
+    )
+    for name, text in texts.items():
+        yield name, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    for outputs in (_sampler_outputs, _mle_outputs):
+        for name, data in outputs(seed):
+            yield name, hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    seeds = [int(a) for a in argv] or list(SEEDS)
+    for seed in seeds:
+        for name, digest in digests(seed):
+            print(f"{seed} {name} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
