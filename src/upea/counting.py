@@ -25,7 +25,7 @@ import numpy as np
 
 from .phase_math import PeaParams, Phase, ThetaMode
 from .mle import mle_counting_batch
-from .sampler import RNG_ALGORITHM, RngSeed, derive_seed, make_rng, sample_upea_block
+from .sampler import RNG_ALGORITHM, RngSeed, _chunks, derive_seed, make_rng, sample_upea_block
 
 __all__ = [
     "CountingInstance",
@@ -195,9 +195,6 @@ def correct_mle(m_tilde, b: float):
     return (np.asarray(m_tilde, dtype=float) - b) / (1.0 - 2.0 * b)
 
 
-_CAL_CHUNK = 4096
-
-
 def calibrate_b(T: int, R: int, n_samples: int, seed: RngSeed) -> CalibrationRecord:
     """Measure b = B(0): mean folded count fraction over n_samples trials at
     m = 0.  Trials run in fixed-size chunks with child seeds derived from the
@@ -208,14 +205,11 @@ def calibrate_b(T: int, R: int, n_samples: int, seed: RngSeed) -> CalibrationRec
     params = PeaParams.from_T(T, R, ThetaMode.full())
     vals = np.empty(n_samples)
     done = 0
-    chunk_index = 0
-    while done < n_samples:
-        size = min(_CAL_CHUNK, n_samples - done)
+    for chunk_index, size in _chunks(n_samples):
         rng = make_rng(derive_seed(seed, "calibrate", T, R, chunk_index))
         _, m_tilde = sample_uqca_block(params, 0.0, rng, size)
         vals[done : done + size] = m_tilde
         done += size
-        chunk_index += 1
     b = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return CalibrationRecord(T, R, b, stderr, n_samples, int(seed))

@@ -34,7 +34,7 @@ from .counting import (
 )
 from .mle import mle_batch
 from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, pea_kernel
-from .sampler import RNG_ALGORITHM, derive_seed, make_rng, sample_upea_block
+from .sampler import RNG_ALGORITHM, _chunks, derive_seed, make_rng, sample_upea_block
 from .statevector import analytic_counting_pmf, grover_pea_pmf, pea_circuit_pmf
 
 __all__ = [
@@ -60,7 +60,6 @@ EXPERIMENTS = (
     "verify-circuit",
 )
 
-_CHUNK = 4096
 _AUTO_CAL_SAMPLES = 1 << 16
 # largest max |circuit pmf - analytic law| that run_verify_circuit accepts
 _VERIFY_TOLERANCE = 1e-10
@@ -187,19 +186,6 @@ class _Moments:
         return BiasMaeEntry(ground_truth, bias, mae, se_b, se_m, n)
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """(chunk_index, size) partition of n trials; independent of workers."""
-    out = []
-    done = 0
-    i = 0
-    while done < n:
-        size = min(_CHUNK, n - done)
-        out.append((i, size))
-        done += size
-        i += 1
-    return out
-
-
 def _run_rows(config: SweepConfig, workers: int, cells, truths) -> list[BiasMaeEntry]:
     """Run every (row, slot, seed path, draw) cell over the config's trial
     chunks on a pool of workers threads, and reduce each row to one entry at
@@ -275,9 +261,8 @@ def _resolve_calibration(
     config: SweepConfig, R: int, calibration: CalibrationRecord | None
 ) -> CalibrationRecord | None:
     """Calibration to apply for one R of a corrected sweep; None means the
-    exact analytic single-run correction.  A supplied record must match."""
-    if R == 1:
-        return None
+    exact analytic single-run correction, used at R = 1 when no record is
+    supplied.  A supplied record must match (T, R) at every R."""
     if calibration is not None:
         if calibration.T != config.T or calibration.R != R:
             raise ValueError(
@@ -285,6 +270,8 @@ def _resolve_calibration(
                 f"sweep needs (T={config.T}, R={R})"
             )
         return calibration
+    if R == 1:
+        return None
     seed = derive_seed(config.base_seed, "calibrate", config.T, R)
     return calibrate_b(config.T, R, _AUTO_CAL_SAMPLES, seed)
 

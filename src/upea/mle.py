@@ -14,9 +14,9 @@ over c in [0, 1/2], because the generating process draws the sign of the
 phase uniformly and K is even.
 
 Each objective is written once, as a broadcasting function that the public
-log-likelihoods and the maximizers all call, and has one maximizer,
-vectorized over rows of estimates; the single-trial entry points run it on
-one row.  Coarse scan over max(4*T*R, 1024) equispaced candidates (4x
+log-likelihoods and the maximizer call.  One maximizer, vectorized over rows
+of estimates, serves both; the single-trial entry points run it on one row.
+Coarse scan over max(4*T*R, 1024) equispaced candidates (4x
 oversampling of the likelihood's O(T*R) oscillations) with estimates snapped
 to the candidate grid and factors gathered from one precomputed table of
 kernel values, whose exact zeros are clamped to the value half a cell away
@@ -25,18 +25,25 @@ re-scoring of the best 16 cells (plus both interval ends for the mixture,
 which are stationary points of an even objective); a climb to the better
 neighbouring cell until neither neighbour scores higher, so the bracket of
 the winning cell's two neighbours surrounds a local maximum; golden-section
-refinement of that bracket to width 1e-12; and (plain variant only) a
-guarded Newton polish on dL/dc that pins the peak well below the 1e-9
-shift-equivariance tolerance.  Ties break toward the smaller phase.
+refinement of that bracket for a step count fixed by G alone (the steps that
+shrink a two-cell bracket below 1e-12), so a row's result never depends on
+the rows batched with it; and, for both objectives, three guarded Newton
+steps on dL/dc built from one log-kernel derivative helper.  Golden section
+resolves a flat peak only to about sqrt(eps), so the Newton point replaces
+the golden point wherever it scores within rounding of it: peaks, the
+mixture's end c = 1/2 included, resolve to their stationary point, well
+below the 1e-9 shift-equivariance tolerance.  Ties break toward the smaller
+phase.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_math import PeaParams, Phase, _kernel_parts, _wrap_array, pea_kernel
+from .phase_math import PeaParams, Phase, _kernel_parts, _reduce, _wrap_array, pea_kernel
 
 __all__ = [
     "LOG_ZERO",
@@ -47,6 +54,7 @@ __all__ = [
     "mle_estimate_counting",
     "mle_batch",
     "mle_counting_batch",
+    "mixture_log_likelihood",
 ]
 
 # sentinel for log of an exact kernel zero: the maximizer only compares, so
@@ -55,6 +63,9 @@ LOG_ZERO = -1e18
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_TOL = 1e-12
+# score rounding per unit of T*R + |L|: each of the R terms is off by about
+# eps * |h| <~ eps * 2 pi T from rounding its argument
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -122,16 +133,16 @@ def mixture_log_likelihood(params: PeaParams, estimates, phi_cand: float) -> flo
     return float(_mixture_ll(params.T, _nonempty(estimates).ravel(), float(phi_cand)))
 
 
-def _one_row(core, params: PeaParams, estimates) -> MleResult:
-    """Run a batch maximizer on a single row of estimates."""
+def _one_row(params: PeaParams, estimates, counting: bool) -> MleResult:
+    """Run the batch maximizer on a single row of estimates."""
     est = _nonempty(estimates).reshape(1, -1)
-    x, fx, grid_points, iters = core(params.T, est)
+    x, fx, grid_points, iters = _maximize(params.T, est, counting)
     return MleResult(float(x[0]), float(fx[0]), grid_points, iters)
 
 
 def mle_estimate(params: PeaParams, estimates) -> MleResult:
     """Global maximizer of the plain log likelihood over [0, 1)."""
-    return _one_row(_plain_max, params, estimates)
+    return _one_row(params, estimates, counting=False)
 
 
 def mle_estimate_counting(params: PeaParams, estimates) -> MleResult:
@@ -143,19 +154,19 @@ def mle_estimate_counting(params: PeaParams, estimates) -> MleResult:
     argmax drifts off the fold when the +-phi peaks overlap, i.e. within
     ~1/T of the interval ends; the fold is the contractual estimator.)
     """
-    return _one_row(_counting_max, params, estimates)
+    return _one_row(params, estimates, counting=True)
 
 
 def mle_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
     """Plain MLE for many trials at once; estimates has shape (n, R).
     Returns phi_hat of shape (n,), row i equal to mle_estimate on row i."""
-    return _plain_max(params.T, np.asarray(estimates, dtype=float))[0]
+    return _maximize(params.T, np.asarray(estimates, dtype=float), counting=False)[0]
 
 
 def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
     """Counting-variant MLE for many trials; estimates (n, R) -> phi_hat (n,)
     in [0, 1/2], row i equal to mle_estimate_counting on row i."""
-    return _counting_max(params.T, np.asarray(estimates, dtype=float))[0]
+    return _maximize(params.T, np.asarray(estimates, dtype=float), counting=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +185,12 @@ def _scan_table(T: int, G: int) -> np.ndarray:
     return r * r
 
 
-def _golden_batch(f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f: np.ndarray):
-    """Vectorized golden-section max; f maps a candidate vector to a value
-    vector.  Returns (x, f(x), iterations) with best-seen tracking."""
+def _golden_batch(
+    f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f: np.ndarray, steps: int
+):
+    """Vectorized golden-section max over steps iterations; f maps a
+    candidate vector to a value vector.  Returns (x, f(x)) with best-seen
+    tracking."""
     a = lo.copy()
     b = hi.copy()
     best_x = seed_x.copy()
@@ -185,8 +199,7 @@ def _golden_batch(f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f:
     d = a + _INVPHI * (b - a)
     fc = f(c)
     fd = f(d)
-    iters = 0
-    while float(np.max(b - a)) > _BRACKET_TOL and iters < 200:
+    for _ in range(steps):
         left = fc >= fd
         # shrink from the right where the left probe wins, else from the left
         b = np.where(left, d, b)
@@ -200,12 +213,11 @@ def _golden_batch(f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f:
         fc = np.where(left, f_probe, carry_f)
         fd = np.where(left, carry_f, f_probe)
         c, d = c_new, d_new
-        iters += 1
     for x_, f_ in ((c, fc), (d, fd)):
         better = (f_ > best_f) | ((f_ == best_f) & (x_ < best_x))
         best_x = np.where(better, x_, best_x)
         best_f = np.where(better, f_, best_f)
-    return best_x, best_f, iters
+    return best_x, best_f
 
 
 _RESCORE = 16  # snapped-scan short-list width re-scored with the exact objective
@@ -247,109 +259,99 @@ def _local_max_cell(snapped: np.ndarray, score, ends: bool) -> np.ndarray:
         fk = np.where(up, best, fk)
 
 
-def _plain_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Maximizer of the plain log likelihood for each row of est (n, R).
-    Returns (phi_hat, log likelihood, candidate cells, golden iterations)."""
+def _dlog_kernel(T: int, delta) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives (h, h') of log K at delta, on the
+    kernel's reduction (e, f): h = 2 pi [T cot(pi f) - cot(pi e)] and
+    h' = -2 pi^2 [T^2 / sin^2(pi f) - 1 / sin^2(pi e)], infinite at kernel
+    zeros; near e = 0, where the two terms cancel, the series
+    h = s e [(T^2 - 1) + (pi e)^2 (T^4 - 1) / 15] and
+    h' = s [(T^2 - 1) + (pi e)^2 (T^4 - 1) / 5], with s = -2 pi^2 / 3."""
+    e, f = _reduce(T, delta)
+    t2 = float(T * T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = 2.0 * np.pi * (T / np.tan(np.pi * f) - 1.0 / np.tan(np.pi * e))
+        hp = -2.0 * np.pi**2 * (t2 / np.sin(np.pi * f) ** 2 - 1.0 / np.sin(np.pi * e) ** 2)
+    # the series' truncation error and the cancellation error cross near here
+    small = np.abs(e) < 1.5e-3 / T
+    x2 = (np.pi * e) ** 2
+    s = -2.0 * np.pi**2 / 3.0
+    h = np.where(small, s * e * ((t2 - 1.0) + x2 * (t2 * t2 - 1.0) / 15.0), h)
+    hp = np.where(small, s * ((t2 - 1.0) + x2 * (t2 * t2 - 1.0) / 5.0), hp)
+    return h, hp
+
+
+def _dll(T: int, est: np.ndarray, c: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(L'(c), L''(c)) per row of est (n, R) at c (n,).
+
+    Plain: L' = -sum h(e - c), L'' = sum h'(e - c).  Mixture, with
+    K+- = K(e +- c), h+- = h(e +- c) and weights w+- = K+- / (K- + K+):
+    each term's derivative is l' = w+ h+ - w- h-, and
+    L'' = sum [w- (h-^2 + h-') + w+ (h+^2 + h+') - l'^2].
+    """
+    c = c[:, None]
+    h_m, hp_m = _dlog_kernel(T, est - c)
+    if not counting:
+        return -h_m.sum(axis=1), hp_m.sum(axis=1)
+    h_p, hp_p = _dlog_kernel(T, est + c)
+    k_m, k_p = pea_kernel(T, est - c), pea_kernel(T, est + c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w_m = k_m / (k_m + k_p)
+        w_p = 1.0 - w_m
+        d1 = w_p * h_p - w_m * h_m
+        d2 = w_m * (h_m * h_m + hp_m) + w_p * (h_p * h_p + hp_p) - d1 * d1
+    return d1.sum(axis=1), d2.sum(axis=1)
+
+
+def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Maximizer of the plain log likelihood over [0, 1) (counting=False) or
+    of the even mixture over [0, 1/2] (counting=True) for each row of est
+    (n, R).  Returns (phi_hat, log likelihood, candidate cells, golden
+    iterations)."""
     n, R = est.shape
+    ll_of = _mixture_ll if counting else _plain_ll
 
     def objective(c: np.ndarray) -> np.ndarray:
-        return _plain_ll(T, est[:, None, :], c[:, :, None])
+        return ll_of(T, est[:, None, :], c[:, :, None])
 
     def f(c: np.ndarray) -> np.ndarray:
         return objective(c[:, None])[:, 0]
 
     if R == 1:
         x = _wrap_array(est[:, 0])
+        x = np.minimum(x, 1.0 - x) if counting else x
         return x, f(x), 0, 0
     G = max(4 * T * R, 1024)
-    tab = np.log(_scan_table(T, G))
+    # the mixture sums kernel values before the log; the plain scan reads logs
+    tab = _scan_table(T, G) if counting else np.log(_scan_table(T, G))
     idx = np.rint(est * G).astype(np.int64) % G
-    k = np.arange(G)
-    ll = np.zeros((n, G))
-    for j in range(R):
-        ll += tab[(idx[:, j : j + 1] - k[None, :]) % G]
-    best = _local_max_cell(ll, lambda cells: objective(cells / G), ends=False)
-    lo = (best - 1.0) / G
-    hi = (best + 1.0) / G
-    seed_x = best / G
-    x, fx, iters = _golden_batch(f, lo, hi, seed_x, f(seed_x))
-    x, fx = _newton_polish_batch(T, est, x, fx, lo, hi, f)
-    return _wrap_array(x), fx, G, iters
-
-
-def _newton_polish_batch(
-    T: int, est: np.ndarray, x: np.ndarray, fx: np.ndarray, lo, hi, f
-) -> tuple[np.ndarray, np.ndarray]:
-    """Three guarded Newton steps on dL/dc from the golden-section point.
-
-    d/dc log K(e - c) = -2 pi [T cot(T pi d) - cot(pi d)], d = e - c, with
-    the series branch -2 pi^2 d (T^2-1)/3 * [1 + (pi d)^2 (T^4-1)/(15(T^2-1))]
-    near d = 0 where the two cotangents cancel.  A step is skipped where it
-    would leave the bracket or the objective is not concave, and the
-    polished point replaces the incumbent only where it scores at least as
-    high.  Returns (x, f(x)).
-    """
-    cur = x.copy()
-    for _ in range(3):
-        d = est - cur[:, None]
-        d -= np.round(d)
-        small = np.abs(d) < (0.02 / T)
-        t2 = float(T * T)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g_big = 2.0 * np.pi * (T / np.tan(np.pi * T * d) - 1.0 / np.tan(np.pi * d))
-            gp_big = 2.0 * np.pi**2 * (
-                t2 / np.sin(np.pi * T * d) ** 2 - 1.0 / np.sin(np.pi * d) ** 2
-            )
-        g_small = -2.0 * np.pi**2 * d * (t2 - 1.0) / 3.0 * (
-            1.0 + (np.pi * d) ** 2 * (t2 * t2 - 1.0) / (15.0 * (t2 - 1.0))
-        )
-        gp_small = -2.0 * np.pi**2 * (t2 - 1.0) / 3.0 * (
-            1.0 + 3.0 * (np.pi * d) ** 2 * (t2 * t2 - 1.0) / (15.0 * (t2 - 1.0))
-        )
-        g = np.where(small, g_small, g_big)
-        gp = np.where(small, gp_small, gp_big)
-        # dL/dc = -sum g(d); d2L/dc2 = +sum g'(d)  (two sign flips cancel once)
-        d1 = -g.sum(axis=1)
-        d2 = gp.sum(axis=1)
-        ok = np.isfinite(d1) & np.isfinite(d2) & (d2 < 0.0)
-        step = np.where(ok, d1 / np.where(d2 != 0.0, d2, 1.0), 0.0)
-        nxt = cur - step
-        ok &= (nxt >= lo - 1e-9) & (nxt <= hi + 1e-9)
-        cur = np.where(ok, nxt, cur)
-    f_cur = f(cur)
-    accept = f_cur >= fx
-    return np.where(accept, cur, x), np.where(accept, f_cur, fx)
-
-
-def _counting_max(T: int, est: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Maximizer of the even mixture log likelihood over [0, 1/2] for each
-    row of est (n, R).  Returns (phi_hat, log likelihood, candidate cells,
-    golden iterations)."""
-    n, R = est.shape
-
-    def objective(c: np.ndarray) -> np.ndarray:
-        return _mixture_ll(T, est[:, None, :], c[:, :, None])
-
-    def f(c: np.ndarray) -> np.ndarray:
-        return objective(c[:, None])[:, 0]
-
-    if R == 1:
-        w = _wrap_array(est[:, 0])
-        x = np.minimum(w, 1.0 - w)
-        return x, f(x), 0, 0
-    G = max(4 * T * R, 1024)
-    # kernel-value table (not log): the mixture sums kernels before the log
-    ktab = _scan_table(T, G)
-    idx = np.rint(est * G).astype(np.int64) % G
-    ncand = G // 2 + 1
+    # candidate cells: the whole circle, or [0, 1/2] with both ends
+    ncand = G // 2 + 1 if counting else G
     k = np.arange(ncand)
     ll = np.zeros((n, ncand))
     for j in range(R):
         i = idx[:, j : j + 1]
-        ll += _log_mix(ktab[(i - k[None, :]) % G] + ktab[(i + k[None, :]) % G])
-    best = _local_max_cell(ll, lambda cells: objective(cells / G), ends=True)
-    lo = np.maximum((best - 1.0) / G, 0.0)
-    hi = np.minimum((best + 1.0) / G, 0.5)
-    seed_x = best / G
-    x, fx, iters = _golden_batch(f, lo, hi, seed_x, f(seed_x))
-    return np.clip(x, 0.0, 0.5), fx, ncand, iters
+        ll += _log_mix(tab[(i - k) % G] + tab[(i + k) % G]) if counting else tab[(i - k) % G]
+    best = _local_max_cell(ll, lambda cells: objective(cells / G), ends=counting)
+    lo, hi = (best - 1.0) / G, (best + 1.0) / G
+    if counting:
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
+    # golden steps that shrink a two-cell bracket below _BRACKET_TOL: fixed by
+    # G alone, so no row's result depends on the rows batched with it
+    steps = math.ceil(math.log(_BRACKET_TOL * G / 2.0) / math.log(_INVPHI))
+    x, fx = _golden_batch(f, lo, hi, best / G, f(best / G), steps)
+    # three guarded Newton steps on L' from the golden point: a step is
+    # skipped where L is not concave or it would leave the bracket
+    cur = x
+    for _ in range(3):
+        d1, d2 = _dll(T, est, cur, counting)
+        ok = np.isfinite(d1) & np.isfinite(d2) & (d2 < 0.0)
+        nxt = cur - np.divide(d1, d2, out=np.zeros_like(d1), where=ok)
+        ok &= (nxt >= lo - 1e-9) & (nxt <= hi + 1e-9)
+        cur = np.where(ok, nxt, cur)
+    cur = np.clip(cur, 0.0, 0.5) if counting else cur
+    # golden section resolves a flat peak only to ~sqrt(eps); the stationary
+    # point replaces it wherever it scores within rounding of it
+    f_cur = f(cur)
+    accept = f_cur >= fx - _ROUNDING * (T * R + np.abs(fx))
+    x, fx = np.where(accept, cur, x), np.where(accept, f_cur, fx)
+    return (np.clip(x, 0.0, 0.5) if counting else _wrap_array(x)), fx, ncand, steps

@@ -187,12 +187,21 @@ def _circ_dist_array(a: np.ndarray, b) -> np.ndarray:
     return np.where(d > 0.5, d - 1.0, d)
 
 
+def _reduce(T: int, delta) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's argument reduction: e = delta - round(delta) and
+    f = T*e - round(T*e).  Because T is a power of two both are exact in
+    binary floating point, so f is exactly 0 at the kernel zeros k/T (k not
+    divisible by T)."""
+    delta = np.asarray(delta, dtype=float)
+    e = delta - np.round(delta)
+    u = T * e
+    return e, u - np.round(u)
+
+
 def _kernel_parts(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator sin(pi f), denominator T sin(pi e) and lattice mask of the
-    outcome kernel at delta, with e = delta - round(delta) and
-    f = T*e - round(T*e).  Because T is a power of two both reductions are
-    exact in binary floating point, so the numerator is exactly 0 at the
-    kernel zeros k/T (k not divisible by T).
+    outcome kernel at delta, on the reduction (e, f) of _reduce; the
+    numerator is exactly 0 at the kernel zeros.
 
     The lattice mask marks |e| below _TINY, where the products pi*e and pi*f
     round in the subnormal range and their ratio loses relative precision
@@ -200,10 +209,7 @@ def _kernel_parts(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     so callers substitute the limit.  e == 0 is included; a subnormal f near
     a kernel zero is harmless (ratio ~ 0).
     """
-    delta = np.asarray(delta, dtype=float)
-    e = delta - np.round(delta)
-    u = T * e
-    f = u - np.round(u)
+    e, f = _reduce(T, delta)
     return np.sin(np.pi * f), T * np.sin(np.pi * e), np.abs(e) < _TINY
 
 

@@ -52,6 +52,10 @@ RngSeed = int
 # temporaries are handed back to the OS and page-faulted in again each slice)
 _SLICE_CELLS = 1 << 13
 
+# trials per chunk of a sweep cell or a calibration; each chunk draws from
+# its own generator, so this partition fixes every output for any worker count
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class PhaseSample:
@@ -93,6 +97,11 @@ def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
     text = "|".join([str(int(base_seed))] + [str(p) for p in path])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _chunks(n: int) -> list[tuple[int, int]]:
+    """(chunk_index, size) partition of n trials into _CHUNK-sized chunks."""
+    return [(i, min(_CHUNK, n - start)) for i, start in enumerate(range(0, n, _CHUNK))]
 
 
 def _draw_theta(mode: ThetaMode, T: int, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -161,6 +161,29 @@ def test_multi_r_corrected_sweep_lists_one_record_per_r() -> None:
     assert [r["R"] for r in recs] == [2, 3]
 
 
+def test_single_run_corrected_sweep_checks_a_supplied_record() -> None:
+    cfg = _small("uqca-corrected", R=1, n_samples=200)
+    with pytest.raises(ValueError, match="R=3"):
+        run_sweep(cfg, calibration=calibrate_b(16, 3, 256, 1))
+    rec = calibrate_b(16, 1, 256, 1)
+    rep = run_sweep(cfg, calibration=rec)
+    assert rep.metadata["calibration_record"]["b"] == rec.b
+    # the record's b replaces the exact single-run constant
+    assert csv_text(rep.entries) != csv_text(run_sweep(cfg).entries)
+
+
+def test_cli_single_run_rejects_a_record_for_another_r(tmp_path, capsys) -> None:
+    cal = tmp_path / "cal.json"
+    cli.main(["calibrate", "--R", "3", "--samples", "256", "--seed", "3", "--out", str(cal)])
+    capsys.readouterr()
+    code = cli.main(
+        ["uqca-corrected", "--R", "1", "--grid", "2", "--samples", "100",
+         "--calibration", str(cal)]
+    )
+    assert code == 1
+    assert "calibration record" in capsys.readouterr().err
+
+
 def test_calibration_record_rejected_for_r_ranges() -> None:
     rec = calibrate_b(16, 2, 256, 1)
     with pytest.raises(ValueError, match="exactly one"):

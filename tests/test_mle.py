@@ -25,6 +25,7 @@ from upea.mle import (
     mle_estimate,
     mle_estimate_counting,
 )
+from upea.mle import _dlog_kernel, _maximize
 from upea.phase_math import PeaParams, circ_dist, pea_kernel, wrap_phase
 from upea.sampler import make_rng, sample_upea_block
 
@@ -239,3 +240,60 @@ def test_more_runs_concentrate_the_estimate() -> None:
         est = mle_batch(params, mat)
         errs.append(np.abs(np.vectorize(circ_dist)(est, phi)).mean())
     assert errs[1] < errs[0]
+
+
+# ---------------------------------------------------------------------------
+# log-kernel derivatives, the Newton polish and batch independence
+
+
+@pytest.mark.parametrize("T", [2, 16, 256])
+def test_dlog_kernel_matches_central_differences(T: int) -> None:
+    # offsets e*T below 1.5e-3 take the series branch, the rest the cotangent
+    # form; every point keeps away from the kernel zeros k/T
+    scaled = np.array([0.0, 1e-4, -1e-3, 1.4e-3, 1.6e-3, -0.0199, 0.3, 0.7, 1.5])
+    delta = np.concatenate([scaled / T, [0.3, -0.4], 3.0 + scaled / T])
+    h, hp = _dlog_kernel(T, delta)
+    # five-point central differences, accurate to O(s^4)
+    s = 1e-3 / T
+    lk = [log_kernel(T, delta + k * s) for k in (-2, -1, 0, 1, 2)]
+    fd1 = (lk[0] - 8.0 * lk[1] + 8.0 * lk[3] - lk[4]) / (12.0 * s)
+    fd2 = (-lk[0] + 16.0 * lk[1] - 30.0 * lk[2] + 16.0 * lk[3] - lk[4]) / (12.0 * s * s)
+    assert np.allclose(h, fd1, rtol=1e-9, atol=1e-9 * T)
+    assert np.allclose(hp, fd2, rtol=1e-7, atol=1e-7 * T * T)
+    # log K peaks at the lattice: h' < 0 there, the sign the polish relies on
+    assert h[0] == 0.0 and hp[0] == pytest.approx(-2.0 * np.pi**2 * (T * T - 1) / 3.0)
+
+
+def test_counting_single_row_matches_batch_bit_for_bit() -> None:
+    rng = make_rng(606)
+    mat = np.empty((300, 3))
+    for j in range(3):
+        _, _, mat[:, j] = sample_upea_block(P3, 0.0, rng, 300)
+    x, fx, cells, iters = _maximize(P3.T, mat, counting=True)
+    # m = 0: many rows land on the interval end, where clipped brackets once
+    # made the golden iteration count depend on the batch
+    assert np.count_nonzero((x == 0.0) | (x == 0.5)) >= 50
+    assert np.array_equal(mle_counting_batch(P3, mat), x)
+    for i in range(300):
+        res = mle_estimate_counting(P3, mat[i])
+        assert res.phi_hat == x[i] and res.log_likelihood == fx[i]
+        assert res.grid_points == cells and res.refine_iterations == iters
+
+
+def test_counting_flat_peak_at_half_resolves_to_the_end() -> None:
+    row = [0.512135814728801, 0.5204405561383632, 0.6370042323010977]
+    assert mle_estimate_counting(P3, row).phi_hat == 0.5
+    assert mle_counting_batch(P3, np.array([row]))[0] == 0.5
+
+
+def test_mle_batch_shift_equivariance() -> None:
+    rng = make_rng(1)
+    mat = np.empty((300, 3))
+    phi = rng.random(300)
+    for j in range(3):
+        _, _, mat[:, j] = sample_upea_block(P3, phi, rng, 300)
+    base = mle_batch(P3, mat)
+    for shift in rng.random(4):
+        got = mle_batch(P3, (mat + shift) % 1.0)
+        err = np.abs(np.vectorize(circ_dist)(got, (base + shift) % 1.0))
+        assert err.max() < 1e-9

@@ -11,8 +11,10 @@ the CSV and config JSON of every sweep experiment at reduced preset sizes,
 the CSVs of the benchmark's three workload configs (written out here, not
 imported), a calibrate_b record, the run_verify_circuit reports with and
 without corrupt_theta, sample_upea_block draws (the generator's next draw
-included) at each T in {1, 2, 16, 256, 1024} and theta mode, and the outputs of mle_batch and mle_counting_batch on 2000
-sampled rows at each T in {2, 4, 16, 64, 256} and R in {2, 3, 5, 16}.
+included) at each T in {1, 2, 16, 256, 1024} and theta mode, the outputs
+of mle_batch and mle_counting_batch on 2000 sampled rows at each T in
+{2, 4, 16, 64, 256} and R in {2, 3, 5, 16}, and the MleResult fields of
+mle_estimate and mle_estimate_counting on the first 50 of those rows.
 
 It imports upea from the src/ directory next to this file and nothing else
 outside the standard library but NumPy, which upea itself needs.
@@ -31,7 +33,12 @@ import numpy as np  # noqa: E402
 
 import upea  # noqa: E402
 from upea.harness import csv_text  # noqa: E402
-from upea.mle import mle_batch, mle_counting_batch  # noqa: E402
+from upea.mle import (  # noqa: E402
+    mle_batch,
+    mle_counting_batch,
+    mle_estimate,
+    mle_estimate_counting,
+)
 from upea.sampler import sample_upea_block  # noqa: E402
 
 SEEDS = (1, 2, 3, 11, 12)
@@ -39,6 +46,7 @@ MLE_T = (2, 4, 16, 64, 256)
 MLE_R = (2, 3, 5, 16)
 MLE_ROWS = 2000
 MLE_SLICE = 250  # rows per maximizer call, to bound the n x G scan matrices
+MLE_SINGLE_ROWS = 50  # rows also run one at a time through the single-trial entry points
 SAMPLER_T = (1, 2, 16, 256, 1024)
 SAMPLER_N = 4096
 
@@ -97,7 +105,9 @@ def _sampler_outputs(seed: int):
 
 def _mle_outputs(seed: int):
     """(name, bytes) of both maximizers on sampled rows: half the rows are R
-    shifted runs at one random phase, half are R uniform estimates."""
+    shifted runs at one random phase, half are R uniform estimates.  The
+    batch entry points take every row, the single-trial ones the first
+    MLE_SINGLE_ROWS rows (all four MleResult fields)."""
     rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "mle"))
     for T in MLE_T:
         for R in MLE_R:
@@ -111,6 +121,10 @@ def _mle_outputs(seed: int):
             for name, fn in (("mle_batch", mle_batch), ("mle_counting_batch", mle_counting_batch)):
                 parts = [fn(params, rows[i : i + MLE_SLICE]) for i in range(0, MLE_ROWS, MLE_SLICE)]
                 yield f"{name}.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
+            for name, fn in (("mle_estimate", mle_estimate), ("mle_estimate_counting", mle_estimate_counting)):
+                results = [fn(params, row) for row in rows[:MLE_SINGLE_ROWS]]
+                fields = [(r.phi_hat, r.log_likelihood, r.grid_points, r.refine_iterations) for r in results]
+                yield f"{name}.T{T}.R{R}", np.array(fields, dtype=float).tobytes()
 
 
 def digests(seed: int):
