@@ -98,10 +98,14 @@ def log_kernel(T: int, delta) -> np.ndarray | float:
 def _log_mix(k_sum: np.ndarray) -> np.ndarray:
     """log of the even mixture k_sum/2, where k_sum = K(e - c) + K(e + c) is
     a sum of two kernel values, with exact zeros mapped to the LOG_ZERO
-    sentinel.  Halves k_sum in place: callers pass a fresh sum, and at scan
-    size (n x G/2) one fewer temporary of that shape is held."""
+    sentinel.  Works in place on k_sum, a fresh sum or a scan buffer, and
+    returns it."""
     mix = np.multiply(k_sum, 0.5, out=k_sum)
-    return np.where(mix > 0.0, np.log(np.where(mix > 0.0, mix, 1.0)), LOG_ZERO)
+    zero = ~(mix > 0.0)
+    mix[zero] = 1.0
+    np.log(mix, out=mix)
+    mix[zero] = LOG_ZERO
+    return mix
 
 
 def _nonempty(estimates) -> np.ndarray:
@@ -221,6 +225,9 @@ def _golden_batch(
 
 
 _RESCORE = 16  # snapped-scan short-list width re-scored with the exact objective
+# scores per row block of the coarse scan, whose buffers every block reuses:
+# block-sized temporaries, freed and faulted in again, cost a varying amount
+_SCAN_BLOCK = 1 << 17
 
 
 def _local_max_cell(snapped: np.ndarray, score, ends: bool) -> np.ndarray:
@@ -310,11 +317,11 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     n, R = est.shape
     ll_of = _mixture_ll if counting else _plain_ll
 
-    def objective(c: np.ndarray) -> np.ndarray:
-        return ll_of(T, est[:, None, :], c[:, :, None])
+    def objective(e: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return ll_of(T, e[:, None, :], c[:, :, None])
 
     def f(c: np.ndarray) -> np.ndarray:
-        return objective(c[:, None])[:, 0]
+        return objective(est, c[:, None])[:, 0]
 
     if R == 1:
         x = _wrap_array(est[:, 0])
@@ -323,15 +330,25 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     G = max(4 * T * R, 1024)
     # the mixture sums kernel values before the log; the plain scan reads logs
     tab = _scan_table(T, G) if counting else np.log(_scan_table(T, G))
-    idx = np.rint(est * G).astype(np.int64) % G
     # candidate cells: the whole circle, or [0, 1/2] with both ends
     ncand = G // 2 + 1 if counting else G
     k = np.arange(ncand)
-    ll = np.zeros((n, ncand))
-    for j in range(R):
-        i = idx[:, j : j + 1]
-        ll += _log_mix(tab[(i - k) % G] + tab[(i + k) % G]) if counting else tab[(i - k) % G]
-    best = _local_max_cell(ll, lambda cells: objective(cells / G), ends=counting)
+    best = np.empty(n, dtype=np.int64)
+    block = max(1, _SCAN_BLOCK // ncand)
+    cells, bufs = np.empty((block, ncand), dtype=np.int64), np.empty((3, block, ncand))
+    for s in range(0, n, block):
+        e = est[s : s + block]
+        cell, (ll, term, plus) = cells[: len(e)], bufs[:, : len(e)]
+        ll.fill(0.0)
+        for j in range(R):
+            i = np.rint(e[:, j : j + 1] * G).astype(np.int64)
+            # wrap mode reads tab[(i - k) % G] and tab[(i + k) % G]
+            np.take(tab, np.subtract(i, k, out=cell), out=term, mode="wrap")
+            if counting:
+                np.take(tab, np.add(i, k, out=cell), out=plus, mode="wrap")
+                _log_mix(np.add(term, plus, out=term))
+            ll += term
+        best[s : s + block] = _local_max_cell(ll, lambda c: objective(e, c / G), ends=counting)
     lo, hi = (best - 1.0) / G, (best + 1.0) / G
     if counting:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
