@@ -7,7 +7,9 @@ Run it on two checkouts and diff the output:
     diff before.txt after.txt
 
 Arguments are base seeds (default: 1 2 3 11 12).  For each seed it digests
-the CSV and config JSON of every sweep experiment at reduced preset sizes,
+the CSV and config JSON of every sweep experiment at reduced preset sizes
+(and the calibration records of the multi-R corrected sweep, where R = 1
+takes the exact single-run slope and R > 1 a calibrated one),
 the CSVs of the benchmark's three workload configs (written out here, not
 imported), a calibrate_b record, the run_verify_circuit reports with and
 without corrupt_theta, sample_upea_block draws (the generator's next draw
@@ -66,6 +68,7 @@ def _reduced_sweeps(seed: int) -> dict:
         "qca-bias-mae": cfg("qca-bias-mae", T=16, R=(1, 4), grid_points=9, n_samples=1 << 11),
         "uqca-corrected": cfg("uqca-corrected", T=16, R=3, grid_points=9, n_samples=1 << 11),
         "uqca-corrected.r1": cfg("uqca-corrected", T=16, R=1, grid_points=9, n_samples=1 << 11),
+        "uqca-corrected.range": cfg("uqca-corrected", T=16, R=(1, 3), grid_points=9, n_samples=1 << 11),
     }
 
 
@@ -130,8 +133,11 @@ def _mle_outputs(seed: int):
 def digests(seed: int):
     """(name, sha256 hex) for every output at one base seed."""
     sweeps = _reduced_sweeps(seed)
-    texts = {name: csv_text(upea.run_sweep(cfg).entries) for name, cfg in sweeps.items()}
+    reports = {name: upea.run_sweep(cfg) for name, cfg in sweeps.items()}
+    texts = {name: csv_text(report.entries) for name, report in reports.items()}
     texts.update({f"{name}.config": cfg.to_json() for name, cfg in sweeps.items()})
+    records = reports["uqca-corrected.range"].metadata["calibration_records"]
+    texts["uqca-corrected.range.records"] = json.dumps(records, sort_keys=True)
     texts.update(_benchmark_csvs(seed))
     verify = dict(n_phi=8, n_theta=4, seed=seed)
     texts["verify"] = json.dumps(upea.run_verify_circuit(**verify), sort_keys=True)
