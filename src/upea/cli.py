@@ -14,7 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from functools import partial
 
 from .counting import CalibrationRecord
 from .harness import (
@@ -56,18 +57,22 @@ def _parse_r(text: str) -> int | tuple[int, int]:
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--T", type=int, help="register dimension, a power of two")
-    p.add_argument("--R", help="repetitions: integer, or lo..hi for range sweeps")
-    p.add_argument("--grid", type=int, help="number of grid points")
-    p.add_argument("--samples", type=int, help="trials per grid cell")
-    p.add_argument(
+    # each flag sets the SweepConfig field named by its dest; a flag left out
+    # leaves no attribute, so the field keeps its default or preset value
+    flag = partial(p.add_argument, default=argparse.SUPPRESS)
+    flag("--T", dest="T", type=int, help="register dimension, a power of two")
+    flag("--R", dest="R", type=_parse_r, help="repetitions: integer, or lo..hi for range sweeps")
+    flag("--grid", dest="grid_points", type=int, help="number of grid points")
+    flag("--samples", dest="n_samples", type=int, help="trials per grid cell")
+    flag(
         "--theta-mode",
         dest="theta_mode",
+        type=ThetaMode.parse,
         metavar="{full|period|fixed:<x>}",
         help="reference-shift distribution",
     )
-    p.add_argument("--seed", type=int, help="base seed (default 1)")
-    p.add_argument("--out", help="CSV output path (stdout if omitted)")
+    flag("--seed", dest="base_seed", type=int, help="base seed (default 1)")
+    flag("--out", dest="output_path", help="CSV output path (stdout if omitted)")
     p.add_argument("--preset", choices=sorted(PRESETS), help="start from a named preset")
     p.add_argument("--calibration", help="calibration record JSON to apply")
 
@@ -84,30 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(name: str, args: argparse.Namespace) -> SweepConfig:
-    kwargs: dict = {}
-    if args.T is not None:
-        kwargs["T"] = args.T
-    if args.R is not None:
-        kwargs["R"] = _parse_r(args.R)
-    if args.grid is not None:
-        kwargs["grid_points"] = args.grid
-    if args.samples is not None:
-        kwargs["n_samples"] = args.samples
-    if args.theta_mode is not None:
-        kwargs["theta_mode"] = ThetaMode.parse(args.theta_mode)
-    if args.seed is not None:
-        kwargs["base_seed"] = args.seed
-    if args.out is not None:
-        kwargs["output_path"] = args.out
-
-    if args.preset is not None:
-        base = PRESETS[args.preset]
-        if base.experiment != name:
-            raise _UsageError(
-                f"preset {args.preset} belongs to {base.experiment}, not {name}"
-            )
-        return replace(base, **kwargs)
-    return SweepConfig(experiment=name, **kwargs)
+    kwargs = {f.name: getattr(args, f.name) for f in fields(SweepConfig) if hasattr(args, f.name)}
+    if args.preset is None:
+        return SweepConfig(experiment=name, **kwargs)
+    base = PRESETS[args.preset]
+    if base.experiment != name:
+        raise _UsageError(f"preset {args.preset} belongs to {base.experiment}, not {name}")
+    return replace(base, **kwargs)
 
 
 def _load_calibration(path: str) -> CalibrationRecord:
@@ -163,10 +151,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

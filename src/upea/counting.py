@@ -1,18 +1,18 @@
 """Counting via phase estimation: phase/count maps, sampling, calibration,
-and the two bias-correction formulas.
+and the bias correction.
 
 A marked fraction m = M/N maps to the rotation phase phi = arcsin(sqrt(m))/pi
 in [0, 1/2]; the search operator has eigenphases +-phi, and the uniform start
 state weights them equally, so each trial estimates the phase of a coin-flip
-sign.  A single randomized run has exact bias (1-2m)/(2T) in m; the
-maximum-likelihood combination of R runs has bias b*(1-2m) with b measured by
-simulation at m = 0.  Both laws are affine in m, so each inverts exactly:
+sign.  The estimate m_tilde has one affine bias law b(1 - 2m) with two
+sources of the slope b: a single randomized run has exactly b = 1/(2T), and
+the maximum-likelihood combination of R runs has b measured by simulation at
+m = 0.  The law inverts exactly as
 
-    single run:  m' = (m_tilde - 1/(2T)) / (1 - 1/T)
-    MLE:         m' = (m_tilde - b) / (1 - 2b)
+    m' = (m_tilde - b) / (1 - 2b),
 
-Corrected values are reported raw (never clamped to [0, 1]: clamping would
-reintroduce bias).
+except at b = 1/2 (T = 1 for a single run).  Corrected values are reported
+raw (never clamped to [0, 1]: clamping would reintroduce bias).
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ def exact_bias_uqca_single(m: float, T: int) -> float:
 
 
 def correct_single(m_tilde, T: int):
-    """Invert the exact single-run bias law; output deliberately unclamped."""
-    return (np.asarray(m_tilde, dtype=float) - 1.0 / (2.0 * T)) / (1.0 - 1.0 / T)
+    """Invert the exact single-run bias law, slope b = 1/(2T); output
+    deliberately unclamped."""
+    return correct_mle(m_tilde, 0.5 / T)
 
 
 def correct_mle(m_tilde, b: float):

@@ -29,7 +29,6 @@ from .counting import (
     CountingInstance,
     calibrate_b,
     correct_mle,
-    correct_single,
     sample_uqca_block,
 )
 from .mle import mle_batch
@@ -226,13 +225,13 @@ def _phase_errors(params: PeaParams, phi: float, rng: np.random.Generator, size:
 
 
 def _count_errors(
-    params: PeaParams, m: float, corrected: bool, b: float | None, rng: np.random.Generator, size: int
+    params: PeaParams, m: float, b: float | None, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Plain errors of size counting estimates, raw or bias-corrected (b is
-    None: the exact single-run correction)."""
+    """Plain errors of size counting estimates, raw (b is None) or corrected
+    through the bias law b(1 - 2m)."""
     _, m_tilde = sample_uqca_block(params, m, rng, size)
-    if corrected:
-        m_tilde = correct_single(m_tilde, params.T) if b is None else correct_mle(m_tilde, b)
+    if b is not None:
+        m_tilde = correct_mle(m_tilde, b)
     return m_tilde - m
 
 
@@ -257,52 +256,44 @@ def _mae_vs_r_entries(config: SweepConfig, workers: int) -> list[BiasMaeEntry]:
     return _run_rows(config, workers, cells, [float(r) for r in r_values])
 
 
-def _resolve_calibration(
-    config: SweepConfig, R: int, calibration: CalibrationRecord | None
-) -> CalibrationRecord | None:
-    """Calibration to apply for one R of a corrected sweep; None means the
-    exact analytic single-run correction, used at R = 1 when no record is
-    supplied.  A supplied record must match (T, R) at every R."""
-    if calibration is not None:
-        if calibration.T != config.T or calibration.R != R:
-            raise ValueError(
-                f"calibration record is for (T={calibration.T}, R={calibration.R}); "
-                f"sweep needs (T={config.T}, R={R})"
-            )
-        return calibration
-    if R == 1:
-        return None
-    seed = derive_seed(config.base_seed, "calibrate", config.T, R)
-    return calibrate_b(config.T, R, _AUTO_CAL_SAMPLES, seed)
-
-
 def _qca_entries(
     config: SweepConfig, workers: int, calibration: CalibrationRecord | None
 ) -> tuple[list[BiasMaeEntry], list[CalibrationRecord]]:
     """qca-bias-mae (raw m_tilde) and uqca-corrected (corrected) sweeps.
 
     Single R: one row per m grid point.  R range: one row per R pooled over
-    the m grid.  Count-domain errors are plain differences.
+    the m grid.  Count-domain errors are plain differences.  A corrected
+    sweep inverts the bias law b(1 - 2m) at one slope b per R: the supplied
+    record's (which must match (T, R)), else calibrate_b's for R > 1, else
+    the exact single-run slope 1/(2T).
     """
-    corrected = config.experiment == "uqca-corrected"
     r_values = config.r_values()
     pooled = isinstance(config.R, tuple)
     ms = [float(m) for m in np.linspace(0.0, 1.0, config.grid_points)]
 
     records: list[CalibrationRecord] = []
-    b_for: dict[int, float] = {}  # an R left out takes the exact single-run correction
-    if corrected:
+    b_for: dict[int, float | None] = dict.fromkeys(r_values)  # None: raw m_tilde
+    if config.experiment == "uqca-corrected":
         for R in r_values:
-            rec = _resolve_calibration(config, R, calibration)
+            rec = calibration
+            if rec is not None and (rec.T, rec.R) != (config.T, R):
+                raise ValueError(
+                    f"calibration record is for (T={rec.T}, R={rec.R}); "
+                    f"sweep needs (T={config.T}, R={R})"
+                )
+            if rec is None and R > 1:
+                seed = derive_seed(config.base_seed, "calibrate", config.T, R)
+                rec = calibrate_b(config.T, R, _AUTO_CAL_SAMPLES, seed)
             if rec is not None:
                 records.append(rec)
-                b_for[R] = rec.b
+            b_for[R] = 0.5 / config.T if rec is None else rec.b
+            correct_mle(0.0, b_for[R])  # b = 1/2 raises here, before any chunk runs
 
     cells = []
     for ri, R in enumerate(r_values):
         params = PeaParams.from_T(config.T, R, config.theta_mode)
         for mi, m in enumerate(ms):
-            draw = partial(_count_errors, params, m, corrected, b_for.get(R))
+            draw = partial(_count_errors, params, m, b_for[R])
             cells.append((ri, mi, (R, mi), draw) if pooled else (mi, 0, (R, mi), draw))
     truths = [float(r) for r in r_values] if pooled else ms
     return _run_rows(config, workers, cells, truths), records

@@ -230,8 +230,9 @@ _RESCORE = 16  # snapped-scan short-list width re-scored with the exact objectiv
 _SCAN_BLOCK = 1 << 17
 
 
-def _local_max_cell(snapped: np.ndarray, score, ends: bool) -> np.ndarray:
-    """Candidate cell per row whose exact score is a local maximum on the grid.
+def _local_max_cell(snapped: np.ndarray, score, ends: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate cell per row whose exact score is a local maximum on the
+    grid, and that score.
 
     The snapped scan ranks candidates with estimates rounded to the grid,
     which can misorder near-tied likelihood peaks.  Re-scoring the best
@@ -261,7 +262,7 @@ def _local_max_cell(snapped: np.ndarray, score, ends: bool) -> np.ndarray:
         best = f_nb[rows, pick]
         up = best > fk
         if not up.any():
-            return k
+            return k, fk
         k = np.where(up, nb[rows, pick], k)
         fk = np.where(up, best, fk)
 
@@ -313,7 +314,11 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     """Maximizer of the plain log likelihood over [0, 1) (counting=False) or
     of the even mixture over [0, 1/2] (counting=True) for each row of est
     (n, R).  Returns (phi_hat, log likelihood, candidate cells, golden
-    iterations)."""
+    iterations).  Estimates are wrapped into [0, 1) first (a no-op on rows
+    already there); a non-finite one raises ValueError."""
+    if not np.isfinite(est).all():
+        raise ValueError("estimates must be finite")
+    est = _wrap_array(est)
     n, R = est.shape
     ll_of = _mixture_ll if counting else _plain_ll
 
@@ -324,7 +329,7 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
         return objective(est, c[:, None])[:, 0]
 
     if R == 1:
-        x = _wrap_array(est[:, 0])
+        x = est[:, 0]
         x = np.minimum(x, 1.0 - x) if counting else x
         return x, f(x), 0, 0
     G = max(4 * T * R, 1024)
@@ -333,7 +338,7 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     # candidate cells: the whole circle, or [0, 1/2] with both ends
     ncand = G // 2 + 1 if counting else G
     k = np.arange(ncand)
-    best = np.empty(n, dtype=np.int64)
+    best, best_f = np.empty(n, dtype=np.int64), np.empty(n)
     block = max(1, _SCAN_BLOCK // ncand)
     cells, bufs = np.empty((block, ncand), dtype=np.int64), np.empty((3, block, ncand))
     for s in range(0, n, block):
@@ -348,14 +353,16 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
                 np.take(tab, np.add(i, k, out=cell), out=plus, mode="wrap")
                 _log_mix(np.add(term, plus, out=term))
             ll += term
-        best[s : s + block] = _local_max_cell(ll, lambda c: objective(e, c / G), ends=counting)
+        best[s : s + block], best_f[s : s + block] = _local_max_cell(
+            ll, lambda c: objective(e, c / G), ends=counting
+        )
     lo, hi = (best - 1.0) / G, (best + 1.0) / G
     if counting:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
     # golden steps that shrink a two-cell bracket below _BRACKET_TOL: fixed by
     # G alone, so no row's result depends on the rows batched with it
     steps = math.ceil(math.log(_BRACKET_TOL * G / 2.0) / math.log(_INVPHI))
-    x, fx = _golden_batch(f, lo, hi, best / G, f(best / G), steps)
+    x, fx = _golden_batch(f, lo, hi, best / G, best_f, steps)
     # three guarded Newton steps on L' from the golden point: a step is
     # skipped where L is not concave or it would leave the bracket
     cur = x

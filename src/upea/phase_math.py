@@ -132,8 +132,8 @@ class DistTable:
         object.__setattr__(self, "probs", p)
         if p.shape != (self.params.T,):
             raise ValueError("probs must have length T")
-        if np.any(p < -1e-15) or np.any(p > 1 + 1e-12):
-            raise ValueError("probabilities out of [0, 1]")
+        if not np.all((p >= -1e-15) & (p <= 1 + 1e-12)):
+            raise ValueError("probabilities out of [0, 1] or not finite")
         if abs(p.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities do not sum to 1")
 
@@ -151,6 +151,8 @@ class BiasMaeEntry:
     n_samples: int | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.bias) and math.isfinite(self.mae)):
+            raise ValueError("bias and mae must be finite")
         if not (self.mae >= 0.0):
             raise ValueError("mae must be nonnegative")
         if abs(self.bias) > self.mae + 1e-12:

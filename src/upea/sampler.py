@@ -131,12 +131,15 @@ def sample_upea_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized block of n independent runs; returns (s, theta, phi_tilde)
     arrays.  Draws the whole theta vector, then the whole uniform vector.
-    phi may be a scalar or a length-n vector of per-trial true phases.
+    phi may be a scalar or a length-n vector of per-trial true phases; a
+    non-finite phi + theta raises ValueError.
     Outcome CDFs are built and inverted a slice of rows at a time, about
     _SLICE_CELLS cells per slice, so memory stays bounded for large T."""
     T = params.T
     theta = _draw_theta(params.theta_mode, T, rng, n)
     shifted = np.asarray(phi, dtype=float) + theta
+    if not np.isfinite(shifted).all():
+        raise ValueError("phi + theta must be finite")
     u = rng.random(n)
     grid = np.arange(T)[None, :] / T
     s = np.empty(n, dtype=int)

@@ -349,3 +349,14 @@ def test_cli_verify_circuit_reports_json(monkeypatch, capsys) -> None:
     assert cli.main(["verify-circuit"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["passed"] is True
+
+
+def test_single_run_corrected_sweep_at_t1_rejects_b_one_half(capsys) -> None:
+    # one register outcome: the exact single-run slope is b = 1/(2T) = 1/2
+    with pytest.raises(ValueError, match="b = 1/2"):
+        run_sweep(SweepConfig("uqca-corrected", T=1, R=1, grid_points=2, n_samples=10))
+    code = cli.main(["uqca-corrected", "--T", "1", "--R", "1", "--grid", "2", "--samples", "10"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "b = 1/2" in captured.err

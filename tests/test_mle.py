@@ -297,3 +297,29 @@ def test_mle_batch_shift_equivariance() -> None:
         got = mle_batch(P3, (mat + shift) % 1.0)
         err = np.abs(np.vectorize(circ_dist)(got, (base + shift) % 1.0))
         assert err.max() < 1e-9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_estimates_raise(bad: float) -> None:
+    row = [0.1, bad, 0.2]
+    for fn in (mle_batch, mle_counting_batch):
+        with pytest.raises(ValueError, match="finite"):
+            fn(P3, np.array([row]))
+    for fn in (mle_estimate, mle_estimate_counting):
+        with pytest.raises(ValueError, match="finite"):
+            fn(P3, row)
+
+
+def test_whole_turn_offsets_agree_with_the_plain_rows() -> None:
+    rng = make_rng(2)
+    mat = np.empty((100, 3))
+    phi = rng.random(100)
+    for j in range(3):
+        _, _, mat[:, j] = sample_upea_block(P3, phi, rng, 100)
+    for fn in (mle_batch, mle_counting_batch):
+        base = fn(P3, mat)
+        for turns in (3, -5):
+            got = fn(P3, mat + turns)
+            assert np.abs(np.vectorize(circ_dist)(got, base)).max() < 1e-9
+        # 1e300 is a whole number of turns, so it stands for the phase 0
+        assert fn(P3, np.array([[0.1, 1e300, 0.2]]))[0] == fn(P3, np.array([[0.1, 0.0, 0.2]]))[0]

@@ -258,3 +258,17 @@ def test_bias_mae_entry_validation() -> None:
         BiasMaeEntry(0.1, 0.05, 0.02)  # |bias| > mae
     with pytest.raises(ValueError):
         BiasMaeEntry(0.1, 0.0, -1.0)
+
+
+def test_bias_mae_entry_rejects_non_finite_values() -> None:
+    with pytest.raises(ValueError, match="finite"):
+        BiasMaeEntry(0.0, math.nan, math.inf)  # a T = 1 corrected-count row
+    with pytest.raises(ValueError, match="finite"):
+        BiasMaeEntry(0.0, math.nan, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        BiasMaeEntry(0.0, 0.0, math.inf)
+
+
+def test_pmf_rejects_a_non_finite_phase() -> None:
+    with pytest.raises(ValueError, match="finite"):
+        pea_pmf(P16, math.nan)

@@ -165,3 +165,11 @@ def test_empirical_bias_mae_plain() -> None:
 def test_empirical_bias_mae_single_sample_has_zero_stderr() -> None:
     entry = empirical_bias_mae([0.3], 0.2, circular=False)
     assert entry.stderr_bias == 0.0 and entry.stderr_mae == 0.0
+
+
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_block_sampler_rejects_a_non_finite_phase(phi: float) -> None:
+    with pytest.raises(ValueError, match="finite"):
+        sample_upea(PeaParams.from_T(16, 3), phi, make_rng(1))
+    with pytest.raises(ValueError, match="finite"):
+        sample_upea_block(P16, np.array([0.1, phi]), make_rng(1), 2)
