@@ -13,7 +13,8 @@ takes the exact single-run slope and R > 1 a calibrated one),
 the CSVs of the benchmark's three workload configs (written out here, not
 imported), a calibrate_b record, the run_verify_circuit reports with and
 without corrupt_theta, sample_upea_block draws (the generator's next draw
-included) at each T in {1, 2, 16, 256, 1024} and theta mode, the outputs
+included) at each T in {1, 2, 16, 256, 1024} and theta mode and at
+T = 2^14 (64 trials, full mode, one row per CDF slice), the outputs
 of mle_batch and mle_counting_batch on 2000 sampled rows at each T in
 {2, 4, 16, 64, 256} and R in {2, 3, 5, 16}, and the MleResult fields of
 mle_estimate and mle_estimate_counting on the first 50 of those rows.
@@ -51,6 +52,9 @@ MLE_SLICE = 250  # rows per maximizer call, to bound the n x G scan matrices
 MLE_SINGLE_ROWS = 50  # rows also run one at a time through the single-trial entry points
 SAMPLER_T = (1, 2, 16, 256, 1024)
 SAMPLER_N = 4096
+# a T above the sampler's slice size, so each slice holds one row
+SAMPLER_LARGE_T = 1 << 14
+SAMPLER_LARGE_N = 64
 
 
 def _reduced_sweeps(seed: int) -> dict:
@@ -98,12 +102,13 @@ def _sampler_outputs(seed: int):
     """(name, bytes) of one sample_upea_block call per T and theta mode,
     followed by the generator's next draw."""
     modes = (upea.ThetaMode.full(), upea.ThetaMode.period(), upea.ThetaMode.fixed(0.3))
-    for T in SAMPLER_T:
-        for mode in modes:
-            rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "sampler", T, str(mode)))
-            draws = sample_upea_block(upea.PeaParams.from_T(T, 1, mode), 0.2, rng, SAMPLER_N)
-            data = b"".join(a.tobytes() for a in draws) + np.float64(rng.random()).tobytes()
-            yield f"sample_upea_block.T{T}.{mode}", data
+    shapes = [(T, mode, SAMPLER_N) for T in SAMPLER_T for mode in modes]
+    shapes.append((SAMPLER_LARGE_T, upea.ThetaMode.full(), SAMPLER_LARGE_N))
+    for T, mode, n in shapes:
+        rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "sampler", T, str(mode)))
+        draws = sample_upea_block(upea.PeaParams.from_T(T, 1, mode), 0.2, rng, n)
+        data = b"".join(a.tobytes() for a in draws) + np.float64(rng.random()).tobytes()
+        yield f"sample_upea_block.T{T}.{mode}", data
 
 
 def _mle_outputs(seed: int):
