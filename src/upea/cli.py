@@ -75,6 +75,9 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     flag("--out", dest="output_path", help="CSV output path (stdout if omitted)")
     p.add_argument("--preset", choices=sorted(PRESETS), help="start from a named preset")
     p.add_argument("--calibration", help="calibration record JSON to apply")
+    p.add_argument(
+        "--workers", type=int, default=1, help="sweep threads; output is the same for any count"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
 
         config = _build_config(args.command, args)
         calibration = _load_calibration(args.calibration) if args.calibration else None
-        report = run_sweep(config, calibration=calibration)
+        report = run_sweep(config, calibration=calibration, workers=args.workers)
 
         if args.command == "calibrate":
             record = report.metadata["calibration_record"]

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .phase_math import PeaParams, Phase, ThetaMode
 from .mle import mle_counting_batch
-from .sampler import RNG_ALGORITHM, RngSeed, _chunks, derive_seed, make_rng, sample_upea_block
+from .sampler import (
+    _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, derive_seed, make_rng, sample_upea_block
+)
 
 __all__ = [
     "CountingInstance",
@@ -196,21 +199,30 @@ def correct_mle(m_tilde, b: float):
     return (np.asarray(m_tilde, dtype=float) - b) / (1.0 - 2.0 * b)
 
 
-def calibrate_b(T: int, R: int, n_samples: int, seed: RngSeed) -> CalibrationRecord:
+def calibrate_b(
+    T: int, R: int, n_samples: int, seed: RngSeed, workers: int = 1
+) -> CalibrationRecord:
     """Measure b = B(0): mean folded count fraction over n_samples trials at
     m = 0.  Trials run in fixed-size chunks with child seeds derived from the
     given seed under the 'calibrate' tag, so results are reproducible and
-    disjoint from any evaluation stream built on the same base seed."""
+    disjoint from any evaluation stream built on the same base seed.  Chunks
+    run on a pool of workers threads and fill their own slots of one array,
+    so the record is the same for any worker count."""
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     params = PeaParams.from_T(T, R, ThetaMode.full())
     vals = np.empty(n_samples)
-    done = 0
-    for chunk_index, size in _chunks(n_samples):
+
+    def work(chunk: tuple[int, int]) -> None:
+        chunk_index, size = chunk
         rng = make_rng(derive_seed(seed, "calibrate", T, R, chunk_index))
-        _, m_tilde = sample_uqca_block(params, 0.0, rng, size)
-        vals[done : done + size] = m_tilde
-        done += size
+        start = chunk_index * _CHUNK
+        _, vals[start : start + size] = sample_uqca_block(params, 0.0, rng, size)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, _chunks(n_samples)))
     b = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return CalibrationRecord(T, R, b, stderr, n_samples, int(seed))

@@ -283,7 +283,7 @@ def _qca_entries(
                 )
             if rec is None and R > 1:
                 seed = derive_seed(config.base_seed, "calibrate", config.T, R)
-                rec = calibrate_b(config.T, R, _AUTO_CAL_SAMPLES, seed)
+                rec = calibrate_b(config.T, R, _AUTO_CAL_SAMPLES, seed, workers)
             if rec is not None:
                 records.append(rec)
             b_for[R] = 0.5 / config.T if rec is None else rec.b
@@ -322,7 +322,7 @@ def run_sweep(
     elif config.experiment in ("qca-bias-mae", "uqca-corrected"):
         entries, records = _qca_entries(config, workers, calibration)
     elif config.experiment == "calibrate":
-        rec = calibrate_b(config.T, config.R, config.n_samples, config.base_seed)
+        rec = calibrate_b(config.T, config.R, config.n_samples, config.base_seed, workers)
         records = [rec]
         entries = []
     else:

@@ -18,9 +18,11 @@ log-likelihoods and the maximizer call.  One maximizer, vectorized over rows
 of estimates, serves both; the single-trial entry points run it on one row.
 Coarse scan over max(4*T*R, 1024) equispaced candidates (4x
 oversampling of the likelihood's O(T*R) oscillations) with estimates snapped
-to the candidate grid and factors gathered from one precomputed table of
-kernel values, whose exact zeros are clamped to the value half a cell away
-(the plain scan takes its log; the mixture sums before the log); exact
+to the candidate grid, so each run's factors over all candidates are one
+contiguous window of a doubled table of kernel values, read as a row of a
+sliding-window view (the table's exact zeros are clamped to the value half a
+cell away; the plain scan takes its log, the mixture sums the rows of a
+backward and a forward view before the log); exact
 re-scoring of the best 16 cells (plus both interval ends for the mixture,
 which are stationary points of an even objective); a climb to the better
 neighbouring cell until neither neighbour scores higher, so the bracket of
@@ -42,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .phase_math import PeaParams, Phase, _kernel_parts, _reduce, _wrap_array, pea_kernel
 
@@ -83,15 +86,23 @@ class MleResult:
 
 
 def log_kernel(T: int, delta) -> np.ndarray | float:
-    """log of pea_kernel with exact zeros mapped to the LOG_ZERO sentinel."""
+    """log of pea_kernel with exact zeros mapped to the LOG_ZERO sentinel,
+    computed in place on the fresh arrays of _kernel_parts."""
     num, den, lattice = _kernel_parts(T, delta)
-    zero = (num == 0.0) & ~lattice
-    # on the lattice the log of the limit value is exactly 0
-    num = np.where(zero | lattice, 1.0, np.abs(num))
-    den = np.where(zero | lattice, 1.0, np.abs(den))
-    out = 2.0 * (np.log(num) - np.log(den))
-    out = np.where(zero, LOG_ZERO, out)
-    out = np.where(lattice, 0.0, out)
+    np.abs(num, out=num)
+    np.abs(den, out=den)
+    zero = num == 0.0
+    special = zero | lattice
+    fix = special.any()
+    if fix:
+        num[special] = 1.0
+        den[special] = 1.0
+    out = np.subtract(np.log(num, out=num), np.log(den, out=den), out=num)
+    out *= 2.0
+    if fix:
+        out[zero] = LOG_ZERO
+        # on the lattice the log of the limit value is exactly 0
+        out[lattice] = 0.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -332,27 +343,37 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
         x = est[:, 0]
         x = np.minimum(x, 1.0 - x) if counting else x
         return x, f(x), 0, 0
+    if T == 1:
+        raise ValueError("T = 1 gives a flat likelihood; the MLE needs T >= 2 when R >= 2")
     G = max(4 * T * R, 1024)
     # the mixture sums kernel values before the log; the plain scan reads logs
     tab = _scan_table(T, G) if counting else np.log(_scan_table(T, G))
     # candidate cells: the whole circle, or [0, 1/2] with both ends
     ncand = G // 2 + 1 if counting else G
-    k = np.arange(ncand)
+    # each scan term is one window of a doubled table over the cells k:
+    # row G-1-i of back is tab[(i - k) % G], row i of fwd is tab[(i + k) % G]
+    ext = np.arange(2 * G)
+    back = sliding_window_view(tab[(G - 1 - ext) % G], ncand)
+    fwd = sliding_window_view(tab[ext % G], ncand)
     best, best_f = np.empty(n, dtype=np.int64), np.empty(n)
     block = max(1, _SCAN_BLOCK // ncand)
-    cells, bufs = np.empty((block, ncand), dtype=np.int64), np.empty((3, block, ncand))
+    bufs = np.empty((2, block, ncand))
     for s in range(0, n, block):
         e = est[s : s + block]
-        cell, (ll, term, plus) = cells[: len(e)], bufs[:, : len(e)]
+        ll, term = bufs[:, : len(e)]
         ll.fill(0.0)
         for j in range(R):
-            i = np.rint(e[:, j : j + 1] * G).astype(np.int64)
-            # wrap mode reads tab[(i - k) % G] and tab[(i + k) % G]
-            np.take(tab, np.subtract(i, k, out=cell), out=term, mode="wrap")
+            i = np.rint(e[:, j] * G).astype(np.int64) % G
+            # plain fancy indexing: np.take(back, ..., out=) would first copy
+            # the whole strided view.  Its result is one block-sized
+            # temporary at a time, which malloc reuses for the next term;
+            # two alive at once were trimmed and faulted in again
             if counting:
-                np.take(tab, np.add(i, k, out=cell), out=plus, mode="wrap")
-                _log_mix(np.add(term, plus, out=term))
-            ll += term
+                term[...] = back[G - 1 - i]
+                term += fwd[i]
+                ll += _log_mix(term)
+            else:
+                ll += back[G - 1 - i]
         best[s : s + block], best_f[s : s + block] = _local_max_cell(
             ll, lambda c: objective(e, c / G), ends=counting
         )

@@ -193,11 +193,13 @@ def _reduce(T: int, delta) -> tuple[np.ndarray, np.ndarray]:
     """The kernel's argument reduction: e = delta - round(delta) and
     f = T*e - round(T*e).  Because T is a power of two both are exact in
     binary floating point, so f is exactly 0 at the kernel zeros k/T (k not
-    divisible by T)."""
+    divisible by T).  Both are fresh arrays (0-d for a scalar delta) that the
+    caller may overwrite; delta itself is never written."""
     delta = np.asarray(delta, dtype=float)
-    e = delta - np.round(delta)
-    u = T * e
-    return e, u - np.round(u)
+    e = np.asarray(np.round(delta))
+    np.subtract(delta, e, out=e)
+    u = np.asarray(T * e)
+    return e, np.subtract(u, np.round(u), out=u)
 
 
 def _kernel_parts(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -209,10 +211,15 @@ def _kernel_parts(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     round in the subnormal range and their ratio loses relative precision
     (it can exceed 1); the kernel's true value there is 1.0 to the last bit,
     so callers substitute the limit.  e == 0 is included; a subnormal f near
-    a kernel zero is harmless (ratio ~ 0).
+    a kernel zero is harmless (ratio ~ 0).  Each step runs in place on the
+    reduction's fresh arrays, so the results are fresh arrays too.
     """
     e, f = _reduce(T, delta)
-    return np.sin(np.pi * f), T * np.sin(np.pi * e), np.abs(e) < _TINY
+    lattice = np.abs(e) < _TINY
+    num = np.sin(np.multiply(f, np.pi, out=f), out=f)
+    den = np.sin(np.multiply(e, np.pi, out=e), out=e)
+    den *= T
+    return num, den, lattice
 
 
 def pea_kernel(T: int, delta) -> np.ndarray | float:
@@ -224,9 +231,10 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     lattice.
     """
     num, den, lattice = _kernel_parts(T, delta)
-    r = np.divide(num, den, out=np.ones_like(num), where=~lattice)
-    out = r * r
-    return float(out) if out.ndim == 0 else out
+    r = np.divide(num, den, out=num, where=~lattice)
+    np.copyto(r, 1.0, where=lattice)
+    r *= r
+    return float(r) if r.ndim == 0 else r
 
 
 def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:

@@ -144,10 +144,15 @@ def sample_upea_block(
     grid = np.arange(T)[None, :] / T
     s = np.empty(n, dtype=int)
     rows = max(1, _SLICE_CELLS // T)
+    # every slice reuses these buffers (see _SLICE_CELLS)
+    delta, cdf = np.empty((2, min(rows, n), T))
+    below = np.empty(delta.shape, dtype=bool)
     for i in range(0, n, rows):
-        cdf = np.cumsum(pea_kernel(T, grid - shifted[i : i + rows, None]), axis=1)
+        m = min(rows, n - i)
+        kernel = pea_kernel(T, np.subtract(grid, shifted[i : i + m, None], out=delta[:m]))
+        np.cumsum(kernel, axis=1, out=cdf[:m])
         # count of cdf entries <= u: the inverse CDF with searchsorted side="right"
-        s[i : i + rows] = (cdf <= u[i : i + rows, None]).sum(axis=1)
+        s[i : i + m] = np.less_equal(cdf[:m], u[i : i + m, None], out=below[:m]).sum(axis=1)
     np.minimum(s, T - 1, out=s)
     return s, theta, _wrap_array(s / T - theta)
 

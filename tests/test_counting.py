@@ -207,3 +207,13 @@ def test_counting_estimate_consistency_enforced() -> None:
     CountingEstimate(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1)
     with pytest.raises(ValueError):
         CountingEstimate(m_tilde=0.9, phi_hat=0.2, R=1)
+
+
+def test_calibration_is_bit_identical_for_any_worker_count() -> None:
+    # three chunks, the last one short
+    n = 2 * 4096 + 100
+    one = calibrate_b(16, 3, n, 21)
+    assert calibrate_b(16, 3, n, 21, workers=2) == one
+    assert calibrate_b(16, 3, n, 21, workers=3) == one
+    with pytest.raises(ValueError, match="workers"):
+        calibrate_b(16, 3, n, 21, workers=0)

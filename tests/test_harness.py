@@ -360,3 +360,31 @@ def test_single_run_corrected_sweep_at_t1_rejects_b_one_half(capsys) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "b = 1/2" in captured.err
+
+
+def test_cli_workers_flag_leaves_corrected_range_output_unchanged(monkeypatch, capsys) -> None:
+    # three calibration chunks per R, so the pool really splits them
+    monkeypatch.setattr("upea.harness._AUTO_CAL_SAMPLES", 2 * 4096 + 100)
+    argv = ["uqca-corrected", "--R", "1..3", "--grid", "3", "--samples", "700", "--seed", "4"]
+    outs = []
+    for workers in ("1", "2"):
+        assert cli.main(argv + ["--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 4
+    assert cli.main(argv + ["--workers", "0"]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mle-bias-mae", "--T", "1", "--R", "2", "--grid", "2", "--samples", "16"],
+        ["calibrate", "--T", "1", "--R", "2", "--samples", "64"],
+    ],
+)
+def test_cli_t1_with_several_runs_exits_1_naming_the_flat_likelihood(argv, capsys) -> None:
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "T = 1 gives a flat likelihood" in captured.err

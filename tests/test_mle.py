@@ -323,3 +323,19 @@ def test_whole_turn_offsets_agree_with_the_plain_rows() -> None:
             assert np.abs(np.vectorize(circ_dist)(got, base)).max() < 1e-9
         # 1e300 is a whole number of turns, so it stands for the phase 0
         assert fn(P3, np.array([[0.1, 1e300, 0.2]]))[0] == fn(P3, np.array([[0.1, 0.0, 0.2]]))[0]
+
+
+def test_t1_with_several_runs_raises_a_flat_likelihood_error() -> None:
+    # one register outcome: the kernel is constant, so every candidate ties
+    p = PeaParams.from_T(1, 2)
+    rows = np.array([[0.1, 0.7], [0.3, 0.3]])
+    for fn in (mle_batch, mle_counting_batch):
+        with pytest.raises(ValueError, match="T = 1 gives a flat likelihood"):
+            fn(p, rows)
+    for fn in (mle_estimate, mle_estimate_counting):
+        with pytest.raises(ValueError, match="T = 1 gives a flat likelihood"):
+            fn(p, rows[0])
+    # a single run still takes its fast path
+    one = PeaParams.from_T(1, 1)
+    assert mle_counting_batch(one, np.array([[0.3], [0.8]])).tolist() == [0.3, 1.0 - 0.8]
+    assert mle_batch(one, np.array([[0.3]])).tolist() == [0.3]

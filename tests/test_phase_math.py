@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from upea.mle import LOG_ZERO, log_kernel
 from upea.phase_math import (
     BiasMaeEntry,
     PeaParams,
@@ -272,3 +273,96 @@ def test_bias_mae_entry_rejects_non_finite_values() -> None:
 def test_pmf_rejects_a_non_finite_phase() -> None:
     with pytest.raises(ValueError, match="finite"):
         pea_pmf(P16, math.nan)
+
+
+# ---------------------------------------------------------------------------
+# in-place kernel evaluation against the out-of-place formula
+
+
+def _kernel_parts_reference(T: int, delta):
+    delta = np.asarray(delta, dtype=float)
+    e = delta - np.round(delta)
+    u = T * e
+    f = u - np.round(u)
+    lattice = np.abs(e) < np.finfo(float).tiny
+    return np.sin(np.pi * f), T * np.sin(np.pi * e), lattice
+
+
+def _pea_kernel_reference(T: int, delta) -> np.ndarray:
+    num, den, lattice = _kernel_parts_reference(T, delta)
+    r = np.divide(num, den, out=np.ones_like(num), where=~lattice)
+    return r * r
+
+
+def _log_kernel_reference(T: int, delta) -> np.ndarray:
+    num, den, lattice = _kernel_parts_reference(T, delta)
+    zero = (num == 0.0) & ~lattice
+    num = np.where(zero | lattice, 1.0, np.abs(num))
+    den = np.where(zero | lattice, 1.0, np.abs(den))
+    out = 2.0 * (np.log(num) - np.log(den))
+    out = np.where(zero, LOG_ZERO, out)
+    return np.where(lattice, 0.0, out)
+
+
+def _edge_deltas(T: int) -> np.ndarray:
+    """Lattice points, exact zeros k/T and their one-ulp neighbours,
+    subnormal and negative deltas, and multi-turn offsets."""
+    tiny = np.finfo(float).tiny
+    zeros = np.arange(-T, 2 * T + 1) / T
+    base = np.concatenate(
+        [
+            [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 0.5, -0.5, 0.1, -0.3, 0.73],
+            [5e-324, -5e-324, tiny / 2, -tiny / 2, tiny, -tiny, 2 * tiny, 1e-300],
+            zeros,
+            np.nextafter(zeros, np.inf),
+            np.nextafter(zeros, -np.inf),
+        ]
+    )
+    return np.concatenate([base, base + 5.0, base - 3.0, -base])
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+KERNELS = [(pea_kernel, _pea_kernel_reference), (log_kernel, _log_kernel_reference)]
+
+
+@pytest.mark.parametrize("T", [1, 2, 16, 1024])
+@pytest.mark.parametrize("kernel, reference", KERNELS)
+def test_in_place_kernel_matches_the_out_of_place_formula(T: int, kernel, reference) -> None:
+    delta = _edge_deltas(T)
+    before = delta.copy()
+    assert _same_bits(kernel(T, delta), reference(T, delta))
+    assert delta.tobytes() == before.tobytes()
+    # a strided view of the same values
+    view = np.stack([delta, delta])[:, ::2]
+    assert _same_bits(kernel(T, view), reference(T, view))
+
+
+@pytest.mark.parametrize("T", [1, 16])
+@pytest.mark.parametrize("kernel, reference", KERNELS)
+def test_in_place_kernel_takes_python_floats_and_0d_arrays(T: int, kernel, reference) -> None:
+    for x in _edge_deltas(T)[::3]:
+        want = reference(T, x)
+        got = kernel(T, float(x))
+        assert isinstance(got, float) and _same_bits(got, want)
+        arr = np.array(x)
+        got = kernel(T, arr)
+        assert isinstance(got, float) and _same_bits(got, want)
+        assert arr.tobytes() == np.array(x).tobytes()
+
+
+@pytest.mark.parametrize("kernel, reference", KERNELS)
+def test_in_place_kernel_on_likelihood_broadcasts(kernel, reference) -> None:
+    rng = np.random.default_rng(4)
+    n, m, R, T = 5, 7, 3, 16
+    est = rng.random((n, 1, R))
+    est[0, 0] = [0.0, 1 / 16, 0.5]
+    c = np.concatenate([rng.random((n, m - 2)), np.zeros((n, 1)), np.full((n, 1), 1 / 16)], axis=1)
+    for delta in (est - c[:, :1, None], est - c[:, :, None], est + c[:, :, None]):
+        assert delta.shape in ((n, 1, R), (n, m, R))
+        before = delta.copy()
+        assert _same_bits(kernel(T, delta), reference(T, delta))
+        assert delta.tobytes() == before.tobytes()

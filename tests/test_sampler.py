@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from upea.phase_math import PeaParams, ThetaMode, pea_pmf, wrap_phase
+from upea.phase_math import PeaParams, ThetaMode, pea_kernel, pea_pmf, wrap_phase
 from upea.sampler import (
     RNG_ALGORITHM,
     derive_seed,
@@ -173,3 +173,28 @@ def test_block_sampler_rejects_a_non_finite_phase(phi: float) -> None:
         sample_upea(PeaParams.from_T(16, 3), phi, make_rng(1))
     with pytest.raises(ValueError, match="finite"):
         sample_upea_block(P16, np.array([0.1, phi]), make_rng(1), 2)
+
+
+def _block_reference(params: PeaParams, phi, rng, n: int):
+    """sample_upea_block drawn row by row with out-of-place arrays."""
+    T = params.T
+    theta = rng.random(n) if params.theta_mode.kind == "full" else np.full(n, params.theta_mode.value)
+    shifted = np.asarray(phi, dtype=float) + theta
+    u = rng.random(n)
+    grid = np.arange(T) / T
+    s = np.array([(np.cumsum(pea_kernel(T, grid - x)) <= v).sum() for x, v in zip(shifted, u)])
+    s = np.minimum(s, T - 1)
+    return s, theta, (s / T - theta) % 1.0
+
+
+@pytest.mark.parametrize("T, n", [(2, 9), (16, 600), (4096, 5), (1 << 14, 3)])
+def test_block_sampler_with_reused_slice_buffers_matches_row_by_row_draws(T: int, n: int) -> None:
+    # (4096, 5): two rows per slice and a shorter last slice; 2^14: one row per slice
+    for mode in (ThetaMode.full(), ThetaMode.fixed(0.3)):
+        params = PeaParams.from_T(T, 1, mode)
+        phi = np.linspace(-1.3, 2.7, n)
+        got = sample_upea_block(params, phi, make_rng(8), n)
+        want = _block_reference(params, phi, make_rng(8), n)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.array_equal(got[2], want[2])
