@@ -9,7 +9,11 @@ Run it on two checkouts and diff the output:
 Arguments are base seeds (default: 1 2 3 11 12).  For each seed it digests
 the CSV and config JSON of every sweep experiment at reduced preset sizes
 (and the calibration records of the multi-R corrected sweep, where R = 1
-takes the exact single-run slope and R > 1 a calibrated one),
+takes the exact single-run slope and R > 1 a calibrated one), plus the
+layouts those presets miss: single-R qca-bias-mae at R = 3 (one row per m
+through the mixture MLE), mae-vs-r at a single R, and a single-run and a
+pooled sweep at 5000 samples, whose cells split into uneven chunks of
+4096 + 904 trials,
 the CSVs of the benchmark's three workload configs (written out here, not
 imported), a calibrate_b record, the run_verify_circuit reports with and
 without corrupt_theta, sample_upea_block draws (the generator's next draw
@@ -67,9 +71,15 @@ def _reduced_sweeps(seed: int) -> dict:
         "upea-bias-mae.period": cfg(
             "upea-bias-mae", T=16, grid_points=16, n_samples=1 << 12, theta_mode=upea.ThetaMode.period()
         ),
+        # two uneven chunks (4096 + 904) per cell of a single-run sweep
+        "upea-bias-mae.chunks": cfg("upea-bias-mae", T=16, grid_points=4, n_samples=5000),
         "mle-bias-mae": cfg("mle-bias-mae", T=16, R=16, grid_points=8, n_samples=1 << 11),
         "mae-vs-r": cfg("mae-vs-r", T=16, R=(1, 8), grid_points=8, n_samples=1 << 9),
+        "mae-vs-r.r4": cfg("mae-vs-r", T=16, R=4, grid_points=4, n_samples=1 << 10),
+        # pooled rows with two uneven chunks per cell
+        "mae-vs-r.chunks": cfg("mae-vs-r", T=16, R=(1, 3), grid_points=3, n_samples=5000),
         "qca-bias-mae": cfg("qca-bias-mae", T=16, R=(1, 4), grid_points=9, n_samples=1 << 11),
+        "qca-bias-mae.r3": cfg("qca-bias-mae", T=16, R=3, grid_points=9, n_samples=1 << 11),
         "uqca-corrected": cfg("uqca-corrected", T=16, R=3, grid_points=9, n_samples=1 << 11),
         "uqca-corrected.r1": cfg("uqca-corrected", T=16, R=1, grid_points=9, n_samples=1 << 11),
         "uqca-corrected.range": cfg("uqca-corrected", T=16, R=(1, 3), grid_points=9, n_samples=1 << 11),
