@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phase_math import PeaParams, Phase, ThetaMode
+from .phase_math import PeaParams, Phase, ThetaMode, _finite
 from .mle import mle_counting_batch
 from .sampler import (
     _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, derive_seed, make_rng, sample_upea_block
@@ -178,22 +178,25 @@ def sample_uqca_block(
 
 
 def exact_bias_uqca_single(m: float, T: int) -> float:
-    """Exact single-run bias of m_tilde: (1-2m)/(2T), valid for every m."""
+    """Exact single-run bias of m_tilde: (1-2m)/(2T), valid for every m and
+    every power-of-two T."""
     m = float(m)
     if not (0.0 <= m <= 1.0):
         raise ValueError("m must lie in [0, 1]")
-    return (1.0 - 2.0 * m) / (2.0 * T)
+    return (1.0 - 2.0 * m) / (2.0 * PeaParams.from_T(T).T)
 
 
 def correct_single(m_tilde, T: int):
     """Invert the exact single-run bias law, slope b = 1/(2T); output
-    deliberately unclamped."""
-    return correct_mle(m_tilde, 0.5 / T)
+    deliberately unclamped.  T must be a power of two; T = 1 gives b = 1/2,
+    which raises."""
+    return correct_mle(m_tilde, 0.5 / PeaParams.from_T(T).T)
 
 
 def correct_mle(m_tilde, b: float):
-    """Invert the MLE bias law m -> m(1-2b) + b; b = 1/2 is degenerate."""
-    b = float(b)
+    """Invert the MLE bias law m -> m(1-2b) + b; b must be finite, and
+    b = 1/2 is degenerate."""
+    b = _finite("b", b)
     if b == 0.5:
         raise ValueError("b = 1/2 makes the bias law non-invertible")
     return (np.asarray(m_tilde, dtype=float) - b) / (1.0 - 2.0 * b)

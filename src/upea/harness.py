@@ -1,14 +1,24 @@
 """Experiment harness: named sweeps over phase or count grids with
 reproducible seeding, deterministic parallel execution, and CSV/JSON output.
 
-Each sweep cell (grid point, or (R, offset) pair) is split into fixed-size
-chunks of trials.  A chunk owns an independent generator seeded by
-sha256(base_seed | experiment | cell indices | chunk index), and chunk
-results are reduced with exact compensated summation in chunk order, so the
+Every sweep runs through one function.  Its grid of G points is:
+
+- pea-bias-mae, upea-bias-mae, mle-bias-mae: phases i/G;
+- mae-vs-r: phase offsets (i + 1/2)/(G T), spanning one kernel period
+  [0, 1/T), where both estimators' error laws live;
+- qca-bias-mae, uqca-corrected: marked fractions m on linspace(0, 1, G).
+
+A cell is one (R, grid point) pair, split into fixed-size chunks of trials.
+A chunk owns an independent generator seeded by sha256(base_seed |
+experiment | seed path | chunk index), where the seed path is (i,) for the
+three single-R phase sweeps and (R, i) for mae-vs-r and the counting sweeps.
+mae-vs-r and every R-range sweep pool the grid into one row per R (ground
+truth R, n_samples G times the config's); the others write one row per grid
+point.  Chunk results are reduced with exact compensated summation, so the
 report is a pure function of the config: identical for one worker, many
 workers, or repeated runs.
 
-CSV rows carry one grid cell each with the fixed schema
+CSV rows have the fixed schema
 ground_truth,bias,stderr_bias,mae,stderr_mae,n_samples.  Bias and MAE are
 circular in the phase domain and plain differences in the count domain.
 """
@@ -149,67 +159,24 @@ PRESETS: dict[str, SweepConfig] = {
 }
 
 
-class _Moments:
-    """Order-independent accumulator: exact compensated reduction of per-chunk
-    (sum d, sum d^2, sum |d|, n) partials, combined in chunk-index order
-    regardless of completion order.  sum |d|^2 is sum d^2 to the last bit."""
-
-    def __init__(self, n_chunks: int) -> None:
-        self.parts: list[tuple[float, float, float, int] | None] = [None] * n_chunks
-
-    def put(self, chunk_index: int, d: np.ndarray) -> None:
-        self.parts[chunk_index] = (
-            float(np.sum(d)),
-            float(np.sum(d * d)),
-            float(np.sum(np.abs(d))),
-            int(d.size),
-        )
-
-    def entry(self, ground_truth: float) -> BiasMaeEntry:
-        assert all(p is not None for p in self.parts)
-        sd = math.fsum(p[0] for p in self.parts)
-        sd2 = math.fsum(p[1] for p in self.parts)
-        sa = math.fsum(p[2] for p in self.parts)
-        n = sum(p[3] for p in self.parts)
-        bias = sd / n
-        mae = sa / n
-        if n > 1:
-            var_d = max(sd2 - n * bias * bias, 0.0) / (n - 1)
-            var_a = max(sd2 - n * mae * mae, 0.0) / (n - 1)
-            se_b = math.sqrt(var_d / n)
-            se_m = math.sqrt(var_a / n)
-        else:
-            se_b = se_m = 0.0
-        if abs(bias) > mae:
-            bias = math.copysign(mae, bias)
-        return BiasMaeEntry(ground_truth, bias, mae, se_b, se_m, n)
-
-
-def _run_rows(config: SweepConfig, workers: int, cells, truths) -> list[BiasMaeEntry]:
-    """Run every (row, slot, seed path, draw) cell over the config's trial
-    chunks on a pool of workers threads, and reduce each row to one entry at
-    its ground truth.
-
-    A chunk's generator is seeded by sha256(base seed | experiment | seed
-    path | chunk index); draw(rng, size) returns the chunk's errors, which
-    land in the preallocated slot (slot * n_chunks + chunk index) of their
-    row, so scheduling order cannot matter.
-    """
-    chunks = _chunks(config.n_samples)
-    slots = [0] * len(truths)
-    for row, *_ in cells:
-        slots[row] += 1
-    moments = [_Moments(n * len(chunks)) for n in slots]
-
-    def work(row: int, slot: int, path: tuple, draw, ci: int, size: int) -> None:
-        rng = make_rng(derive_seed(config.base_seed, config.experiment, *path, ci))
-        moments[row].put(slot * len(chunks) + ci, draw(rng, size))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(work, *cell, ci, size) for cell in cells for ci, size in chunks]
-        for f in futures:
-            f.result()
-    return [m.entry(t) for m, t in zip(moments, truths)]
+def _entry(parts, truth: float) -> BiasMaeEntry:
+    """Reduce one row's chunk partials (sum d, sum d^2, sum |d|, n) to an
+    entry at its ground truth.  The sums are exact compensated ones, so the
+    order of the chunks cannot matter; sum |d|^2 is sum d^2 to the last bit."""
+    sd, sd2, sa = (math.fsum(p[k] for p in parts) for k in range(3))
+    n = sum(p[3] for p in parts)
+    bias = sd / n
+    mae = sa / n
+    if n > 1:
+        var_d = max(sd2 - n * bias * bias, 0.0) / (n - 1)
+        var_a = max(sd2 - n * mae * mae, 0.0) / (n - 1)
+        se_b = math.sqrt(var_d / n)
+        se_m = math.sqrt(var_a / n)
+    else:
+        se_b = se_m = 0.0
+    if abs(bias) > mae:
+        bias = math.copysign(mae, bias)
+    return BiasMaeEntry(truth, bias, mae, se_b, se_m, n)
 
 
 def _phase_errors(params: PeaParams, phi: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -225,7 +192,7 @@ def _phase_errors(params: PeaParams, phi: float, rng: np.random.Generator, size:
 
 
 def _count_errors(
-    params: PeaParams, m: float, b: float | None, rng: np.random.Generator, size: int
+    params: PeaParams, b: float | None, m: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
     """Plain errors of size counting estimates, raw (b is None) or corrected
     through the bias law b(1 - 2m)."""
@@ -235,46 +202,17 @@ def _count_errors(
     return m_tilde - m
 
 
-def _phase_sweep_entries(config: SweepConfig, workers: int) -> list[BiasMaeEntry]:
-    """pea-bias-mae / upea-bias-mae / mle-bias-mae: one row per phase."""
-    params = PeaParams.from_T(config.T, config.R, config.theta_mode)
-    phis = [float(p) for p in np.arange(config.grid_points) / config.grid_points]
-    cells = [(gi, 0, (gi,), partial(_phase_errors, params, phi)) for gi, phi in enumerate(phis)]
-    return _run_rows(config, workers, cells, phis)
-
-
-def _mae_vs_r_entries(config: SweepConfig, workers: int) -> list[BiasMaeEntry]:
-    """One grid-pooled row per R; the grid supplies phase offsets spanning one
-    kernel period [0, 1/T), where both estimators' error laws live."""
-    r_values = config.r_values()
-    offsets = (np.arange(config.grid_points) + 0.5) / (config.grid_points * config.T)
-    cells = []
-    for ri, R in enumerate(r_values):
-        params = PeaParams.from_T(config.T, R, config.theta_mode)
-        for oi, phi in enumerate(offsets):
-            cells.append((ri, oi, (R, oi), partial(_phase_errors, params, float(phi))))
-    return _run_rows(config, workers, cells, [float(r) for r in r_values])
-
-
-def _qca_entries(
+def _slopes(
     config: SweepConfig, workers: int, calibration: CalibrationRecord | None
-) -> tuple[list[BiasMaeEntry], list[CalibrationRecord]]:
-    """qca-bias-mae (raw m_tilde) and uqca-corrected (corrected) sweeps.
-
-    Single R: one row per m grid point.  R range: one row per R pooled over
-    the m grid.  Count-domain errors are plain differences.  A corrected
-    sweep inverts the bias law b(1 - 2m) at one slope b per R: the supplied
+) -> tuple[dict[int, float | None], list[CalibrationRecord]]:
+    """The bias-law slope b of each R (None: raw errors) and the calibration
+    records behind them.  Only uqca-corrected sets a slope: the supplied
     record's (which must match (T, R)), else calibrate_b's for R > 1, else
-    the exact single-run slope 1/(2T).
-    """
-    r_values = config.r_values()
-    pooled = isinstance(config.R, tuple)
-    ms = [float(m) for m in np.linspace(0.0, 1.0, config.grid_points)]
-
+    the exact single-run slope 1/(2T)."""
     records: list[CalibrationRecord] = []
-    b_for: dict[int, float | None] = dict.fromkeys(r_values)  # None: raw m_tilde
+    b_for: dict[int, float | None] = dict.fromkeys(config.r_values())
     if config.experiment == "uqca-corrected":
-        for R in r_values:
+        for R in b_for:
             rec = calibration
             if rec is not None and (rec.T, rec.R) != (config.T, R):
                 raise ValueError(
@@ -288,15 +226,50 @@ def _qca_entries(
                 records.append(rec)
             b_for[R] = 0.5 / config.T if rec is None else rec.b
             correct_mle(0.0, b_for[R])  # b = 1/2 raises here, before any chunk runs
+    return b_for, records
 
-    cells = []
-    for ri, R in enumerate(r_values):
+
+def _sweep(config: SweepConfig, workers: int, b_for: dict[int, float | None]) -> list[BiasMaeEntry]:
+    """Build, run and reduce every cell of a sweep (see the module docstring
+    for its grid, seed path and rows).
+
+    Each (cell, chunk) runs on one pool of workers threads and writes its
+    partials into its own preallocated slot, (cell * n_chunks + chunk index)
+    with the cells in (R, grid index) order, so a row is one contiguous run
+    of slots and scheduling order cannot matter.
+    """
+    exp, G = config.experiment, config.grid_points
+    counting = exp in ("qca-bias-mae", "uqca-corrected")
+    if exp == "mae-vs-r":
+        grid = (np.arange(G) + 0.5) / (G * config.T)
+    elif counting:
+        grid = np.linspace(0.0, 1.0, G)
+    else:
+        grid = np.arange(G) / G
+    grid = [float(x) for x in grid]
+    pooled = exp == "mae-vs-r" or isinstance(config.R, tuple)
+    truths = [float(R) for R in b_for] if pooled else grid
+
+    cells = []  # (seed path, draw(rng, size) -> errors)
+    for R, b in b_for.items():
         params = PeaParams.from_T(config.T, R, config.theta_mode)
-        for mi, m in enumerate(ms):
-            draw = partial(_count_errors, params, m, b_for[R])
-            cells.append((ri, mi, (R, mi), draw) if pooled else (mi, 0, (R, mi), draw))
-    truths = [float(r) for r in r_values] if pooled else ms
-    return _run_rows(config, workers, cells, truths), records
+        errors = partial(_count_errors, params, b) if counting else partial(_phase_errors, params)
+        for gi, x in enumerate(grid):
+            cells.append(((R, gi) if counting or exp == "mae-vs-r" else (gi,), partial(errors, x)))
+    chunks = _chunks(config.n_samples)
+    parts: list = [None] * (len(cells) * len(chunks))
+
+    def work(job: tuple[int, int, int]) -> None:
+        cell, ci, size = job
+        path, draw = cells[cell]
+        d = draw(make_rng(derive_seed(config.base_seed, exp, *path, ci)), size)
+        sums = (float(np.sum(d)), float(np.sum(d * d)), float(np.sum(np.abs(d))), int(d.size))
+        parts[cell * len(chunks) + ci] = sums
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(work, [(cell, *chunk) for cell in range(len(cells)) for chunk in chunks]))
+    w = len(parts) // len(truths)
+    return [_entry(parts[k * w : (k + 1) * w], t) for k, t in enumerate(truths)]
 
 
 def run_sweep(
@@ -314,21 +287,14 @@ def run_sweep(
     ):
         raise ValueError("a calibration record applies to exactly one corrected (T, R) sweep")
     start = time.perf_counter()
-    records: list[CalibrationRecord] = []
-    if config.experiment in ("pea-bias-mae", "upea-bias-mae", "mle-bias-mae"):
-        entries = _phase_sweep_entries(config, workers)
-    elif config.experiment == "mae-vs-r":
-        entries = _mae_vs_r_entries(config, workers)
-    elif config.experiment in ("qca-bias-mae", "uqca-corrected"):
-        entries, records = _qca_entries(config, workers, calibration)
-    elif config.experiment == "calibrate":
+    if config.experiment == "calibrate":
         rec = calibrate_b(config.T, config.R, config.n_samples, config.base_seed, workers)
-        records = [rec]
-        entries = []
+        entries, records = [], [rec]
+    elif config.experiment == "verify-circuit":
+        raise ValueError("verify-circuit does not produce sweep entries; call run_verify_circuit")
     else:
-        raise ValueError(
-            "verify-circuit does not produce sweep entries; call run_verify_circuit"
-        )
+        b_for, records = _slopes(config, workers, calibration)
+        entries = _sweep(config, workers, b_for)
     metadata: dict = {
         "rng_algorithm": RNG_ALGORITHM,
         "wall_time": time.perf_counter() - start,
@@ -381,8 +347,11 @@ def run_verify_circuit(
     each of which must stay below 1e-10.
 
     corrupt_theta runs the estimation circuit at -theta (the Rz ladder's
-    sign flipped), a negative control that must make the check fail.
+    sign flipped), a negative control that must make the check fail.  Every
+    count must be >= 1: a check over no cases would pass without checking.
     """
+    if min(pea_max_t, grover_max_t, grover_max_n, n_phi, n_theta) < 1:
+        raise ValueError("pea_max_t, grover_max_t, grover_max_n, n_phi and n_theta must be >= 1")
     if pea_max_t > 6:
         raise ValueError("PEA check supports t <= 6")
     if grover_max_t > 5 or grover_max_n > 4:

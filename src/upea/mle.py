@@ -326,7 +326,9 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     of the even mixture over [0, 1/2] (counting=True) for each row of est
     (n, R).  Returns (phi_hat, log likelihood, candidate cells, golden
     iterations).  Estimates are wrapped into [0, 1) first (a no-op on rows
-    already there); a non-finite one raises ValueError."""
+    already there); another shape or a non-finite estimate raises ValueError."""
+    if est.ndim != 2:
+        raise ValueError(f"estimates must be an (n, R) array, got shape {est.shape}")
     if not np.isfinite(est).all():
         raise ValueError("estimates must be finite")
     est = _wrap_array(est)

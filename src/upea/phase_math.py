@@ -159,32 +159,36 @@ class BiasMaeEntry:
             raise ValueError("|bias| cannot exceed mae")
 
 
-def wrap_phase(x: float) -> Phase:
-    """Reduce a real phase to its canonical representative in [0, 1)."""
+def _finite(name: str, x) -> float:
+    """x as a float, or a ValueError naming the input when it is not finite."""
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError("phase must be finite")
-    r = x - math.floor(x)
-    # floor rounding can land exactly on 1.0 for tiny negative inputs
-    return 0.0 if r >= 1.0 else r
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def wrap_phase(x: float) -> Phase:
+    """Reduce a real phase to its canonical representative in [0, 1)."""
+    return float(_wrap_array(_finite("phase", x)))
 
 
 def circ_dist(a: float, b: float) -> float:
     """Signed circular distance d(a, b) in (-1/2, +1/2]; the antipodal tie
     resolves to +1/2.  d is the unique representative of a - b (mod 1)."""
-    d = wrap_phase(float(a) - float(b))
-    return d - 1.0 if d > 0.5 else d
+    return float(_circ_dist_array(_finite("phase", float(a) - float(b)), 0.0))
 
 
-def _wrap_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized wrap_phase: a new array of representatives in [0, 1)."""
+def _wrap_array(x) -> np.ndarray:
+    """Representatives in [0, 1) of x (a new array; 0-d for a scalar).
+    Zero of either sign maps to +0.0."""
     r = x - np.floor(x)
-    r[r >= 1.0] = 0.0
-    return r
+    # floor rounding can land exactly on 1.0 for tiny negative inputs
+    return np.where(r >= 1.0, 0.0, r)
 
 
-def _circ_dist_array(a: np.ndarray, b) -> np.ndarray:
-    """Vectorized circ_dist; same tie convention."""
+def _circ_dist_array(a, b) -> np.ndarray:
+    """Signed circular distances a - b in (-1/2, +1/2]; the antipodal tie
+    resolves to +1/2."""
     d = _wrap_array(np.asarray(a, dtype=float) - b)
     return np.where(d > 0.5, d - 1.0, d)
 
@@ -242,7 +246,7 @@ def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
     T = params.T
     if not (0 <= s < T):
         raise ValueError(f"outcome s must lie in [0, {T})")
-    return float(pea_kernel(T, s / T - phi))
+    return float(pea_kernel(T, s / T - _finite("phi", phi)))
 
 
 def pea_pmf(params: PeaParams, phi: float) -> DistTable:
@@ -256,7 +260,7 @@ def upea_pdf(params: PeaParams, phi_tilde: float, phi: float) -> float:
     """Density of the randomized estimate at phi_tilde given true phase phi;
     equals T * pea_kernel(phi_tilde - phi) and integrates to 1 per period."""
     T = params.T
-    return T * float(pea_kernel(T, float(phi_tilde) - float(phi)))
+    return T * float(pea_kernel(T, _finite("phi_tilde", phi_tilde) - _finite("phi", phi)))
 
 
 def exact_bias_mae_pea(params: PeaParams, phi: float) -> BiasMaeEntry:

@@ -217,3 +217,17 @@ def test_calibration_is_bit_identical_for_any_worker_count() -> None:
     assert calibrate_b(16, 3, n, 21, workers=3) == one
     with pytest.raises(ValueError, match="workers"):
         calibrate_b(16, 3, n, 21, workers=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_correct_mle_rejects_a_non_finite_slope(bad: float) -> None:
+    with pytest.raises(ValueError, match="b must be finite"):
+        correct_mle(0.3, bad)
+
+
+@pytest.mark.parametrize("T", [0, 3, 12, -4])
+def test_single_run_bias_law_and_correction_need_a_power_of_two_t(T: int) -> None:
+    with pytest.raises(ValueError, match="T must be a positive power of two"):
+        exact_bias_uqca_single(0.2, T)
+    with pytest.raises(ValueError, match="T must be a positive power of two"):
+        correct_single(np.array([0.2, 0.7]), T)

@@ -239,6 +239,14 @@ def test_verify_circuit_rejects_dims_beyond_caps() -> None:
         run_verify_circuit(grover_max_n=5)
 
 
+@pytest.mark.parametrize("name", ["pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta"])
+def test_verify_circuit_rejects_a_check_over_no_cases(name: str) -> None:
+    # a zero count used to leave a loop empty and pass, even the negative control
+    sizes = dict(pea_max_t=1, grover_max_t=1, grover_max_n=1, n_phi=1, n_theta=1)
+    with pytest.raises(ValueError, match=">= 1"):
+        run_verify_circuit(**{**sizes, name: 0}, corrupt_theta=True)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -388,3 +396,36 @@ def test_cli_t1_with_several_runs_exits_1_naming_the_flat_likelihood(argv, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "T = 1 gives a flat likelihood" in captured.err
+
+
+_G = 3
+_N = 4096 + 5  # two unequal chunks per cell
+
+
+@pytest.mark.parametrize(
+    "experiment,R,truths,row_samples",
+    [
+        ("pea-bias-mae", 1, [0.0, 1 / 3, 2 / 3], _N),
+        ("upea-bias-mae", 1, [0.0, 1 / 3, 2 / 3], _N),
+        ("mle-bias-mae", 2, [0.0, 1 / 3, 2 / 3], _N),
+        ("mae-vs-r", 2, [2.0], _G * _N),
+        ("mae-vs-r", (1, 2), [1.0, 2.0], _G * _N),
+        ("qca-bias-mae", 2, [0.0, 0.5, 1.0], _N),
+        ("qca-bias-mae", (1, 2), [1.0, 2.0], _G * _N),
+        ("uqca-corrected", 2, [0.0, 0.5, 1.0], _N),
+        ("uqca-corrected", (1, 2), [1.0, 2.0], _G * _N),
+    ],
+)
+def test_every_sweep_layout_has_its_rows_at_any_worker_count(
+    experiment, R, truths, row_samples, monkeypatch
+) -> None:
+    # three calibration chunks per R keep the corrected sweeps short
+    monkeypatch.setattr("upea.harness._AUTO_CAL_SAMPLES", 2 * 4096 + 100)
+    theta = ThetaMode.fixed(0.0) if experiment == "pea-bias-mae" else ThetaMode.full()
+    cfg = SweepConfig(
+        experiment, T=8, R=R, grid_points=_G, n_samples=_N, theta_mode=theta, base_seed=6
+    )
+    serial, pooled = (run_sweep(cfg, workers=w).entries for w in (1, 3))
+    assert [e.ground_truth for e in serial] == truths
+    assert [e.n_samples for e in serial] == [row_samples] * len(truths)
+    assert csv_text(serial) == csv_text(pooled)

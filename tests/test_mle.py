@@ -339,3 +339,9 @@ def test_t1_with_several_runs_raises_a_flat_likelihood_error() -> None:
     one = PeaParams.from_T(1, 1)
     assert mle_counting_batch(one, np.array([[0.3], [0.8]])).tolist() == [0.3, 1.0 - 0.8]
     assert mle_batch(one, np.array([[0.3]])).tolist() == [0.3]
+
+
+@pytest.mark.parametrize("batch", [mle_batch, mle_counting_batch])
+def test_batch_entry_points_reject_a_one_dimensional_array(batch) -> None:
+    with pytest.raises(ValueError, match=r"estimates must be an \(n, R\) array"):
+        batch(P3, np.array([0.1, 0.2, 0.3]))

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from upea.mle import LOG_ZERO, log_kernel
 from upea.phase_math import (
     BiasMaeEntry,
+    _circ_dist_array,
+    _wrap_array,
     PeaParams,
     ThetaMode,
     circ_dist,
@@ -366,3 +368,45 @@ def test_in_place_kernel_on_likelihood_broadcasts(kernel, reference) -> None:
         before = delta.copy()
         assert _same_bits(kernel(T, delta), reference(T, delta))
         assert delta.tobytes() == before.tobytes()
+
+
+# the edge values, their wrap into [0, 1) and their distance from 0, in hex
+_WRAP_EDGES = [
+    (0.0, "0x0.0p+0", "0x0.0p+0"),
+    (-0.0, "0x0.0p+0", "0x0.0p+0"),
+    (1e-300, (1e-300).hex(), (1e-300).hex()),
+    (-1e-300, "0x0.0p+0", "0x0.0p+0"),  # 1 - 1e-300 rounds to 1, which wraps to 0
+    (1 - 2**-53, (1 - 2**-53).hex(), (-(2**-53)).hex()),
+    (-(1 - 2**-53), (2**-53).hex(), (2**-53).hex()),
+    (0.5, "0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    (-0.5, "0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+    (1e300, "0x0.0p+0", "0x0.0p+0"),
+    (-1e300, "0x0.0p+0", "0x0.0p+0"),
+    (7.25, "0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+    (-3.75, "0x1.0000000000000p-2", "0x1.0000000000000p-2"),
+    (2.0**53 + 1, "0x0.0p+0", "0x0.0p+0"),
+]
+
+
+def test_scalar_and_array_wraps_agree_bit_for_bit_with_a_positive_zero() -> None:
+    xs = np.array([x for x, _, _ in _WRAP_EDGES])
+    wrapped, dists = _wrap_array(xs), _circ_dist_array(xs, 0.0)
+    for (x, want_wrap, want_dist), w, d in zip(_WRAP_EDGES, wrapped, dists):
+        assert wrap_phase(x).hex() == float(w).hex() == want_wrap, x
+        assert circ_dist(x, 0.0).hex() == float(d).hex() == want_dist, x
+        assert type(wrap_phase(x)) is float and type(circ_dist(x, 0.0)) is float
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            wrap_phase(bad)
+        with pytest.raises(ValueError, match="phase must be finite"):
+            circ_dist(bad, 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pointwise_laws_reject_a_non_finite_phase_by_name(bad: float) -> None:
+    with pytest.raises(ValueError, match="phi_tilde must be finite"):
+        upea_pdf(P16, bad, 0.1)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        upea_pdf(P16, 0.1, bad)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        pea_pmf_at(P16, 3, bad)
