@@ -20,8 +20,11 @@ without corrupt_theta, sample_upea_block draws (the generator's next draw
 included) at each T in {1, 2, 16, 256, 1024} and theta mode and at
 T = 2^14 (64 trials, full mode, one row per CDF slice), the outputs
 of mle_batch and mle_counting_batch on 2000 sampled rows at each T in
-{2, 4, 16, 64, 256} and R in {2, 3, 5, 16}, and the MleResult fields of
-mle_estimate and mle_estimate_counting on the first 50 of those rows.
+{2, 4, 16, 64, 256} and R in {2, 3, 5, 16}, the MleResult fields of
+mle_estimate and mle_estimate_counting on the first 50 of those rows, and
+both batch maximizers on 2000 rows of shifted runs at phase 0 (count
+fraction m = 0) for each (T, R) in {(2, 3), (4, 2)}, where the likelihood
+peaks are flattest and many counting maxima sit on an interval end.
 
 It imports upea from the src/ directory next to this file and nothing else
 outside the standard library but NumPy, which upea itself needs.
@@ -54,6 +57,8 @@ MLE_R = (2, 3, 5, 16)
 MLE_ROWS = 2000
 MLE_SLICE = 250  # rows per maximizer call, to bound the n x G scan matrices
 MLE_SINGLE_ROWS = 50  # rows also run one at a time through the single-trial entry points
+# flat-peak (T, R) shapes whose rows are drawn at phase 0
+MLE_FLAT = ((2, 3), (4, 2))
 SAMPLER_T = (1, 2, 16, 256, 1024)
 SAMPLER_N = 4096
 # a T above the sampler's slice size, so each slice holds one row
@@ -145,6 +150,27 @@ def _mle_outputs(seed: int):
                 yield f"{name}.T{T}.R{R}", np.array(fields, dtype=float).tobytes()
 
 
+def flat_rows(seed: int, T: int, R: int) -> np.ndarray:
+    """MLE_ROWS rows of R shifted runs at phase 0 (count fraction m = 0)."""
+    params = upea.PeaParams.from_T(T, R)
+    rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "mle-flat", T, R))
+    rows = np.empty((MLE_ROWS, R))
+    for j in range(R):
+        _, _, rows[:, j] = sample_upea_block(params, 0.0, rng, MLE_ROWS)
+    return rows
+
+
+def _mle_flat_outputs(seed: int):
+    """(name, bytes) of both batch maximizers on flat_rows at each MLE_FLAT
+    shape."""
+    for T, R in MLE_FLAT:
+        params = upea.PeaParams.from_T(T, R)
+        rows = flat_rows(seed, T, R)
+        for name, fn in (("mle_batch", mle_batch), ("mle_counting_batch", mle_counting_batch)):
+            parts = [fn(params, rows[i : i + MLE_SLICE]) for i in range(0, MLE_ROWS, MLE_SLICE)]
+            yield f"{name}.flat.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
+
+
 def digests(seed: int):
     """(name, sha256 hex) for every output at one base seed."""
     sweeps = _reduced_sweeps(seed)
@@ -161,7 +187,7 @@ def digests(seed: int):
     )
     for name, text in texts.items():
         yield name, hashlib.sha256(text.encode("utf-8")).hexdigest()
-    for outputs in (_sampler_outputs, _mle_outputs):
+    for outputs in (_sampler_outputs, _mle_outputs, _mle_flat_outputs):
         for name, data in outputs(seed):
             yield name, hashlib.sha256(data).hexdigest()
 
