@@ -116,6 +116,12 @@ class CalibrationRecord:
     rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
+        if self.T < 1 or self.T & (self.T - 1):
+            raise ValueError(f"T must be a positive power of two, got {self.T}")
+        if self.R < 1:
+            raise ValueError(f"R must be >= 1, got {self.R}")
+        if self.n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if not (self.stderr_b > 0.0):
             raise ValueError("stderr_b must be positive")
         if not math.isfinite(self.b):

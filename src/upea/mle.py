@@ -26,16 +26,23 @@ backward and a forward view before the log); exact
 re-scoring of the best 16 cells (plus both interval ends for the mixture,
 which are stationary points of an even objective); a climb to the better
 neighbouring cell until neither neighbour scores higher, so the bracket of
-the winning cell's two neighbours surrounds a local maximum; golden-section
-refinement of that bracket for a step count fixed by G alone (the steps that
-shrink a two-cell bracket below 1e-12), so a row's result never depends on
-the rows batched with it; and, for both objectives, three guarded Newton
-steps on dL/dc built from one log-kernel derivative helper.  Golden section
-resolves a flat peak only to about sqrt(eps), so the Newton point replaces
-the golden point wherever it scores within rounding of it: peaks, the
-mixture's end c = 1/2 included, resolve to their stationary point, well
-below the 1e-9 shift-equivariance tolerance.  Ties break toward the smaller
-phase.
+the winning cell's two neighbours surrounds a local maximum.  Refinement is
+Newton first: guarded Newton steps on dL/dc (built from one log-kernel
+derivative helper, skipped where L is not concave or the step would leave
+the bracket) run from the cell centre, each row until its step falls below
+1e-12 or it has taken 8 steps.  A row whose last step was accepted and
+below that tolerance, at a point that scores within rounding of the cell's
+exact score, is certified and done.  Only the other rows (flat or quartic
+peaks, where Newton converges slowly, and brackets it steps out of) run
+golden section for a step count fixed by G alone (the steps that shrink a
+two-cell bracket below 1e-12), then three guarded Newton steps from the
+golden point, which replaces it wherever it scores within rounding of it:
+golden section resolves a flat peak only to about sqrt(eps).  Last, a
+mixture row whose bracket touches an end of [0, 1/2] takes that end exactly
+wherever it scores within rounding of the refined point, so a maximum at an
+end never stops a few ulps short of it.  Every step acts on each row alone,
+so a row's result never depends on the rows batched with it.  Ties break
+toward the smaller phase.
 """
 
 from __future__ import annotations
@@ -66,6 +73,10 @@ LOG_ZERO = -1e18
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_TOL = 1e-12
+# Newton from the climbed cell's centre: a row whose step falls below
+# _NEWTON_TOL within _NEWTON_STEPS steps is certified and skips golden section
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-12
 # score rounding per unit of T*R + |L|: each of the R terms is off by about
 # eps * |h| <~ eps * 2 pi T from rounding its argument
 _ROUNDING = 8.0 * np.finfo(float).eps
@@ -148,9 +159,18 @@ def mixture_log_likelihood(params: PeaParams, estimates, phi_cand: float) -> flo
     return float(_mixture_ll(params.T, _nonempty(estimates).ravel(), float(phi_cand)))
 
 
+def _runs(params: PeaParams, estimates) -> np.ndarray:
+    """estimates as a float array, once its rows (if it has two axes) are
+    checked to hold params.R runs each."""
+    est = np.asarray(estimates, dtype=float)
+    if est.ndim == 2 and est.shape[1] != params.R:
+        raise ValueError(f"estimates hold R = {est.shape[1]} runs per row but params.R = {params.R}")
+    return est
+
+
 def _one_row(params: PeaParams, estimates, counting: bool) -> MleResult:
     """Run the batch maximizer on a single row of estimates."""
-    est = _nonempty(estimates).reshape(1, -1)
+    est = _runs(params, _nonempty(estimates).reshape(1, -1))
     x, fx, grid_points, iters = _maximize(params.T, est, counting)
     return MleResult(float(x[0]), float(fx[0]), grid_points, iters)
 
@@ -175,13 +195,13 @@ def mle_estimate_counting(params: PeaParams, estimates) -> MleResult:
 def mle_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
     """Plain MLE for many trials at once; estimates has shape (n, R).
     Returns phi_hat of shape (n,), row i equal to mle_estimate on row i."""
-    return _maximize(params.T, np.asarray(estimates, dtype=float), counting=False)[0]
+    return _maximize(params.T, _runs(params, estimates), counting=False)[0]
 
 
 def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
     """Counting-variant MLE for many trials; estimates (n, R) -> phi_hat (n,)
     in [0, 1/2], row i equal to mle_estimate_counting on row i."""
-    return _maximize(params.T, np.asarray(estimates, dtype=float), counting=True)[0]
+    return _maximize(params.T, _runs(params, estimates), counting=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +341,26 @@ def _dll(T: int, est: np.ndarray, c: np.ndarray, counting: bool) -> tuple[np.nda
     return d1.sum(axis=1), d2.sum(axis=1)
 
 
+def _newton_step(
+    T: int, est: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, counting: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One guarded Newton step on L' per row of est (n, R) from c (n,).
+    Returns (next point, accepted): a step is skipped, and the row stays at
+    c, where L is not concave or the step would leave [lo, hi] by more than
+    1e-9."""
+    d1, d2 = _dll(T, est, c, counting)
+    ok = np.isfinite(d1) & np.isfinite(d2) & (d2 < 0.0)
+    nxt = c - np.divide(d1, d2, out=np.zeros_like(d1), where=ok)
+    ok &= (nxt >= lo - 1e-9) & (nxt <= hi + 1e-9)
+    return np.where(ok, nxt, c), ok
+
+
 def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Maximizer of the plain log likelihood over [0, 1) (counting=False) or
     of the even mixture over [0, 1/2] (counting=True) for each row of est
     (n, R).  Returns (phi_hat, log likelihood, candidate cells, golden
-    iterations).  Estimates are wrapped into [0, 1) first (a no-op on rows
+    steps), where the golden step count is fixed by the candidate grid and
+    runs only on the rows Newton does not certify.  Estimates are wrapped into [0, 1) first (a no-op on rows
     already there); another shape or a non-finite estimate raises ValueError."""
     if est.ndim != 2:
         raise ValueError(f"estimates must be an (n, R) array, got shape {est.shape}")
@@ -338,13 +373,13 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     def objective(e: np.ndarray, c: np.ndarray) -> np.ndarray:
         return ll_of(T, e[:, None, :], c[:, :, None])
 
-    def f(c: np.ndarray) -> np.ndarray:
-        return objective(est, c[:, None])[:, 0]
+    def f(e: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return objective(e, c[:, None])[:, 0]
 
     if R == 1:
         x = est[:, 0]
         x = np.minimum(x, 1.0 - x) if counting else x
-        return x, f(x), 0, 0
+        return x, f(est, x), 0, 0
     if T == 1:
         raise ValueError("T = 1 gives a flat likelihood; the MLE needs T >= 2 when R >= 2")
     G = max(4 * T * R, 1024)
@@ -382,23 +417,54 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     lo, hi = (best - 1.0) / G, (best + 1.0) / G
     if counting:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
+
+    def tol(v: np.ndarray) -> np.ndarray:
+        return _ROUNDING * (T * R + np.abs(v))
+
+    # guarded Newton from the cell centre, each row until its step falls
+    # below _NEWTON_TOL or it has taken _NEWTON_STEPS steps.  A row is
+    # certified when its last step was accepted and below the tolerance, and
+    # its point scores within rounding of the cell's exact score
+    x = best / G
+    certified = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for _ in range(_NEWTON_STEPS):
+        nxt, ok = _newton_step(T, est[live], x[live], lo[live], hi[live], counting)
+        done = ok & (np.abs(nxt - x[live]) < _NEWTON_TOL)
+        x[live] = nxt
+        certified[live[done]] = True
+        live = live[ok & ~done]
+        if not live.size:
+            break
+    x = np.clip(x, 0.0, 0.5) if counting else x
+    fx = f(est, x)
+    certified &= fx >= best_f - tol(best_f)
     # golden steps that shrink a two-cell bracket below _BRACKET_TOL: fixed by
     # G alone, so no row's result depends on the rows batched with it
     steps = math.ceil(math.log(_BRACKET_TOL * G / 2.0) / math.log(_INVPHI))
-    x, fx = _golden_batch(f, lo, hi, best / G, best_f, steps)
-    # three guarded Newton steps on L' from the golden point: a step is
-    # skipped where L is not concave or it would leave the bracket
-    cur = x
-    for _ in range(3):
-        d1, d2 = _dll(T, est, cur, counting)
-        ok = np.isfinite(d1) & np.isfinite(d2) & (d2 < 0.0)
-        nxt = cur - np.divide(d1, d2, out=np.zeros_like(d1), where=ok)
-        ok &= (nxt >= lo - 1e-9) & (nxt <= hi + 1e-9)
-        cur = np.where(ok, nxt, cur)
-    cur = np.clip(cur, 0.0, 0.5) if counting else cur
-    # golden section resolves a flat peak only to ~sqrt(eps); the stationary
-    # point replaces it wherever it scores within rounding of it
-    f_cur = f(cur)
-    accept = f_cur >= fx - _ROUNDING * (T * R + np.abs(fx))
-    x, fx = np.where(accept, cur, x), np.where(accept, f_cur, fx)
-    return (np.clip(x, 0.0, 0.5) if counting else _wrap_array(x)), fx, ncand, steps
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        # the rows Newton cannot certify (flat or quartic peaks, a bracket
+        # it steps out of) take golden section, then three guarded Newton
+        # steps from the golden point
+        e, a, b = est[redo], lo[redo], hi[redo]
+        xg, fg = _golden_batch(lambda c: f(e, c), a, b, best[redo] / G, best_f[redo], steps)
+        cur = xg
+        for _ in range(3):
+            cur = _newton_step(T, e, cur, a, b, counting)[0]
+        cur = np.clip(cur, 0.0, 0.5) if counting else cur
+        # golden section resolves a flat peak only to ~sqrt(eps); the
+        # stationary point replaces it wherever it scores within rounding
+        f_cur = f(e, cur)
+        accept = f_cur >= fg - tol(fg)
+        x[redo], fx[redo] = np.where(accept, cur, xg), np.where(accept, f_cur, fg)
+    if counting:
+        # the mixture is even about both ends, so each is a stationary point:
+        # a row whose bracket touches one takes it wherever it scores within
+        # rounding, not a point a few ulps short of it
+        for end, touch in ((0.0, lo == 0.0), (0.5, hi == 0.5)):
+            rows = np.flatnonzero(touch & (x != end))
+            f_end = f(est[rows], np.full(rows.size, end))
+            snap = f_end >= fx[rows] - tol(fx[rows])
+            x[rows[snap]], fx[rows[snap]] = end, f_end[snap]
+    return (x if counting else _wrap_array(x)), fx, ncand, steps

@@ -231,3 +231,24 @@ def test_single_run_bias_law_and_correction_need_a_power_of_two_t(T: int) -> Non
         exact_bias_uqca_single(0.2, T)
     with pytest.raises(ValueError, match="T must be a positive power of two"):
         correct_single(np.array([0.2, 0.7]), T)
+
+
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("T", 3, "T must be a positive power of two"),
+        ("T", 0, "T must be a positive power of two"),
+        ("R", 0, "R must be >= 1"),
+        ("n_samples", 1, "n_samples must be >= 2"),
+        ("n_samples", -5, "n_samples must be >= 2"),
+    ],
+)
+def test_calibration_record_rejects_a_bad_shape(field: str, bad: int, message: str) -> None:
+    good = dict(T=16, R=3, b=0.01, stderr_b=0.001, n_samples=4096, seed=1)
+    CalibrationRecord(**good)
+    with pytest.raises(ValueError, match=message):
+        CalibrationRecord(**{**good, field: bad})
+    # a record file with the bad field fails when it is read
+    raw = json.loads(CalibrationRecord(**good).to_json())
+    with pytest.raises(ValueError, match=message):
+        CalibrationRecord.from_json(json.dumps({**raw, field: bad}))

@@ -429,3 +429,20 @@ def test_every_sweep_layout_has_its_rows_at_any_worker_count(
     assert [e.ground_truth for e in serial] == truths
     assert [e.n_samples for e in serial] == [row_samples] * len(truths)
     assert csv_text(serial) == csv_text(pooled)
+
+
+def test_cli_rejects_a_malformed_calibration_file_when_it_loads(tmp_path, capsys) -> None:
+    cal = tmp_path / "cal.json"
+    cal.write_text(
+        json.dumps(
+            {"T": 3, "R": 0, "b": 0.1, "stderr_b": 0.1, "n_samples": -5, "seed": 1,
+             "rng_algorithm": "numpy-pcg64"}
+        )
+    )
+    code = cli.main(
+        ["uqca-corrected", "--R", "3", "--grid", "2", "--samples", "100",
+         "--calibration", str(cal)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "bad calibration record" in err and "T must be a positive power of two" in err

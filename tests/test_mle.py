@@ -25,9 +25,10 @@ from upea.mle import (
     mle_estimate,
     mle_estimate_counting,
 )
+import upea.mle as mle_mod
 from upea.mle import _dlog_kernel, _maximize
 from upea.phase_math import PeaParams, circ_dist, pea_kernel, wrap_phase
-from upea.sampler import make_rng, sample_upea_block
+from upea.sampler import derive_seed, make_rng, sample_upea_block
 
 P3 = PeaParams.from_T(16, R=3)
 
@@ -345,3 +346,155 @@ def test_t1_with_several_runs_raises_a_flat_likelihood_error() -> None:
 def test_batch_entry_points_reject_a_one_dimensional_array(batch) -> None:
     with pytest.raises(ValueError, match=r"estimates must be an \(n, R\) array"):
         batch(P3, np.array([0.1, 0.2, 0.3]))
+
+
+# ---------------------------------------------------------------------------
+# Newton-first refinement, its golden-section fallback and the end check
+
+
+def _phase_zero_rows(T: int, R: int, n: int, seed: int) -> np.ndarray:
+    """n rows of R shifted runs at phase 0 (count fraction m = 0), where
+    the likelihood peaks are flattest and counting maxima sit on the ends."""
+    params = PeaParams.from_T(T, R)
+    rng = make_rng(seed)
+    mat = np.empty((n, R))
+    for j in range(R):
+        _, _, mat[:, j] = sample_upea_block(params, 0.0, rng, n)
+    return mat
+
+
+def _golden_rows(monkeypatch) -> list:
+    """Spy on golden section: the returned list gets the number of rows of
+    every _golden_batch call."""
+    calls: list = []
+    orig = mle_mod._golden_batch
+
+    def spy(f, lo, *args):
+        calls.append(lo.size)
+        return orig(f, lo, *args)
+
+    monkeypatch.setattr(mle_mod, "_golden_batch", spy)
+    return calls
+
+
+# rows Newton does not certify from the cell centre (its step leaves the
+# bracket or the peak is too flat), so they fall back to golden section
+_FALLBACK_ROWS = [
+    (4, [0.06167986910525969, 0.5632948541256013]),
+    (4, [0.10655141971838522, 0.003506428942539941, 0.13815076059566833]),
+    (2, [0.19861524566994748, 0.03873610950753803, 0.3555062181673563,
+         0.15144697353676406, 0.009472437942056211]),
+]
+
+
+@pytest.mark.parametrize("counting", [False, True])
+def test_single_row_matches_batch_on_every_refinement_path(monkeypatch, counting: bool) -> None:
+    golden = _golden_rows(monkeypatch)
+    cases = [(T, np.array([row])) for T, row in _FALLBACK_ROWS]
+    # the flat-peak row: Newton certifies a point just short of 1/2 and the
+    # end check takes 1/2 itself
+    cases.append((16, np.array([[0.512135814728801, 0.5204405561383632, 0.6370042323010977]])))
+    cases += [(2, _phase_zero_rows(2, 3, 200, 71)), (4, _phase_zero_rows(4, 2, 200, 72))]
+    paths = {"newton": 0, "golden": 0, "end": 0}
+    for T, mat in cases:
+        params = PeaParams.from_T(T, mat.shape[1])
+        x, fx, cells, iters = _maximize(T, mat, counting)
+        batch = (mle_counting_batch if counting else mle_batch)(params, mat)
+        assert np.array_equal(batch, x)
+        for i in range(mat.shape[0]):
+            del golden[:]
+            res = (mle_estimate_counting if counting else mle_estimate)(params, mat[i])
+            assert res.phi_hat == x[i] and res.log_likelihood == fx[i]
+            assert res.grid_points == cells and res.refine_iterations == iters
+            paths["golden" if golden else "newton"] += 1
+            paths["end"] += counting and x[i] in (0.0, 0.5)
+    assert paths["newton"] >= 300
+    if counting:
+        assert paths["golden"] >= len(_FALLBACK_ROWS) and paths["end"] >= 100
+
+
+def _golden_reference(T: int, mat: np.ndarray, counting: bool, best, best_f) -> tuple:
+    """The refinement without the Newton-first stage: golden section over
+    the climbed bracket for the step count fixed by G, then three guarded
+    Newton steps whose point replaces the golden one wherever it scores
+    within rounding of it."""
+    R = mat.shape[1]
+    G = max(4 * T * R, 1024)
+    ll = mixture_log_likelihood if counting else log_likelihood
+    params = PeaParams.from_T(T, R)
+
+    def f(c: np.ndarray) -> np.ndarray:
+        return np.array([ll(params, row, float(ci)) for row, ci in zip(mat, c)])
+
+    lo, hi = (best - 1.0) / G, (best + 1.0) / G
+    if counting:
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
+    steps = math.ceil(math.log(1e-12 * G / 2.0) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+    xg, fg = mle_mod._golden_batch(f, lo, hi, best / G, best_f, steps)
+    cur = xg
+    for _ in range(3):
+        d1, d2 = mle_mod._dll(T, mat, cur, counting)
+        ok = np.isfinite(d1) & np.isfinite(d2) & (d2 < 0.0)
+        nxt = cur - np.divide(d1, d2, out=np.zeros_like(d1), where=ok)
+        ok &= (nxt >= lo - 1e-9) & (nxt <= hi + 1e-9)
+        cur = np.where(ok, nxt, cur)
+    cur = np.clip(cur, 0.0, 0.5) if counting else cur
+    f_cur = f(cur)
+    accept = f_cur >= fg - mle_mod._ROUNDING * (T * R + np.abs(fg))
+    return np.where(accept, cur, xg), np.where(accept, f_cur, fg)
+
+
+@pytest.mark.parametrize("counting", [False, True])
+@pytest.mark.parametrize("T, R", [(2, 3), (4, 2), (16, 3), (16, 16), (256, 4)])
+def test_newton_first_refinement_matches_a_golden_section_reference(
+    monkeypatch, T: int, R: int, counting: bool
+) -> None:
+    rng = make_rng(derive_seed(404, T, R))
+    params = PeaParams.from_T(T, R)
+    n = 60
+    mat = np.empty((n, R))
+    # a third at phase 0, a third at random phases, a third uniform
+    phi = np.concatenate([np.zeros(n // 3), rng.random(n // 3)])
+    for j in range(R):
+        _, _, mat[: len(phi), j] = sample_upea_block(params, phi, rng, len(phi))
+    mat[len(phi):] = rng.random((n - len(phi), R))
+    climbed = []
+    orig = mle_mod._local_max_cell
+
+    def spy(*args, **kw):
+        climbed.append(orig(*args, **kw))
+        return climbed[-1]
+
+    monkeypatch.setattr(mle_mod, "_local_max_cell", spy)
+    x, fx, _, _ = _maximize(T, mat, counting)
+    best = np.concatenate([k for k, _ in climbed])
+    best_f = np.concatenate([fk for _, fk in climbed])
+    monkeypatch.undo()
+    x_ref, f_ref = _golden_reference(T, mat, counting, best, best_f)
+    ll = mixture_log_likelihood if counting else log_likelihood
+    scores = np.array([ll(params, row, float(c)) for row, c in zip(mat, x)])
+    assert np.all(scores >= f_ref - mle_mod._ROUNDING * (T * R + np.abs(f_ref)))
+    gap = np.abs(x - x_ref) if counting else np.abs(np.vectorize(circ_dist)(x, x_ref % 1.0))
+    assert gap.max() <= 1e-11
+
+
+@pytest.mark.parametrize("T, R, seed", [(2, 3, 81), (4, 2, 82)])
+def test_counting_rows_never_stop_just_short_of_half(T: int, R: int, seed: int) -> None:
+    params = PeaParams.from_T(T, R)
+    mat = _phase_zero_rows(T, R, 2000, seed)
+    x = mle_counting_batch(params, mat)
+    assert np.count_nonzero(x == 0.5) >= 20
+    for i in np.flatnonzero((x > 0.5 - 1e-7) & (x < 0.5)):
+        fx = mixture_log_likelihood(params, mat[i], x[i])
+        f_end = mixture_log_likelihood(params, mat[i], 0.5)
+        assert f_end < fx - mle_mod._ROUNDING * (T * R + abs(fx))
+
+
+def test_entry_points_reject_a_run_count_other_than_params_r() -> None:
+    row = [0.1, 0.12, 0.09, 0.11, 0.1]
+    for fn in (mle_batch, mle_counting_batch):
+        with pytest.raises(ValueError, match=r"R = 5 runs per row but params.R = 3"):
+            fn(P3, np.array([row]))
+    for fn in (mle_estimate, mle_estimate_counting):
+        with pytest.raises(ValueError, match=r"R = 2 runs per row but params.R = 3"):
+            fn(P3, row[:2])
