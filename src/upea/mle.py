@@ -84,6 +84,10 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class MleResult:
+    """One row's estimate and log likelihood, the number of candidate cells
+    scanned and the golden-section step count that grid fixes (run only on
+    rows Newton does not certify); both counts are 0 on the R = 1 path."""
+
     phi_hat: Phase
     log_likelihood: float
     grid_points: int
@@ -164,7 +168,9 @@ def _runs(params: PeaParams, estimates) -> np.ndarray:
     checked to hold params.R runs each."""
     est = np.asarray(estimates, dtype=float)
     if est.ndim == 2 and est.shape[1] != params.R:
-        raise ValueError(f"estimates hold R = {est.shape[1]} runs per row but params.R = {params.R}")
+        raise ValueError(
+            f"estimates hold R = {est.shape[1]} runs per row but params.R = {params.R}"
+        )
     return est
 
 
@@ -360,8 +366,9 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     of the even mixture over [0, 1/2] (counting=True) for each row of est
     (n, R).  Returns (phi_hat, log likelihood, candidate cells, golden
     steps), where the golden step count is fixed by the candidate grid and
-    runs only on the rows Newton does not certify.  Estimates are wrapped into [0, 1) first (a no-op on rows
-    already there); another shape or a non-finite estimate raises ValueError."""
+    runs only on the rows Newton does not certify.  Estimates are wrapped
+    into [0, 1) first (a no-op on rows already there); another shape or a
+    non-finite estimate raises ValueError."""
     if est.ndim != 2:
         raise ValueError(f"estimates must be an (n, R) array, got shape {est.shape}")
     if not np.isfinite(est).all():

@@ -363,20 +363,6 @@ def _phase_zero_rows(T: int, R: int, n: int, seed: int) -> np.ndarray:
     return mat
 
 
-def _golden_rows(monkeypatch) -> list:
-    """Spy on golden section: the returned list gets the number of rows of
-    every _golden_batch call."""
-    calls: list = []
-    orig = mle_mod._golden_batch
-
-    def spy(f, lo, *args):
-        calls.append(lo.size)
-        return orig(f, lo, *args)
-
-    monkeypatch.setattr(mle_mod, "_golden_batch", spy)
-    return calls
-
-
 # rows Newton does not certify from the cell centre (its step leaves the
 # bracket or the peak is too flat), so they fall back to golden section
 _FALLBACK_ROWS = [
@@ -389,7 +375,15 @@ _FALLBACK_ROWS = [
 
 @pytest.mark.parametrize("counting", [False, True])
 def test_single_row_matches_batch_on_every_refinement_path(monkeypatch, counting: bool) -> None:
-    golden = _golden_rows(monkeypatch)
+    # spy on golden section: golden gets the row count of every call
+    golden: list = []
+    orig = mle_mod._golden_batch
+
+    def spy(f, lo, *args):
+        golden.append(lo.size)
+        return orig(f, lo, *args)
+
+    monkeypatch.setattr(mle_mod, "_golden_batch", spy)
     cases = [(T, np.array([row])) for T, row in _FALLBACK_ROWS]
     # the flat-peak row: Newton certifies a point just short of 1/2 and the
     # end check takes 1/2 itself
