@@ -17,8 +17,11 @@ pooled sweep at 5000 samples, whose cells split into uneven chunks of
 the CSVs of the benchmark's three workload configs (written out here, not
 imported), a calibrate_b record, the run_verify_circuit reports with and
 without corrupt_theta, sample_upea_block draws (the generator's next draw
-included) at each T in {1, 2, 16, 256, 1024} and theta mode and at
-T = 2^14 (64 trials, full mode, one row per CDF slice), the outputs
+included) at each T in {1, 2, 16, 256, 1024} and theta mode, at
+T = 2^14 (64 trials, full mode, one row per CDF slice) and T = 2^16
+(8 trials, a 512 KiB row), at T in {16, 256} on phases spread over
+[-1.3, 2.7) (full and fixed:0.3 modes) and on phases within tiny offsets
+of outcome lattice points k/T (fixed:0.0 mode), the outputs
 of mle_batch and mle_counting_batch on 2000 sampled rows at each T in
 {2, 4, 16, 64, 256} and R in {2, 3, 5, 16}, the MleResult fields of
 mle_estimate and mle_estimate_counting on the first 50 of those rows, and
@@ -64,6 +67,14 @@ SAMPLER_N = 4096
 # a T above the sampler's slice size, so each slice holds one row
 SAMPLER_LARGE_T = 1 << 14
 SAMPLER_LARGE_N = 64
+# the largest T a sweep accepts, where one CDF row is 512 KiB
+SAMPLER_HUGE_T = 1 << 16
+SAMPLER_HUGE_N = 8
+# T of the vector-phase draws: phases outside [0, 1) and near the lattice
+SAMPLER_VECTOR_T = (16, 256)
+# offsets from a lattice point k/T: exact, dyadic, decimal, subnormal and
+# below-ulp ones (k/T + offset rounds back to k/T for most k)
+LATTICE_OFFSETS = (0.0, 2.0**-40, -(2.0**-40), 1e-12, -1e-12, 1e-300, 5e-324, -1e-20)
 
 
 def _reduced_sweeps(seed: int) -> dict:
@@ -114,16 +125,26 @@ def _benchmark_csvs(seed: int) -> dict:
 
 
 def _sampler_outputs(seed: int):
-    """(name, bytes) of one sample_upea_block call per T and theta mode,
-    followed by the generator's next draw."""
-    modes = (upea.ThetaMode.full(), upea.ThetaMode.period(), upea.ThetaMode.fixed(0.3))
-    shapes = [(T, mode, SAMPLER_N) for T in SAMPLER_T for mode in modes]
-    shapes.append((SAMPLER_LARGE_T, upea.ThetaMode.full(), SAMPLER_LARGE_N))
-    for T, mode, n in shapes:
-        rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "sampler", T, str(mode)))
-        draws = sample_upea_block(upea.PeaParams.from_T(T, 1, mode), 0.2, rng, n)
+    """(name, bytes) of one sample_upea_block call per T, theta mode and
+    phase layout, followed by the generator's next draw."""
+    full, fixed0 = upea.ThetaMode.full(), upea.ThetaMode.fixed(0.0)
+    modes = (full, upea.ThetaMode.period(), upea.ThetaMode.fixed(0.3))
+    # (T, mode, phase layout label, phases, trials)
+    shapes = [(T, mode, "", 0.2, SAMPLER_N) for T in SAMPLER_T for mode in modes]
+    shapes.append((SAMPLER_LARGE_T, full, "", 0.2, SAMPLER_LARGE_N))
+    shapes.append((SAMPLER_HUGE_T, full, "", 0.2, SAMPLER_HUGE_N))
+    for T in SAMPLER_VECTOR_T:
+        outside = np.linspace(-1.3, 2.7, SAMPLER_N)
+        shapes += [(T, mode, ".outside", outside, SAMPLER_N) for mode in (full, modes[2])]
+        offsets = np.resize(LATTICE_OFFSETS, SAMPLER_N)
+        near = (np.arange(SAMPLER_N) % T) / T + offsets
+        shapes.append((T, fixed0, ".near-lattice", near, SAMPLER_N))
+    for T, mode, layout, phi, n in shapes:
+        path = ("csv-digests", "sampler", T, str(mode)) + ((layout,) if layout else ())
+        rng = upea.make_rng(upea.derive_seed(seed, *path))
+        draws = sample_upea_block(upea.PeaParams.from_T(T, 1, mode), phi, rng, n)
         data = b"".join(a.tobytes() for a in draws) + np.float64(rng.random()).tobytes()
-        yield f"sample_upea_block.T{T}.{mode}", data
+        yield f"sample_upea_block.T{T}.{mode}{layout}", data
 
 
 def _mle_outputs(seed: int):
