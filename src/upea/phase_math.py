@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,6 +242,48 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     return float(r) if r.ndim == 0 else r
 
 
+@lru_cache(maxsize=8)
+def _rotation_windows(T: int) -> np.ndarray:
+    """Windows (2, T + 1, T) of S[j] = sin(pi j/T) and C[j] = cos(pi j/T),
+    j < T, laid twice end to end (window r holds them rotated left by r);
+    each entry is a sine of at most pi/2, precise near the tables' zeros."""
+    j = np.arange(T)
+    table = np.sin(np.pi / T * np.stack([np.minimum(j, T - j), T / 2 - j]))
+    return np.lib.stride_tricks.sliding_window_view(np.tile(table, 2), T, axis=1)
+
+
+def _kernel_rows(T: int, x: np.ndarray, out: np.ndarray):
+    """Yield (i, out[:m]) per slice of len(out) finite shifted phases x[i:],
+    row l of out[:m] set to pea_kernel(T, k/T - x[i + l]).  With y = T (x -
+    floor(x)), a = rint(y) and e = y - a (exact; the wrap rounds only for
+    -1 < x < 0), a row is sin^2(pi e) / (T^2 d_j^2) for j = (k - a) mod T,
+    d_j = sin(pi (j - e)/T) = S[j] cos(pi e/T) - C[j] sin(pi e/T): per cell a
+    gather, two multiplies, a subtract, a square and a divide.  Where
+    (pi e)^2 is below the normal range (e = 0 included) the row is exactly 1
+    at k = a mod T and 0 elsewhere, the limit on _kernel_parts' mask."""
+    y = T * (x - np.floor(x))
+    a = np.rint(y)
+    e = y - a
+    start = (-a).astype(np.intp) % T
+    lattice = (np.pi * e) ** 2 < _TINY
+    e[lattice] = 0.5  # a stand-in whose denominators have no zero
+    num = np.where(lattice, 0.0, (np.sin(np.pi * e) / T) ** 2)[:, None]
+    cos, sin = np.cos(np.pi * e / T)[:, None], np.sin(np.pi * e / T)[:, None]
+    sin_table, cos_table = _rotation_windows(T)
+    for i in range(0, len(x), len(out)):
+        part = slice(i, i + len(out))
+        rows = out[: len(num[part])]
+        np.multiply(sin_table[start[part]], cos[part], out=rows)
+        rotated = cos_table[start[part]]
+        rotated *= sin[part]
+        rows -= rotated
+        rows *= rows
+        np.divide(num[part], rows, out=rows)
+        for k in np.flatnonzero(lattice[part]):
+            rows[k, (T - start[i + k]) % T] = 1.0
+        yield i, rows
+
+
 def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
     """Probability of measuring outcome s at true phase phi."""
     T = params.T
@@ -252,8 +295,8 @@ def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
 def pea_pmf(params: PeaParams, phi: float) -> DistTable:
     """Exact outcome table over all T outcomes at true phase phi."""
     T = params.T
-    probs = pea_kernel(T, np.arange(T) / T - float(phi))
-    return DistTable(params, np.atleast_1d(probs))
+    _, probs = next(_kernel_rows(T, np.array([_finite("phi", phi)]), np.empty((1, T))))
+    return DistTable(params, probs[0])
 
 
 def upea_pdf(params: PeaParams, phi_tilde: float, phi: float) -> float:
@@ -266,10 +309,8 @@ def upea_pdf(params: PeaParams, phi_tilde: float, phi: float) -> float:
 def exact_bias_mae_pea(params: PeaParams, phi: float) -> BiasMaeEntry:
     """Exact bias and MAE of the raw estimator s/T at true phase phi: finite
     sums of the signed / absolute circular distance against the outcome pmf."""
-    T = params.T
-    s_over_T = np.arange(T) / T
-    p = np.atleast_1d(pea_kernel(T, s_over_T - float(phi)))
-    d = _circ_dist_array(s_over_T, wrap_phase(phi))
+    p = pea_pmf(params, phi).probs
+    d = _circ_dist_array(np.arange(params.T) / params.T, wrap_phase(phi))
     bias = float(np.dot(d, p))
     mae = float(np.dot(np.abs(d), p))
     if abs(bias) > mae:  # guard against rounding inverting the triangle bound

@@ -2,13 +2,14 @@
 
 `sample_upea_block` is the one sampler: it draws a theta vector, then a
 uniform vector, for a block of n trials and inverts each trial's exact
-outcome CDF.  The per-trial entry points (`sample_pea`, `sample_upea`,
-`run_batch`) draw blocks of one trial, so a stream of per-trial calls draws
-theta and the uniform alternately, while one block of n draws all n thetas
-first; the two give different (equally valid) samples from the same seed,
-and each is deterministic.  Seeds are 64-bit integers fed to numpy's PCG64
-generator; the algorithm name is exported as RNG_ALGORITHM for run metadata.
-"""
+outcome CDF, whose row `phase_math._kernel_rows` fills from rotated sine
+tables with no trigonometry per outcome.  The per-trial entry points
+(`sample_pea`, `sample_upea`, `run_batch`) draw blocks of one trial, so a
+stream of per-trial calls draws theta and the uniform alternately, while
+one block of n draws all n thetas first; the two give different (equally
+valid) samples from the same seed, and each is deterministic.  Seeds are
+64-bit integers fed to numpy's PCG64 generator; the algorithm name is
+exported as RNG_ALGORITHM for run metadata."""
 
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from .phase_math import (
     Phase,
     ThetaMode,
     _circ_dist_array,
+    _kernel_rows,
     _wrap_array,
-    pea_kernel,
     wrap_phase,
 )
 
@@ -141,15 +142,13 @@ def sample_upea_block(
     if not np.isfinite(shifted).all():
         raise ValueError("phi + theta must be finite")
     u = rng.random(n)
-    grid = np.arange(T)[None, :] / T
     s = np.empty(n, dtype=int)
     rows = max(1, _SLICE_CELLS // T)
     # every slice reuses these buffers (see _SLICE_CELLS)
-    delta, cdf = np.empty((2, min(rows, n), T))
-    below = np.empty(delta.shape, dtype=bool)
-    for i in range(0, n, rows):
-        m = min(rows, n - i)
-        kernel = pea_kernel(T, np.subtract(grid, shifted[i : i + m, None], out=delta[:m]))
+    pmf, cdf = np.empty((2, max(1, min(rows, n)), T))
+    below = np.empty(pmf.shape, dtype=bool)
+    for i, kernel in _kernel_rows(T, shifted, pmf):
+        m = len(kernel)
         np.cumsum(kernel, axis=1, out=cdf[:m])
         # count of cdf entries <= u: the inverse CDF with searchsorted side="right"
         s[i : i + m] = np.less_equal(cdf[:m], u[i : i + m, None], out=below[:m]).sum(axis=1)

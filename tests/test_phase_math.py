@@ -15,6 +15,7 @@ from upea.mle import LOG_ZERO, log_kernel
 from upea.phase_math import (
     BiasMaeEntry,
     _circ_dist_array,
+    _kernel_rows,
     _wrap_array,
     PeaParams,
     ThetaMode,
@@ -410,3 +411,71 @@ def test_pointwise_laws_reject_a_non_finite_phase_by_name(bad: float) -> None:
         upea_pdf(P16, 0.1, bad)
     with pytest.raises(ValueError, match="phi must be finite"):
         pea_pmf_at(P16, 3, bad)
+
+
+# ---------------------------------------------------------------------------
+# outcome rows by table rotation against the kernel
+
+ROW_T = [1, 2, 16, 256, 1 << 14, 1 << 16]
+# cells agree to 8 units of 2^-52, relative
+ROW_RTOL = 8 * np.finfo(float).eps
+
+
+def _dyadic_shifts(T: int) -> np.ndarray:
+    """Shifts m/2^40, at which every k/T - x is exact: lattice points
+    (e = 0), half-way points (e = +-1/2), shifts 2^-40 either side of a
+    lattice point, and scattered shifts in [-1, 2)."""
+    unit = 2.0**-40
+    lattice = np.array([0, 1, T // 2, T - 1]) / T
+    scattered = np.random.default_rng(T).integers(-(2**40), 2**41, 16) * unit
+    return np.concatenate(
+        [lattice, lattice + unit, lattice - unit, lattice + 0.5 / T, lattice - 0.5 / T, scattered]
+    )
+
+
+def _rows(T: int, x) -> np.ndarray:
+    """_kernel_rows of all of x, in one slice."""
+    x = np.asarray(x, dtype=float)
+    (i, rows), *more = _kernel_rows(T, x, np.empty((x.size, T)))
+    assert i == 0 and not more
+    return rows
+
+
+def _assert_rows_match(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.array_equal(got == 1.0, want == 1.0)
+    assert np.all(np.abs(got - want) <= ROW_RTOL * want)
+
+
+@pytest.mark.parametrize("T", ROW_T)
+def test_kernel_rows_match_the_kernel_at_dyadic_shifts(T: int) -> None:
+    x = _dyadic_shifts(T)
+    before = x.copy()
+    got = _rows(T, x)
+    assert x.tobytes() == before.tobytes()
+    _assert_rows_match(got, pea_kernel(T, np.arange(T) / T - x[:, None]))
+    # lattice shifts give the lattice row exactly
+    for row, k in zip(got[:4], np.array([0, 1, T // 2, T - 1]) % T):
+        assert row[k] == 1.0 and np.count_nonzero(row) == 1
+
+
+# shifts whose row is the lattice row at k = 0: subnormals, a negative shift
+# whose wrap rounds to 1, and integers far outside [0, 1)
+_LATTICE_EDGES = [5e-324, 2.2250738585e-313, -1e-20, 1e300, -1e300, 1.7e308]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("T", ROW_T)
+def test_kernel_rows_at_edge_shifts(T: int) -> None:
+    lattice = _rows(T, _LATTICE_EDGES)
+    want = np.zeros(T)
+    want[0] = 1.0
+    for row in lattice:
+        assert row.tobytes() == want.tobytes()
+    # wraps to 0.25: the lattice row at k = T/4 for T >= 4, a regular row below
+    quarter = _rows(T, [2.0**50 + 0.25])
+    _assert_rows_match(quarter, pea_kernel(T, np.arange(T)[None, :] / T - 0.25))
+    assert abs(quarter.sum() - 1.0) <= 1e-12
+    for x in _LATTICE_EDGES + [2.0**50 + 0.25]:
+        assert abs(pea_pmf(PeaParams.from_T(T), x).probs.sum() - 1.0) <= 1e-12
+

@@ -198,3 +198,21 @@ def test_block_sampler_with_reused_slice_buffers_matches_row_by_row_draws(T: int
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("T", [1, 2, 16, 256, 1 << 14])
+def test_block_sampler_inverts_the_outcome_table_bit_for_bit(T: int) -> None:
+    # a fixed theta draws nothing, so the block's uniforms are the generator's
+    # first n draws; phases spread outside [0, 1) and near lattice points
+    n = 64 if T < 1 << 14 else 6
+    near = np.arange(n) / T + np.resize([0.0, 2.0**-40, -1e-12, 5e-324, -1e-20], n)
+    for theta, phi in ((0.3, np.linspace(-1.3, 2.7, n)), (0.0, near)):
+        params = PeaParams.from_T(T, 1, ThetaMode.fixed(theta))
+        s, _, _ = sample_upea_block(params, phi, make_rng(13), n)
+        u = make_rng(13).random(n)
+        want = [
+            np.searchsorted(np.cumsum(pea_pmf(params, x + theta).probs), v, side="right")
+            for x, v in zip(phi, u)
+        ]
+        assert s.tobytes() == np.minimum(want, T - 1).tobytes()
+
