@@ -272,7 +272,7 @@ def _kernel_rows(T: int, x: np.ndarray, out: np.ndarray):
     sin_table, cos_table = _rotation_windows(T)
     for i in range(0, len(x), len(out)):
         part = slice(i, i + len(out))
-        rows = out[: len(num[part])]
+        rows = out[: len(x) - i]
         np.multiply(sin_table[start[part]], cos[part], out=rows)
         rotated = cos_table[start[part]]
         rotated *= sin[part]

@@ -478,4 +478,3 @@ def test_kernel_rows_at_edge_shifts(T: int) -> None:
     assert abs(quarter.sum() - 1.0) <= 1e-12
     for x in _LATTICE_EDGES + [2.0**50 + 0.25]:
         assert abs(pea_pmf(PeaParams.from_T(T), x).probs.sum() - 1.0) <= 1e-12
-
