@@ -24,7 +24,9 @@ T = 2^14 (64 trials, full mode, one row per CDF slice) and T = 2^16
 of outcome lattice points k/T (fixed:0.0 mode), the outputs
 of mle_batch and mle_counting_batch on 2000 sampled rows at each T in
 {2, 4, 16, 64, 256} and R in {2, 3, 5, 16}, the MleResult fields of
-mle_estimate and mle_estimate_counting on the first 50 of those rows, and
+mle_estimate and mle_estimate_counting on the first 50 of those rows
+(refine_iterations on a line of its own, so a change to the step count
+shows apart from the estimates), and
 both batch maximizers on 2000 rows of shifted runs at phase 0 (count
 fraction m = 0) for each (T, R) in {(2, 3), (4, 2)}, where the likelihood
 peaks are flattest and many counting maxima sit on an interval end.
@@ -167,8 +169,10 @@ def _mle_outputs(seed: int):
                 yield f"{name}.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
             for name, fn in (("mle_estimate", mle_estimate), ("mle_estimate_counting", mle_estimate_counting)):
                 results = [fn(params, row) for row in rows[:MLE_SINGLE_ROWS]]
-                fields = [(r.phi_hat, r.log_likelihood, r.grid_points, r.refine_iterations) for r in results]
+                fields = [(r.phi_hat, r.log_likelihood, r.grid_points) for r in results]
                 yield f"{name}.T{T}.R{R}", np.array(fields, dtype=float).tobytes()
+                iters = [r.refine_iterations for r in results]
+                yield f"{name}.T{T}.R{R}.refine_iterations", np.array(iters, dtype=np.int64).tobytes()
 
 
 def flat_rows(seed: int, T: int, R: int) -> np.ndarray:
