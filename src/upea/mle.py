@@ -27,22 +27,20 @@ re-scoring of the best 16 cells (plus both interval ends for the mixture,
 which are stationary points of an even objective); a climb to the better
 neighbouring cell until neither neighbour scores higher, so the bracket of
 the winning cell's two neighbours surrounds a local maximum.  Refinement is
-Newton first: guarded Newton steps on dL/dc (built from one log-kernel
+one safeguarded loop per row (rtsafe, Numerical Recipes 9.4): from the cell
+centre, a guarded Newton step on dL/dc (built from one log-kernel
 derivative helper, skipped where L is not concave or the step would leave
-the bracket) run from the cell centre, each row until its step falls below
-1e-12 or it has taken 8 steps.  A row whose last step was accepted and
-below that tolerance, at a point that scores within rounding of the cell's
-exact score, is certified and done.  Only the other rows (flat or quartic
-peaks, where Newton converges slowly, and brackets it steps out of) run
-golden section for a step count fixed by G alone (the steps that shrink a
-two-cell bracket below 1e-12), then three guarded Newton steps from the
-golden point, which replaces it wherever it scores within rounding of it:
-golden section resolves a flat peak only to about sqrt(eps).  Last, a
-mixture row whose bracket touches an end of [0, 1/2] takes that end exactly
-wherever it scores within rounding of the refined point, so a maximum at an
-end never stops a few ulps short of it.  Every step acts on each row alone,
-so a row's result never depends on the rows batched with it.  Ties break
-toward the smaller phase.
+the bracket), else a bisection of the bracket, which narrows on the sign of
+dL/dc at points strictly inside it.  A row stops once its accepted step or
+its bracket is below 1e-12, or at a step cap fixed by G alone (8 steps plus
+the bisections that shrink a two-cell bracket below 1e-12), and reports the
+steps it ran; a row whose point scores below the climbed cell's exact score
+by more than rounding takes the cell centre.  Last, a mixture row whose
+bracket touches an end of [0, 1/2] takes that end exactly wherever it
+scores within rounding of the refined point, so a maximum at an end never
+stops a few ulps short of it.  Every step acts on each row alone, so a
+row's result never depends on the rows batched with it.  Ties break toward
+the smaller phase.
 """
 
 from __future__ import annotations
@@ -71,12 +69,11 @@ __all__ = [
 # a large negative finite value stands in for -infinity
 LOG_ZERO = -1e18
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-_BRACKET_TOL = 1e-12
-# Newton from the climbed cell's centre: a row whose step falls below
-# _NEWTON_TOL within _NEWTON_STEPS steps is certified and skips golden section
+# refinement stops a row once its accepted step or its bracket is below
+# _REFINE_TOL, or after _NEWTON_STEPS steps plus the bisections that shrink
+# a two-cell bracket below _REFINE_TOL
 _NEWTON_STEPS = 8
-_NEWTON_TOL = 1e-12
+_REFINE_TOL = 1e-12
 # score rounding per unit of T*R + |L|: each of the R terms is off by about
 # eps * |h| <~ eps * 2 pi T from rounding its argument
 _ROUNDING = 8.0 * np.finfo(float).eps
@@ -85,8 +82,8 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 @dataclass(frozen=True)
 class MleResult:
     """One row's estimate and log likelihood, the number of candidate cells
-    scanned and the golden-section step count that grid fixes (run only on
-    rows Newton does not certify); both counts are 0 on the R = 1 path."""
+    scanned and the refinement steps the row ran; both counts are 0 on the
+    R = 1 path."""
 
     phi_hat: Phase
     log_likelihood: float
@@ -178,7 +175,7 @@ def _one_row(params: PeaParams, estimates, counting: bool) -> MleResult:
     """Run the batch maximizer on a single row of estimates."""
     est = _runs(params, _nonempty(estimates).reshape(1, -1))
     x, fx, grid_points, iters = _maximize(params.T, est, counting)
-    return MleResult(float(x[0]), float(fx[0]), grid_points, iters)
+    return MleResult(float(x[0]), float(fx[0]), grid_points, int(iters[0]))
 
 
 def mle_estimate(params: PeaParams, estimates) -> MleResult:
@@ -224,41 +221,6 @@ def _scan_table(T: int, G: int) -> np.ndarray:
     num = np.where((num == 0.0) & ~lattice, np.sin(np.pi * T / (2.0 * G)), num)
     r = np.divide(num, den, out=np.ones(G), where=~lattice)
     return r * r
-
-
-def _golden_batch(
-    f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f: np.ndarray, steps: int
-):
-    """Vectorized golden-section max over steps iterations; f maps a
-    candidate vector to a value vector.  Returns (x, f(x)) with best-seen
-    tracking."""
-    a = lo.copy()
-    b = hi.copy()
-    best_x = seed_x.copy()
-    best_f = seed_f.copy()
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc = f(c)
-    fd = f(d)
-    for _ in range(steps):
-        left = fc >= fd
-        # shrink from the right where the left probe wins, else from the left
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-        c_new = b - _INVPHI * (b - a)
-        d_new = a + _INVPHI * (b - a)
-        # where left: new probe is c_new (d_new == old c); where right: d_new
-        carry_f = np.where(left, fc, fd)
-        probe = np.where(left, c_new, d_new)
-        f_probe = f(probe)
-        fc = np.where(left, f_probe, carry_f)
-        fd = np.where(left, carry_f, f_probe)
-        c, d = c_new, d_new
-    for x_, f_ in ((c, fc), (d, fd)):
-        better = (f_ > best_f) | ((f_ == best_f) & (x_ < best_x))
-        best_x = np.where(better, x_, best_x)
-        best_f = np.where(better, f_, best_f)
-    return best_x, best_f
 
 
 _RESCORE = 16  # snapped-scan short-list width re-scored with the exact objective
@@ -361,14 +323,16 @@ def _newton_step(
     return np.where(ok, nxt, c), ok
 
 
-def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _maximize(
+    T: int, est: np.ndarray, counting: bool
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Maximizer of the plain log likelihood over [0, 1) (counting=False) or
     of the even mixture over [0, 1/2] (counting=True) for each row of est
-    (n, R).  Returns (phi_hat, log likelihood, candidate cells, golden
-    steps), where the golden step count is fixed by the candidate grid and
-    runs only on the rows Newton does not certify.  Estimates are wrapped
-    into [0, 1) first (a no-op on rows already there); another shape or a
-    non-finite estimate raises ValueError."""
+    (n, R).  Returns (phi_hat, log likelihood, candidate cells, refinement
+    steps), the last a per-row count of the steps each row ran (0 on the
+    R = 1 path).  Estimates are wrapped into [0, 1) first (a no-op on rows
+    already there); another shape or a non-finite estimate raises
+    ValueError."""
     if est.ndim != 2:
         raise ValueError(f"estimates must be an (n, R) array, got shape {est.shape}")
     if not np.isfinite(est).all():
@@ -386,7 +350,7 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     if R == 1:
         x = est[:, 0]
         x = np.minimum(x, 1.0 - x) if counting else x
-        return x, f(est, x), 0, 0
+        return x, f(est, x), 0, np.zeros(n, dtype=np.int64)
     if T == 1:
         raise ValueError("T = 1 gives a flat likelihood; the MLE needs T >= 2 when R >= 2")
     G = max(4 * T * R, 1024)
@@ -428,43 +392,39 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
     def tol(v: np.ndarray) -> np.ndarray:
         return _ROUNDING * (T * R + np.abs(v))
 
-    # guarded Newton from the cell centre, each row until its step falls
-    # below _NEWTON_TOL or it has taken _NEWTON_STEPS steps.  A row is
-    # certified when its last step was accepted and below the tolerance, and
-    # its point scores within rounding of the cell's exact score
+    # one safeguarded loop per row (rtsafe, Numerical Recipes 9.4): a guarded
+    # Newton step from the cell centre where it is safe, else a bisection of
+    # the bracket, which narrows on the sign of L' at points strictly inside
+    # it (the mixture's L' vanishes at both ends, which need not be maxima).
+    # The step cap depends on G alone, so a row's steps never depend on the
+    # rows batched with it
     x = best / G
-    certified = np.zeros(n, dtype=bool)
+    a, b = lo.copy(), hi.copy()
+    iters = np.zeros(n, dtype=np.int64)
     live = np.arange(n)
-    for _ in range(_NEWTON_STEPS):
-        nxt, ok = _newton_step(T, est[live], x[live], lo[live], hi[live], counting)
-        done = ok & (np.abs(nxt - x[live]) < _NEWTON_TOL)
-        x[live] = nxt
-        certified[live[done]] = True
-        live = live[ok & ~done]
+    for _ in range(_NEWTON_STEPS + math.ceil(math.log2(2.0 / (G * _REFINE_TOL)))):
+        e, c, a_l, b_l = est[live], x[live], a[live], b[live]
+        nxt, ok = _newton_step(T, e, c, a_l, b_l, counting)
+        # an accepted step has the sign of L'; a rejected one is evaluated
+        slope = nxt - c
+        rejected = np.flatnonzero(~ok)
+        if rejected.size:
+            slope[rejected] = _dll(T, e[rejected], c[rejected], counting)[0]
+        inside = (a_l < c) & (c < b_l)
+        a_l = np.where(inside & (slope > 0.0), c, a_l)
+        b_l = np.where(inside & (slope < 0.0), c, b_l)
+        x[live] = np.where(ok, nxt, 0.5 * (a_l + b_l))
+        a[live], b[live] = a_l, b_l
+        iters[live] += 1
+        done = (ok & (np.abs(nxt - c) < _REFINE_TOL)) | (b_l - a_l < _REFINE_TOL)
+        live = live[~done]
         if not live.size:
             break
     x = np.clip(x, 0.0, 0.5) if counting else x
     fx = f(est, x)
-    certified &= fx >= best_f - tol(best_f)
-    # golden steps that shrink a two-cell bracket below _BRACKET_TOL: fixed by
-    # G alone, so no row's result depends on the rows batched with it
-    steps = math.ceil(math.log(_BRACKET_TOL * G / 2.0) / math.log(_INVPHI))
-    redo = np.flatnonzero(~certified)
-    if redo.size:
-        # the rows Newton cannot certify (flat or quartic peaks, a bracket
-        # it steps out of) take golden section, then three guarded Newton
-        # steps from the golden point
-        e, a, b = est[redo], lo[redo], hi[redo]
-        xg, fg = _golden_batch(lambda c: f(e, c), a, b, best[redo] / G, best_f[redo], steps)
-        cur = xg
-        for _ in range(3):
-            cur = _newton_step(T, e, cur, a, b, counting)[0]
-        cur = np.clip(cur, 0.0, 0.5) if counting else cur
-        # golden section resolves a flat peak only to ~sqrt(eps); the
-        # stationary point replaces it wherever it scores within rounding
-        f_cur = f(e, cur)
-        accept = f_cur >= fg - tol(fg)
-        x[redo], fx[redo] = np.where(accept, cur, xg), np.where(accept, f_cur, fg)
+    # the climbed cell's exact score is the floor
+    low = fx < best_f - tol(best_f)
+    x[low], fx[low] = best[low] / G, best_f[low]
     if counting:
         # the mixture is even about both ends, so each is a stationary point:
         # a row whose bracket touches one takes it wherever it scores within
@@ -474,4 +434,4 @@ def _maximize(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.n
             f_end = f(est[rows], np.full(rows.size, end))
             snap = f_end >= fx[rows] - tol(fx[rows])
             x[rows[snap]], fx[rows[snap]] = end, f_end[snap]
-    return (x if counting else _wrap_array(x)), fx, ncand, steps
+    return (x if counting else _wrap_array(x)), fx, ncand, iters

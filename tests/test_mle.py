@@ -7,6 +7,7 @@ followed by scipy bounded scalar optimization inside the best cell.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +223,9 @@ def test_counting_batch_matches_brute_force() -> None:
         # outside it
         (4, [0.3901982274452006, 0.6076454827522434]),
         (2, [0.7661378132245931, 0.7713783307348947, 0.7055694192898343]),
+        # L' vanishes at the end c = 1/2, a local minimum here: a refinement
+        # that narrowed its bracket at an end would collapse onto it
+        (16, [0.5333291330789937, 0.49586064452782597]),
     ],
 )
 def test_counting_batch_brackets_the_maximizer(T: int, row: list) -> None:
@@ -272,13 +276,13 @@ def test_counting_single_row_matches_batch_bit_for_bit() -> None:
         _, _, mat[:, j] = sample_upea_block(P3, 0.0, rng, 300)
     x, fx, cells, iters = _maximize(P3.T, mat, counting=True)
     # m = 0: many rows land on the interval end, where clipped brackets once
-    # made the golden iteration count depend on the batch
+    # made the refinement step count depend on the batch
     assert np.count_nonzero((x == 0.0) | (x == 0.5)) >= 50
     assert np.array_equal(mle_counting_batch(P3, mat), x)
     for i in range(300):
         res = mle_estimate_counting(P3, mat[i])
         assert res.phi_hat == x[i] and res.log_likelihood == fx[i]
-        assert res.grid_points == cells and res.refine_iterations == iters
+        assert res.grid_points == cells and res.refine_iterations == iters[i]
 
 
 def test_counting_flat_peak_at_half_resolves_to_the_end() -> None:
@@ -349,7 +353,7 @@ def test_batch_entry_points_reject_a_one_dimensional_array(batch) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Newton-first refinement, its golden-section fallback and the end check
+# the safeguarded refinement loop, its bisection branch and the end check
 
 
 def _phase_zero_rows(T: int, R: int, n: int, seed: int) -> np.ndarray:
@@ -363,8 +367,8 @@ def _phase_zero_rows(T: int, R: int, n: int, seed: int) -> np.ndarray:
     return mat
 
 
-# rows Newton does not certify from the cell centre (its step leaves the
-# bracket or the peak is too flat), so they fall back to golden section
+# rows where a guarded counting Newton step from the cell centre is rejected
+# (it leaves the bracket or the peak is too flat), so the loop bisects
 _FALLBACK_ROWS = [
     (4, [0.06167986910525969, 0.5632948541256013]),
     (4, [0.10655141971838522, 0.003506428942539941, 0.13815076059566833]),
@@ -373,43 +377,101 @@ _FALLBACK_ROWS = [
 ]
 
 
+def _spy_newton_steps(monkeypatch) -> list:
+    """Spy on the loop's Newton step: each call, one per loop step, appends
+    its accepted mask; a rejected row takes the bisection branch."""
+    calls: list = []
+    orig = mle_mod._newton_step
+
+    def spy(*args):
+        nxt, ok = orig(*args)
+        calls.append(ok)
+        return nxt, ok
+
+    monkeypatch.setattr(mle_mod, "_newton_step", spy)
+    return calls
+
+
 @pytest.mark.parametrize("counting", [False, True])
 def test_single_row_matches_batch_on_every_refinement_path(monkeypatch, counting: bool) -> None:
-    # spy on golden section: golden gets the row count of every call
-    golden: list = []
-    orig = mle_mod._golden_batch
-
-    def spy(f, lo, *args):
-        golden.append(lo.size)
-        return orig(f, lo, *args)
-
-    monkeypatch.setattr(mle_mod, "_golden_batch", spy)
+    steps = _spy_newton_steps(monkeypatch)
     cases = [(T, np.array([row])) for T, row in _FALLBACK_ROWS]
-    # the flat-peak row: Newton certifies a point just short of 1/2 and the
-    # end check takes 1/2 itself
+    # the flat-peak row: Newton converges to a point just short of 1/2 and
+    # the end check takes 1/2 itself
     cases.append((16, np.array([[0.512135814728801, 0.5204405561383632, 0.6370042323010977]])))
     cases += [(2, _phase_zero_rows(2, 3, 200, 71)), (4, _phase_zero_rows(4, 2, 200, 72))]
-    paths = {"newton": 0, "golden": 0, "end": 0}
+    paths = {"newton": 0, "end": 0}
+    bisected: list = []
     for T, mat in cases:
         params = PeaParams.from_T(T, mat.shape[1])
         x, fx, cells, iters = _maximize(T, mat, counting)
         batch = (mle_counting_batch if counting else mle_batch)(params, mat)
         assert np.array_equal(batch, x)
         for i in range(mat.shape[0]):
-            del golden[:]
+            del steps[:]
             res = (mle_estimate_counting if counting else mle_estimate)(params, mat[i])
             assert res.phi_hat == x[i] and res.log_likelihood == fx[i]
-            assert res.grid_points == cells and res.refine_iterations == iters
-            paths["golden" if golden else "newton"] += 1
+            assert res.grid_points == cells and res.refine_iterations == iters[i]
+            bisected.append(not all(ok.all() for ok in steps))
+            paths["newton"] += not bisected[-1]
             paths["end"] += counting and x[i] in (0.0, 0.5)
     assert paths["newton"] >= 300
     if counting:
-        assert paths["golden"] >= len(_FALLBACK_ROWS) and paths["end"] >= 100
+        # every fallback row bisects, and the flat rows reach the end check
+        assert all(bisected[: len(_FALLBACK_ROWS)]) and paths["end"] >= 100
+
+
+@pytest.mark.parametrize("mle", [mle_estimate, mle_estimate_counting])
+@pytest.mark.parametrize("T, row", [(16, [0.1, 0.12, 0.11])] + _FALLBACK_ROWS)
+def test_refine_iterations_counts_the_loop_steps_the_row_ran(
+    monkeypatch, mle, T: int, row: list
+) -> None:
+    steps = _spy_newton_steps(monkeypatch)
+    res = mle(PeaParams.from_T(T, len(row)), row)
+    assert res.refine_iterations == len(steps) > 0
+
+
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_batch(
+    f, lo: np.ndarray, hi: np.ndarray, seed_x: np.ndarray, seed_f: np.ndarray, steps: int
+):
+    """Vectorized golden-section max over steps iterations; f maps a
+    candidate vector to a value vector.  Returns (x, f(x)) with best-seen
+    tracking."""
+    a = lo.copy()
+    b = hi.copy()
+    best_x = seed_x.copy()
+    best_f = seed_f.copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = f(c)
+    fd = f(d)
+    for _ in range(steps):
+        left = fc >= fd
+        # shrink from the right where the left probe wins, else from the left
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        c_new = b - _INVPHI * (b - a)
+        d_new = a + _INVPHI * (b - a)
+        # where left: new probe is c_new (d_new == old c); where right: d_new
+        carry_f = np.where(left, fc, fd)
+        probe = np.where(left, c_new, d_new)
+        f_probe = f(probe)
+        fc = np.where(left, f_probe, carry_f)
+        fd = np.where(left, carry_f, f_probe)
+        c, d = c_new, d_new
+    for x_, f_ in ((c, fc), (d, fd)):
+        better = (f_ > best_f) | ((f_ == best_f) & (x_ < best_x))
+        best_x = np.where(better, x_, best_x)
+        best_f = np.where(better, f_, best_f)
+    return best_x, best_f
 
 
 def _golden_reference(T: int, mat: np.ndarray, counting: bool, best, best_f) -> tuple:
-    """The refinement without the Newton-first stage: golden section over
-    the climbed bracket for the step count fixed by G, then three guarded
+    """An independent refinement: golden section over the climbed bracket
+    for the step count that shrinks it below 1e-12, then three guarded
     Newton steps whose point replaces the golden one wherever it scores
     within rounding of it."""
     R = mat.shape[1]
@@ -424,7 +486,7 @@ def _golden_reference(T: int, mat: np.ndarray, counting: bool, best, best_f) -> 
     if counting:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
     steps = math.ceil(math.log(1e-12 * G / 2.0) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
-    xg, fg = mle_mod._golden_batch(f, lo, hi, best / G, best_f, steps)
+    xg, fg = _golden_batch(f, lo, hi, best / G, best_f, steps)
     cur = xg
     for _ in range(3):
         d1, d2 = mle_mod._dll(T, mat, cur, counting)
@@ -482,6 +544,27 @@ def test_counting_rows_never_stop_just_short_of_half(T: int, R: int, seed: int) 
         fx = mixture_log_likelihood(params, mat[i], x[i])
         f_end = mixture_log_likelihood(params, mat[i], 0.5)
         assert f_end < fx - mle_mod._ROUNDING * (T * R + abs(fx))
+
+
+@pytest.mark.parametrize("batch", [mle_batch, mle_counting_batch])
+def test_large_t_rows_stay_within_a_stated_traced_peak(batch) -> None:
+    # T = 4096, R = 16: G = 262,144 candidates, and the refinement loop's cap
+    # is worked out from that G.  The blocked scan keeps the traced peak near
+    # 20 MiB plain and 18 MiB mixture, under a 32 MiB bound
+    params = PeaParams.from_T(4096, 16)
+    rng = make_rng(91)
+    phi = rng.random(4)
+    mat = np.empty((4, 16))
+    for j in range(16):
+        _, _, mat[:, j] = sample_upea_block(params, phi, rng, 4)
+    tracemalloc.start()
+    try:
+        x = batch(params, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (4,) and np.all((0.0 <= x) & (x < 1.0))
+    assert peak <= 32 << 20
 
 
 def test_entry_points_reject_a_run_count_other_than_params_r() -> None:
