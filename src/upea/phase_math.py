@@ -289,7 +289,8 @@ def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
     T = params.T
     if not (0 <= s < T):
         raise ValueError(f"outcome s must lie in [0, {T})")
-    return float(pea_kernel(T, s / T - _finite("phi", phi)))
+    # wrapped first: far outside [0, 1), s/T - phi would keep no fraction
+    return float(pea_kernel(T, s / T - _wrap_array(_finite("phi", phi))))
 
 
 def pea_pmf(params: PeaParams, phi: float) -> DistTable:
@@ -303,7 +304,10 @@ def upea_pdf(params: PeaParams, phi_tilde: float, phi: float) -> float:
     """Density of the randomized estimate at phi_tilde given true phase phi;
     equals T * pea_kernel(phi_tilde - phi) and integrates to 1 per period."""
     T = params.T
-    return T * float(pea_kernel(T, _finite("phi_tilde", phi_tilde) - _finite("phi", phi)))
+    # wrapped first: far outside [0, 1), phi_tilde - phi would keep no fraction
+    phi_tilde = _wrap_array(_finite("phi_tilde", phi_tilde))
+    phi = _wrap_array(_finite("phi", phi))
+    return T * float(pea_kernel(T, phi_tilde - phi))
 
 
 def exact_bias_mae_pea(params: PeaParams, phi: float) -> BiasMaeEntry:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountingInstance, phi_from_m
-from .phase_math import pea_kernel
+from .phase_math import _wrap_array, pea_kernel
 
 __all__ = [
     "StateVector",
@@ -271,4 +271,6 @@ def analytic_counting_pmf(t: int, m: float, theta: float = 0.0) -> np.ndarray:
     T = 1 << t
     phi = phi_from_m(m)
     s = np.arange(T) / T
+    # wrapped first: far outside [0, 1), s - theta would keep no fraction
+    theta = _wrap_array(float(theta))
     return 0.5 * pea_kernel(T, s - phi - theta) + 0.5 * pea_kernel(T, s + phi - theta)

@@ -163,6 +163,15 @@ def test_upea_pdf_depends_only_on_difference() -> None:
     assert upea_pdf(P16, 0.4, 0.1) == pytest.approx(upea_pdf(P16, 0.7, 0.4), abs=1e-12)
 
 
+@pytest.mark.parametrize("far", [1e300, -1e300, 1e17])
+def test_pointwise_laws_wrap_a_far_phase(far: float) -> None:
+    # each far phase is a whole number of turns, so it is phase 0
+    for s in range(16):
+        assert pea_pmf_at(P16, s, far) == pea_pmf_at(P16, s, 0.0)
+    assert upea_pdf(P16, 0.3, far) == upea_pdf(P16, 0.3, 0.0) < 0.05
+    assert upea_pdf(P16, far, 0.3) == upea_pdf(P16, 0.0, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # exact error laws
 

@@ -226,6 +226,12 @@ def test_analytic_counting_pmf_is_half_half_mixture() -> None:
     assert np.allclose(analytic_counting_pmf(t, m, theta), expect, atol=1e-15)
 
 
+@pytest.mark.parametrize("far", [1e300, -1e300, 1e17])
+def test_analytic_counting_pmf_wraps_a_far_theta(far: float) -> None:
+    # each far theta is a whole number of turns, so it is theta 0
+    assert np.array_equal(analytic_counting_pmf(4, 0.3, far), analytic_counting_pmf(4, 0.3, 0.0))
+
+
 def test_measurement_pmf_validation() -> None:
     with pytest.raises(ValueError):
         MeasurementPmf(register_qubits=(0,), probs=np.array([0.7, 0.7]))
