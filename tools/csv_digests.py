@@ -29,7 +29,10 @@ mle_estimate and mle_estimate_counting on the first 50 of those rows
 shows apart from the estimates), and
 both batch maximizers on 2000 rows of shifted runs at phase 0 (count
 fraction m = 0) for each (T, R) in {(2, 3), (4, 2)}, where the likelihood
-peaks are flattest and many counting maxima sit on an interval end.
+peaks are flattest and many counting maxima sit on an interval end, and
+the MleResult fields of both single-trial maximizers on three pinned rows
+that once missed the global maximum or ran the refinement loop to its cap
+(the same at every seed).
 
 It imports upea from the src/ directory next to this file and nothing else
 outside the standard library but NumPy, which upea itself needs.
@@ -64,6 +67,17 @@ MLE_SLICE = 250  # rows per maximizer call, to bound the n x G scan matrices
 MLE_SINGLE_ROWS = 50  # rows also run one at a time through the single-trial entry points
 # flat-peak (T, R) shapes whose rows are drawn at phase 0
 MLE_FLAT = ((2, 3), (4, 2))
+# the single-trial maximizers, whose MleResult fields are digested
+SINGLE = (("mle_estimate", mle_estimate), ("mle_estimate_counting", mle_estimate_counting))
+# (T, row) pairs run through both single-trial maximizers at every seed: a
+# plain row at T=16, R=2 and one at T=256, R=4 whose global maximum a
+# shortlist of the best snapped cells once missed, and a counting row at
+# T=4, R=3 whose maximum at the end 1/2 once ran the loop to its step cap
+MLE_PINNED = (
+    (16, (0.8090823000371207, 0.4945465967405849)),
+    (256, (0.9947133620337772, 0.9880855449410233, 0.9888908588844939, 0.9939474305047314)),
+    (4, (0.3624805481090335, 0.6073439031292919, 0.5133695949343736)),
+)
 SAMPLER_T = (1, 2, 16, 256, 1024)
 SAMPLER_N = 4096
 # a T above the sampler's slice size, so each slice holds one row
@@ -167,12 +181,18 @@ def _mle_outputs(seed: int):
             for name, fn in (("mle_batch", mle_batch), ("mle_counting_batch", mle_counting_batch)):
                 parts = [fn(params, rows[i : i + MLE_SLICE]) for i in range(0, MLE_ROWS, MLE_SLICE)]
                 yield f"{name}.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
-            for name, fn in (("mle_estimate", mle_estimate), ("mle_estimate_counting", mle_estimate_counting)):
-                results = [fn(params, row) for row in rows[:MLE_SINGLE_ROWS]]
-                fields = [(r.phi_hat, r.log_likelihood, r.grid_points) for r in results]
-                yield f"{name}.T{T}.R{R}", np.array(fields, dtype=float).tobytes()
-                iters = [r.refine_iterations for r in results]
-                yield f"{name}.T{T}.R{R}.refine_iterations", np.array(iters, dtype=np.int64).tobytes()
+            for name, fn in SINGLE:
+                yield from _single_results(f"{name}.T{T}.R{R}", fn, params, rows[:MLE_SINGLE_ROWS])
+
+
+def _single_results(name: str, fn, params, rows):
+    """(name, bytes) of fn's MleResult fields on each row, with
+    refine_iterations on a line of its own."""
+    results = [fn(params, row) for row in rows]
+    fields = [(r.phi_hat, r.log_likelihood, r.grid_points) for r in results]
+    yield name, np.array(fields, dtype=float).tobytes()
+    iters = [r.refine_iterations for r in results]
+    yield f"{name}.refine_iterations", np.array(iters, dtype=np.int64).tobytes()
 
 
 def flat_rows(seed: int, T: int, R: int) -> np.ndarray:
@@ -196,6 +216,15 @@ def _mle_flat_outputs(seed: int):
             yield f"{name}.flat.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
 
 
+def _mle_pinned_outputs(seed: int):
+    """(name, bytes) of both single-trial maximizers on each MLE_PINNED row;
+    the rows do not depend on the seed."""
+    for T, row in MLE_PINNED:
+        params = upea.PeaParams.from_T(T, len(row))
+        for name, fn in SINGLE:
+            yield from _single_results(f"{name}.pinned.T{T}.R{len(row)}", fn, params, [row])
+
+
 def digests(seed: int):
     """(name, sha256 hex) for every output at one base seed."""
     sweeps = _reduced_sweeps(seed)
@@ -212,7 +241,7 @@ def digests(seed: int):
     )
     for name, text in texts.items():
         yield name, hashlib.sha256(text.encode("utf-8")).hexdigest()
-    for outputs in (_sampler_outputs, _mle_outputs, _mle_flat_outputs):
+    for outputs in (_sampler_outputs, _mle_outputs, _mle_flat_outputs, _mle_pinned_outputs):
         for name, data in outputs(seed):
             yield name, hashlib.sha256(data).hexdigest()
 
