@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -211,59 +212,101 @@ def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
 # maximizers
 
 
-def _scan_table(T: int, G: int) -> np.ndarray:
-    """Kernel values on the candidate grid i/G for the snapped coarse scans,
-    with each exact kernel zero clamped to the kernel value half a cell away
-    from it, so a snapped scan never spuriously discards a candidate whose
-    true factor is merely small.  G is a multiple of T, so the zeros k/T are
-    grid points and their reduced numerator is exactly 0."""
-    num, den, lattice = _kernel_parts(T, np.arange(G) / G)
-    num = np.where((num == 0.0) & ~lattice, np.sin(np.pi * T / (2.0 * G)), num)
-    r = np.divide(num, den, out=np.ones(G), where=~lattice)
-    return r * r
-
-
-_RESCORE = 16  # snapped-scan short-list width re-scored with the exact objective
+# relative round-up of the bound table: far above the rounding of its kernel
+# values and peaks, of the scan's logs and R-term sums and of the snap, and
+# far below the table's own slack, which is O(1) nats per cell
+_TABLE_MARGIN = 2.0**-20
 # scores per row block of the coarse scan, whose buffers every block reuses:
 # block-sized temporaries, freed and faulted in again, cost a varying amount
 _SCAN_BLOCK = 1 << 17
 
 
-def _local_max_cell(snapped: np.ndarray, score, ends: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate cell per row whose exact score is a local maximum on the
-    grid, and that score.
+@lru_cache(maxsize=8)
+def _sidelobe_peaks(T: int) -> np.ndarray:
+    """The T - 2 sidelobe peaks of K in (0, 1): in each (m/T, (m+1)/T),
+    m = 1..T-2, the root of d log K / dx, which is tan(pi T x) = T tan(pi x).
+    Bisection on the sign of the derivative, positive left of the peak;
+    64 halvings of 1/T reach the last bit."""
+    m = np.arange(1.0, T - 1.0)
+    a, b = m / T, (m + 1.0) / T
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        up = _dlog_kernel(T, mid)[0] > 0.0
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    a.flags.writeable = False
+    return a
 
-    The snapped scan ranks candidates with estimates rounded to the grid,
-    which can misorder near-tied likelihood peaks.  Re-scoring the best
-    _RESCORE cells per row (and, with ends=True, the two end cells, which
-    the snapped scan can rank out of the list) with the exact objective
-    restores the exact ranking; candidate indices are sorted ascending so
-    exact ties resolve toward the smaller phase.  The winner then steps to a
-    strictly better neighbouring cell until neither neighbour scores higher:
-    circularly when ends=False, clipped to the candidate range when
-    ends=True.  score maps an (n, m) array of cell indices to exact values.
-    """
-    n, ncand = snapped.shape
-    m = min(_RESCORE, ncand)
-    top = np.argpartition(snapped, ncand - m, axis=1)[:, ncand - m :]
-    if ends:
-        top = np.concatenate([top, np.tile([0, ncand - 1], (n, 1))], axis=1)
-    top.sort(axis=1)
-    vals = score(top)
-    rows = np.arange(n)
-    pick = np.argmax(vals, axis=1)
-    k, fk = top[rows, pick], vals[rows, pick]
-    while True:
-        nb = k[:, None] + np.array([-1, 1])
-        nb = np.clip(nb, 0, ncand - 1) if ends else nb % ncand
-        f_nb = score(nb)
+
+def _bound_table(T: int, G: int) -> np.ndarray:
+    """UB[d] >= max K over [(d - 1)/G, (d + 1)/G], for d in 0..G-1 and G a
+    multiple of T.  K is monotone between its stationary points (the zeros
+    k/T, the peak at 0 and one sidelobe peak between neighbouring zeros), so
+    that max is the largest of K at the grid points d - 1, d and d + 1 and
+    at any sidelobe peak inside the interval; the table is rounded up by the
+    relative _TABLE_MARGIN.  A snapped estimate i/G and a candidate in cell
+    k (within half a cell of k/G) differ by (i - k)/G to within one cell, so
+    UB[(i - k) mod G] bounds their kernel factor everywhere in the cell."""
+    k = pea_kernel(T, np.arange(G) / G)
+    ub = np.maximum(np.maximum(k, np.roll(k, 1)), np.roll(k, -1))
+    peaks = _sidelobe_peaks(T)
+    k_peak = pea_kernel(T, peaks)
+    d = np.floor(peaks * G).astype(np.int64)
+    np.maximum.at(ub, d, k_peak)
+    np.maximum.at(ub, (d + 1) % G, k_peak)
+    return ub * (1.0 + _TABLE_MARGIN)
+
+
+def _starts(bound: np.ndarray, sc: np.ndarray, score, tol, ends: bool):
+    """Refinement starts of one scan block: (row, cell, exact score) of the
+    grid-local maxima that the bound cannot rule out, sorted by row, then
+    cell.
+
+    bound (n, m) bounds the likelihood everywhere in each cell.  The exact
+    score f0 at each row's best-bounded cell gives the shortlist S, every
+    cell whose bound is at least f0 minus rounding; the cell holding the
+    global maximizer is in it.  S and its neighbours are scored exactly once
+    into sc, a buffer shaped like bound.  Every scored cell that no scored
+    neighbour beats is a start; one with an unscored neighbour first climbs
+    to a strictly better neighbouring cell until neither scores higher.
+    Neighbours wrap around the circle, or, with ends=True, are clipped to
+    the candidate range.  Cells are flat keys row * m + cell, and score maps
+    keys to exact values."""
+    n, m = bound.shape
+    flat = sc.reshape(-1)
+
+    def neighbours(key: np.ndarray) -> np.ndarray:
+        r, k = np.divmod(key, m)
+        k = k[:, None] + np.array([-1, 1])
+        return r[:, None] * m + (np.clip(k, 0, m - 1) if ends else k % m)
+
+    f0 = score(np.arange(n) * m + np.argmax(bound, axis=1))
+    short = bound >= (f0 - tol(f0))[:, None]
+    near = short.copy()
+    near[:, 1:] |= short[:, :-1]
+    near[:, :-1] |= short[:, 1:]
+    if not ends:
+        near[:, 0] |= short[:, -1]
+        near[:, -1] |= short[:, 0]
+    key = np.flatnonzero(near)
+    sc.fill(-np.inf)
+    flat[key] = fk = score(key)
+    keep = fk >= flat[neighbours(key)].max(axis=1)
+    key, fk = key[keep], fk[keep]
+    done = []
+    while key.size:
+        nb = neighbours(key)
+        f_nb = flat[nb]
+        miss = np.isneginf(f_nb)
+        if miss.any():
+            f_nb[miss] = flat[nb[miss]] = score(nb[miss])
         pick = np.argmax(f_nb, axis=1)
-        best = f_nb[rows, pick]
+        best = f_nb[np.arange(key.size), pick]
         up = best > fk
-        if not up.any():
-            return k, fk
-        k = np.where(up, nb[rows, pick], k)
-        fk = np.where(up, best, fk)
+        done.append(key[~up])
+        key, fk = nb[up, pick[up]], best[up]
+    key = np.unique(np.concatenate(done))
+    fk = flat[key]
+    return key // m, key % m, fk
 
 
 def _dlog_kernel(T: int, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -341,11 +384,8 @@ def _maximize(
     n, R = est.shape
     ll_of = _mixture_ll if counting else _plain_ll
 
-    def objective(e: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return ll_of(T, e[:, None, :], c[:, :, None])
-
     def f(e: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return objective(e, c[:, None])[:, 0]
+        return ll_of(T, e, c[:, None])
 
     if R == 1:
         x = est[:, 0]
@@ -353,9 +393,9 @@ def _maximize(
         return x, f(est, x), 0, np.zeros(n, dtype=np.int64)
     if T == 1:
         raise ValueError("T = 1 gives a flat likelihood; the MLE needs T >= 2 when R >= 2")
-    G = max(4 * T * R, 1024)
-    # the mixture sums kernel values before the log; the plain scan reads logs
-    tab = _scan_table(T, G) if counting else np.log(_scan_table(T, G))
+    G = 4 * T * R
+    # the mixture sums kernel bounds before the log; the plain scan reads logs
+    tab = _bound_table(T, G) if counting else np.log(_bound_table(T, G))
     # candidate cells: the whole circle, or [0, 1/2] with both ends
     ncand = G // 2 + 1 if counting else G
     # each scan term is one window of a doubled table over the cells k:
@@ -363,13 +403,17 @@ def _maximize(
     ext = np.arange(2 * G)
     back = sliding_window_view(tab[(G - 1 - ext) % G], ncand)
     fwd = sliding_window_view(tab[ext % G], ncand)
-    best, best_f = np.empty(n, dtype=np.int64), np.empty(n)
-    block = max(1, _SCAN_BLOCK // ncand)
+
+    def tol(v: np.ndarray) -> np.ndarray:
+        return _ROUNDING * (T * R + np.abs(v))
+
+    starts = []
+    block = max(1, min(n, _SCAN_BLOCK // ncand))
     bufs = np.empty((2, block, ncand))
     for s in range(0, n, block):
         e = est[s : s + block]
-        ll, term = bufs[:, : len(e)]
-        ll.fill(0.0)
+        bound, term = bufs[:, : len(e)]
+        bound.fill(0.0)
         for j in range(R):
             i = np.rint(e[:, j] * G).astype(np.int64) % G
             # plain fancy indexing: np.take(back, ..., out=) would first copy
@@ -379,31 +423,37 @@ def _maximize(
             if counting:
                 term[...] = back[G - 1 - i]
                 term += fwd[i]
-                ll += _log_mix(term)
+                bound += _log_mix(term)
             else:
-                ll += back[G - 1 - i]
-        best[s : s + block], best_f[s : s + block] = _local_max_cell(
-            ll, lambda c: objective(e, c / G), ends=counting
+                bound += back[G - 1 - i]
+        r, k, fk = _starts(
+            bound,
+            term,
+            lambda key: ll_of(T, e[key // ncand], (key % ncand)[:, None] / G),
+            tol,
+            ends=counting,
         )
+        starts.append((r + s, k, fk))
+    # rows (ascending), cells and exact scores of every start
+    row, best, best_f = (np.concatenate(a) for a in zip(*starts))
     lo, hi = (best - 1.0) / G, (best + 1.0) / G
     if counting:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
 
-    def tol(v: np.ndarray) -> np.ndarray:
-        return _ROUNDING * (T * R + np.abs(v))
-
-    # one safeguarded loop per row (rtsafe, Numerical Recipes 9.4): a guarded
-    # Newton step from the cell centre where it is safe, else a bisection of
-    # the bracket, which narrows on the sign of L' at points strictly inside
-    # it (the mixture's L' vanishes at both ends, which need not be maxima).
-    # The step cap depends on G alone, so a row's steps never depend on the
-    # rows batched with it
+    # one safeguarded loop per start (rtsafe, Numerical Recipes 9.4): a
+    # guarded Newton step from the cell centre where it is safe, else a
+    # bisection of the bracket, which narrows on the sign of L' at points
+    # strictly inside it (the mixture's L' vanishes at both ends, which need
+    # not be maxima).  Once the bracket has narrowed, a step must land in
+    # it, so L' at rounding noise bisects down to the stop rather than
+    # wander.  The step cap depends on G alone, so a row's steps never
+    # depend on the rows batched with it
     x = best / G
     a, b = lo.copy(), hi.copy()
-    iters = np.zeros(n, dtype=np.int64)
-    live = np.arange(n)
+    iters = np.zeros(row.size, dtype=np.int64)
+    live = np.arange(row.size)
     for _ in range(_NEWTON_STEPS + math.ceil(math.log2(2.0 / (G * _REFINE_TOL)))):
-        e, c, a_l, b_l = est[live], x[live], a[live], b[live]
+        e, c, a_l, b_l = est[row[live]], x[live], a[live], b[live]
         nxt, ok = _newton_step(T, e, c, a_l, b_l, counting)
         # an accepted step has the sign of L'; a rejected one is evaluated
         slope = nxt - c
@@ -413,6 +463,7 @@ def _maximize(
         inside = (a_l < c) & (c < b_l)
         a_l = np.where(inside & (slope > 0.0), c, a_l)
         b_l = np.where(inside & (slope < 0.0), c, b_l)
+        ok &= ((a_l == lo[live]) & (b_l == hi[live])) | ((a_l <= nxt) & (nxt <= b_l))
         x[live] = np.where(ok, nxt, 0.5 * (a_l + b_l))
         a[live], b[live] = a_l, b_l
         iters[live] += 1
@@ -421,17 +472,24 @@ def _maximize(
         if not live.size:
             break
     x = np.clip(x, 0.0, 0.5) if counting else x
-    fx = f(est, x)
-    # the climbed cell's exact score is the floor
+    fx = f(est[row], x)
+    # the start's exact score is the floor
     low = fx < best_f - tol(best_f)
     x[low], fx[low] = best[low] / G, best_f[low]
     if counting:
         # the mixture is even about both ends, so each is a stationary point:
-        # a row whose bracket touches one takes it wherever it scores within
-        # rounding, not a point a few ulps short of it
+        # a start whose bracket touches one takes it wherever it scores
+        # within rounding, not a point a few ulps short of it
         for end, touch in ((0.0, lo == 0.0), (0.5, hi == 0.5)):
-            rows = np.flatnonzero(touch & (x != end))
-            f_end = f(est[rows], np.full(rows.size, end))
-            snap = f_end >= fx[rows] - tol(fx[rows])
-            x[rows[snap]], fx[rows[snap]] = end, f_end[snap]
-    return (x if counting else _wrap_array(x)), fx, ncand, iters
+            at = np.flatnonzero(touch & (x != end))
+            f_end = f(est[row[at]], np.full(at.size, end))
+            snap = f_end >= fx[at] - tol(fx[at])
+            x[at[snap]], fx[at[snap]] = end, f_end[snap]
+    else:
+        x = _wrap_array(x)
+    # each row takes its best start, an exact tie the smaller phase; its
+    # step count is that of its longest-running start, the loop steps in
+    # which any of its starts was live
+    first = np.searchsorted(row, np.arange(n))
+    pick = np.lexsort((x, -fx, row))[first]
+    return x[pick], fx[pick], ncand, np.maximum.reduceat(iters, first)
