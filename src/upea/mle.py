@@ -264,21 +264,17 @@ def _starts(bound: np.ndarray, sc: np.ndarray, score, tol, ends: bool):
     bound (n, m) bounds the likelihood everywhere in each cell.  The exact
     score f0 at each row's best-bounded cell gives the shortlist S, every
     cell whose bound is at least f0 minus rounding; the cell holding the
-    global maximizer is in it.  S and its neighbours are scored exactly once
-    into sc, a buffer shaped like bound.  Every scored cell that no scored
-    neighbour beats is a start; one with an unscored neighbour first climbs
-    to a strictly better neighbouring cell until neither scores higher.
-    Neighbours wrap around the circle, or, with ends=True, are clipped to
-    the candidate range.  Cells are flat keys row * m + cell, and score maps
-    keys to exact values."""
+    global maximizer is in it.  S and its neighbours, the set U, are scored
+    exactly once into sc, a buffer shaped like bound.  A start is a cell of
+    U that no neighbour beats; a cell at the edge of U first scores its
+    outer neighbour.  A cell that neighbour beats is dropped rather than
+    climbed: the climb would leave U, and a local maximum whose cell and
+    neighbours all lie outside S scores below f0.  Neighbours wrap around
+    the circle, or, with ends=True, are clipped to the candidate range.
+    Cells are flat keys row * m + cell, and score maps keys to exact
+    values."""
     n, m = bound.shape
     flat = sc.reshape(-1)
-
-    def neighbours(key: np.ndarray) -> np.ndarray:
-        r, k = np.divmod(key, m)
-        k = k[:, None] + np.array([-1, 1])
-        return r[:, None] * m + (np.clip(k, 0, m - 1) if ends else k % m)
-
     f0 = score(np.arange(n) * m + np.argmax(bound, axis=1))
     short = bound >= (f0 - tol(f0))[:, None]
     near = short.copy()
@@ -290,22 +286,16 @@ def _starts(bound: np.ndarray, sc: np.ndarray, score, tol, ends: bool):
     key = np.flatnonzero(near)
     sc.fill(-np.inf)
     flat[key] = fk = score(key)
-    keep = fk >= flat[neighbours(key)].max(axis=1)
-    key, fk = key[keep], fk[keep]
-    done = []
-    while key.size:
-        nb = neighbours(key)
-        f_nb = flat[nb]
-        miss = np.isneginf(f_nb)
-        if miss.any():
-            f_nb[miss] = flat[nb[miss]] = score(nb[miss])
-        pick = np.argmax(f_nb, axis=1)
-        best = f_nb[np.arange(key.size), pick]
-        up = best > fk
-        done.append(key[~up])
-        key, fk = nb[up, pick[up]], best[up]
-    key = np.unique(np.concatenate(done))
-    fk = flat[key]
+    r, k = np.divmod(key, m)
+    k = k[:, None] + np.array([-1, 1])
+    nb = r[:, None] * m + (np.clip(k, 0, m - 1) if ends else k % m)
+    for _ in range(2):
+        # first against the scored neighbours, then, for the cells kept at
+        # the edge of U, against their outer neighbours too
+        keep = fk >= flat[nb].max(axis=1)
+        key, fk, nb = key[keep], fk[keep], nb[keep]
+        outer = nb[np.isneginf(flat[nb])]
+        flat[outer] = score(outer)
     return key // m, key % m, fk
 
 
