@@ -16,31 +16,34 @@ phase uniformly and K is even.
 Each objective is written once, as a broadcasting function that the public
 log-likelihoods and the maximizer call.  One maximizer, vectorized over rows
 of estimates, serves both; the single-trial entry points run it on one row.
-Coarse scan over max(4*T*R, 1024) equispaced candidates (4x
-oversampling of the likelihood's O(T*R) oscillations) with estimates snapped
-to the candidate grid, so each run's factors over all candidates are one
-contiguous window of a doubled table of kernel values, read as a row of a
-sliding-window view (the table's exact zeros are clamped to the value half a
-cell away; the plain scan takes its log, the mixture sums the rows of a
-backward and a forward view before the log); exact
-re-scoring of the best 16 cells (plus both interval ends for the mixture,
-which are stationary points of an even objective); a climb to the better
-neighbouring cell until neither neighbour scores higher, so the bracket of
-the winning cell's two neighbours surrounds a local maximum.  Refinement is
-one safeguarded loop per row (rtsafe, Numerical Recipes 9.4): from the cell
-centre, a guarded Newton step on dL/dc (built from one log-kernel
-derivative helper, skipped where L is not concave or the step would leave
-the bracket), else a bisection of the bracket, which narrows on the sign of
-dL/dc at points strictly inside it.  A row stops once its accepted step or
-its bracket is below 1e-12, or at a step cap fixed by G alone (8 steps plus
-the bisections that shrink a two-cell bracket below 1e-12), and reports the
-steps it ran; a row whose point scores below the climbed cell's exact score
-by more than rounding takes the cell centre.  Last, a mixture row whose
-bracket touches an end of [0, 1/2] takes that end exactly wherever it
-scores within rounding of the refined point, so a maximum at an end never
-stops a few ulps short of it.  Every step acts on each row alone, so a
-row's result never depends on the rows batched with it.  Ties break toward
-the smaller phase.
+The coarse scan runs over G = 4*T*R equispaced cells (4x oversampling of
+the likelihood's O(T*R) oscillations), each estimate snapped to the grid.
+It reads a table of exact upper bounds, UB[d] >= max K over
+[(d - 1)/G, (d + 1)/G] (K at the grid points and at its sidelobe peaks,
+rounded up), so each cell's sum bounds the likelihood everywhere in the
+cell; each run's terms over all cells are one window of a doubled table,
+a row of a sliding-window view (the plain scan takes the log, the mixture
+sums a backward and a forward row first).  The exact score f0 at a row's
+best-bounded cell rules out every cell whose bound is below f0 minus
+rounding, never the global maximizer's.  The cells left and their
+neighbours are scored exactly once; each that no neighbour beats is a
+refinement start, whose neighbours bracket a local maximum.  A kept cell
+that a neighbour beats is not refined, though a narrow peak inside it may
+score higher, so this is no proof of the global maximum.  Refinement is one safeguarded loop per start (rtsafe,
+Numerical Recipes 9.4): from the cell centre, a guarded Newton step on
+dL/dc (from one log-kernel derivative helper; skipped where L is not
+concave or the step leaves the bracket, or, once the bracket has narrowed,
+lands outside it), else a bisection of the bracket, which narrows on the
+sign of dL/dc at points strictly inside it.  A start stops once its
+accepted step or its bracket is below 1e-12, or at a step cap fixed by G
+alone (8 steps plus the bisections that shrink a two-cell bracket below
+1e-12); one whose point scores below its cell's exact score by more than
+rounding takes the cell centre.  A mixture start whose bracket touches an
+end of [0, 1/2] takes that end exactly wherever it scores within rounding
+of the refined point, so a maximum at an end never stops a few ulps short
+of it.  Each row takes its best start, an exact tie the smaller phase, and
+reports the loop steps in which any of its starts was live.  Every step
+acts on each start alone, so a row's result never depends on its batch.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 @dataclass(frozen=True)
 class MleResult:
     """One row's estimate and log likelihood, the number of candidate cells
-    scanned and the refinement steps the row ran; both counts are 0 on the
-    R = 1 path."""
+    scanned and the refinement loop steps in which any of the row's starts
+    was live; both counts are 0 on the R = 1 path."""
 
     phi_hat: Phase
     log_likelihood: float
@@ -180,7 +183,8 @@ def _one_row(params: PeaParams, estimates, counting: bool) -> MleResult:
 
 
 def mle_estimate(params: PeaParams, estimates) -> MleResult:
-    """Global maximizer of the plain log likelihood over [0, 1)."""
+    """Maximizer of the plain log likelihood over [0, 1): the best refined
+    local maximum among those the bound scan cannot rule out."""
     return _one_row(params, estimates, counting=False)
 
 
@@ -256,25 +260,22 @@ def _bound_table(T: int, G: int) -> np.ndarray:
     return ub * (1.0 + _TABLE_MARGIN)
 
 
-def _starts(bound: np.ndarray, sc: np.ndarray, score, tol, ends: bool):
+def _starts(bound: np.ndarray, score, tol, ends: bool):
     """Refinement starts of one scan block: (row, cell, exact score) of the
     grid-local maxima that the bound cannot rule out, sorted by row, then
-    cell.
+    cell.  bound (n, m) bounds the likelihood everywhere in each cell.
 
-    bound (n, m) bounds the likelihood everywhere in each cell.  The exact
-    score f0 at each row's best-bounded cell gives the shortlist S, every
-    cell whose bound is at least f0 minus rounding; the cell holding the
-    global maximizer is in it.  S and its neighbours, the set U, are scored
-    exactly once into sc, a buffer shaped like bound.  A start is a cell of
-    U that no neighbour beats; a cell at the edge of U first scores its
-    outer neighbour.  A cell that neighbour beats is dropped rather than
-    climbed: the climb would leave U, and a local maximum whose cell and
-    neighbours all lie outside S scores below f0.  Neighbours wrap around
-    the circle, or, with ends=True, are clipped to the candidate range.
-    Cells are flat keys row * m + cell, and score maps keys to exact
-    values."""
+    The exact score f0 at each row's best-bounded cell gives the shortlist
+    S, every cell whose bound is at least f0 minus rounding, which holds the
+    global maximizer's cell.  S and its neighbours, the set U, are scored
+    exactly once.  A start is a cell of U that no neighbour beats, outer
+    neighbours of U's edge cells included.  A cell beaten from outside U is
+    dropped, not climbed: the climb would end at a local maximum whose cell
+    and neighbours lie outside S, which scores below f0.  Neighbours wrap
+    around the circle, or, with ends=True, are clipped to the candidate
+    range.  Cells are flat keys row * m + cell, and score maps keys to
+    exact values."""
     n, m = bound.shape
-    flat = sc.reshape(-1)
     f0 = score(np.arange(n) * m + np.argmax(bound, axis=1))
     short = bound >= (f0 - tol(f0))[:, None]
     near = short.copy()
@@ -284,19 +285,19 @@ def _starts(bound: np.ndarray, sc: np.ndarray, score, tol, ends: bool):
         near[:, 0] |= short[:, -1]
         near[:, -1] |= short[:, 0]
     key = np.flatnonzero(near)
-    sc.fill(-np.inf)
-    flat[key] = fk = score(key)
+    fk = score(key)
     r, k = np.divmod(key, m)
     k = k[:, None] + np.array([-1, 1])
     nb = r[:, None] * m + (np.clip(k, 0, m - 1) if ends else k % m)
-    for _ in range(2):
-        # first against the scored neighbours, then, for the cells kept at
-        # the edge of U, against their outer neighbours too
-        keep = fk >= flat[nb].max(axis=1)
-        key, fk, nb = key[keep], fk[keep], nb[keep]
-        outer = nb[np.isneginf(flat[nb])]
-        flat[outer] = score(outer)
-    return key // m, key % m, fk
+    # the keys of U come sorted, so each neighbour's score is a bisection away
+    at = np.minimum(np.searchsorted(key, nb), key.size - 1)
+    scored = key[at] == nb
+    f_nb = np.where(scored, fk[at], -np.inf)
+    keep = fk >= f_nb.max(axis=1)
+    key, fk, nb, f_nb, scored = key[keep], fk[keep], nb[keep], f_nb[keep], scored[keep]
+    f_nb[~scored] = score(nb[~scored])
+    keep = fk >= f_nb.max(axis=1)
+    return key[keep] // m, key[keep] % m, fk[keep]
 
 
 def _dlog_kernel(T: int, delta) -> tuple[np.ndarray, np.ndarray]:
@@ -362,10 +363,10 @@ def _maximize(
     """Maximizer of the plain log likelihood over [0, 1) (counting=False) or
     of the even mixture over [0, 1/2] (counting=True) for each row of est
     (n, R).  Returns (phi_hat, log likelihood, candidate cells, refinement
-    steps), the last a per-row count of the steps each row ran (0 on the
-    R = 1 path).  Estimates are wrapped into [0, 1) first (a no-op on rows
-    already there); another shape or a non-finite estimate raises
-    ValueError."""
+    steps), the last a per-row count of the loop steps in which any of the
+    row's starts was live (0 on the R = 1 path).  Estimates are wrapped into
+    [0, 1) first (a no-op on rows already there); another shape or a
+    non-finite estimate raises ValueError."""
     if est.ndim != 2:
         raise ValueError(f"estimates must be an (n, R) array, got shape {est.shape}")
     if not np.isfinite(est).all():
@@ -416,13 +417,11 @@ def _maximize(
                 bound += _log_mix(term)
             else:
                 bound += back[G - 1 - i]
-        r, k, fk = _starts(
-            bound,
-            term,
-            lambda key: ll_of(T, e[key // ncand], (key % ncand)[:, None] / G),
-            tol,
-            ends=counting,
-        )
+
+        def score(key: np.ndarray) -> np.ndarray:
+            return ll_of(T, e[key // ncand], (key % ncand)[:, None] / G)
+
+        r, k, fk = _starts(bound, score, tol, ends=counting)
         starts.append((r + s, k, fk))
     # rows (ascending), cells and exact scores of every start
     row, best, best_f = (np.concatenate(a) for a in zip(*starts))
@@ -430,14 +429,11 @@ def _maximize(
     if counting:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
 
-    # one safeguarded loop per start (rtsafe, Numerical Recipes 9.4): a
-    # guarded Newton step from the cell centre where it is safe, else a
-    # bisection of the bracket, which narrows on the sign of L' at points
-    # strictly inside it (the mixture's L' vanishes at both ends, which need
-    # not be maxima).  Once the bracket has narrowed, a step must land in
-    # it, so L' at rounding noise bisects down to the stop rather than
-    # wander.  The step cap depends on G alone, so a row's steps never
-    # depend on the rows batched with it
+    # one safeguarded loop per start (rtsafe, Numerical Recipes 9.4).  The
+    # bracket narrows only at points strictly inside it: the mixture's L'
+    # vanishes at both ends, which need not be maxima.  Once it has narrowed,
+    # a step must land in it, so L' at rounding noise bisects to the stop.
+    # The step cap depends on G alone, so no row depends on its batch
     x = best / G
     a, b = lo.copy(), hi.copy()
     iters = np.zeros(row.size, dtype=np.int64)
@@ -477,9 +473,8 @@ def _maximize(
             x[at[snap]], fx[at[snap]] = end, f_end[snap]
     else:
         x = _wrap_array(x)
-    # each row takes its best start, an exact tie the smaller phase; its
-    # step count is that of its longest-running start, the loop steps in
-    # which any of its starts was live
+    # each row takes its best start, an exact tie the smaller phase, and the
+    # step count of its longest-running start
     first = np.searchsorted(row, np.arange(n))
     pick = np.lexsort((x, -fx, row))[first]
     return x[pick], fx[pick], ncand, np.maximum.reduceat(iters, first)
