@@ -221,8 +221,10 @@ def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
 # far below the table's own slack, which is O(1) nats per cell
 _TABLE_MARGIN = 2.0**-20
 # scores per row block of the coarse scan, whose buffers every block reuses:
-# block-sized temporaries, freed and faulted in again, cost a varying amount
+# block-sized temporaries, freed and faulted in again, cost a varying amount.
+# The exact scores of a block's kept cells run in slices of _SCORE_BLOCK terms
 _SCAN_BLOCK = 1 << 17
+_SCORE_BLOCK = 1 << 14
 
 
 @lru_cache(maxsize=8)
@@ -389,6 +391,8 @@ def _maximize(
     tab = _bound_table(T, G) if counting else np.log(_bound_table(T, G))
     # candidate cells: the whole circle, or [0, 1/2] with both ends
     ncand = G // 2 + 1 if counting else G
+    if not n:
+        return np.empty(0), np.empty(0), ncand, np.zeros(0, dtype=np.int64)
     # each scan term is one window of a doubled table over the cells k:
     # row G-1-i of back is tab[(i - k) % G], row i of fwd is tab[(i + k) % G]
     ext = np.arange(2 * G)
@@ -399,7 +403,8 @@ def _maximize(
         return _ROUNDING * (T * R + np.abs(v))
 
     starts = []
-    block = max(1, min(n, _SCAN_BLOCK // ncand))
+    step = max(1, _SCORE_BLOCK // R)
+    block = max(1, _SCAN_BLOCK // ncand)
     bufs = np.empty((2, block, ncand))
     for s in range(0, n, block):
         e = est[s : s + block]
@@ -419,10 +424,15 @@ def _maximize(
                 bound += back[G - 1 - i]
 
         def score(key: np.ndarray) -> np.ndarray:
-            return ll_of(T, e[key // ncand], (key % ncand)[:, None] / G)
+            return np.concatenate([
+                ll_of(T, e[k // ncand], (k % ncand)[:, None] / G)
+                for k in np.split(key, range(step, key.size, step))
+            ])
 
         r, k, fk = _starts(bound, score, tol, ends=counting)
         starts.append((r + s, k, fk))
+    # the scan buffers are freed before refinement, which needs its own
+    del bufs, bound, term
     # rows (ascending), cells and exact scores of every start
     row, best, best_f = (np.concatenate(a) for a in zip(*starts))
     lo, hi = (best - 1.0) / G, (best + 1.0) / G

@@ -347,6 +347,12 @@ def test_t1_with_several_runs_raises_a_flat_likelihood_error() -> None:
 
 
 @pytest.mark.parametrize("batch", [mle_batch, mle_counting_batch])
+def test_batch_entry_points_take_zero_rows(batch) -> None:
+    got = batch(P3, np.empty((0, 3)))
+    assert got.shape == (0,) and got.dtype == float
+
+
+@pytest.mark.parametrize("batch", [mle_batch, mle_counting_batch])
 def test_batch_entry_points_reject_a_one_dimensional_array(batch) -> None:
     with pytest.raises(ValueError, match=r"estimates must be an \(n, R\) array"):
         batch(P3, np.array([0.1, 0.2, 0.3]))
