@@ -431,8 +431,6 @@ def _maximize(
 
         r, k, fk = _starts(bound, score, tol, ends=counting)
         starts.append((r + s, k, fk))
-    # the scan buffers are freed before refinement, which needs its own
-    del bufs, bound, term
     # rows (ascending), cells and exact scores of every start
     row, best, best_f = (np.concatenate(a) for a in zip(*starts))
     lo, hi = (best - 1.0) / G, (best + 1.0) / G
