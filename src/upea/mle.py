@@ -29,12 +29,12 @@ rounding, never the global maximizer's.  The cells left and their
 neighbours are scored exactly once; each that no neighbour beats is a
 refinement start, whose neighbours bracket a local maximum.  A kept cell
 that a neighbour beats is not refined, though a narrow peak inside it may
-score higher, so this is no proof of the global maximum.  Refinement is one safeguarded loop per start (rtsafe,
-Numerical Recipes 9.4): from the cell centre, a guarded Newton step on
-dL/dc (from one log-kernel derivative helper; skipped where L is not
-concave or the step leaves the bracket, or, once the bracket has narrowed,
-lands outside it), else a bisection of the bracket, which narrows on the
-sign of dL/dc at points strictly inside it.  A start stops once its
+score higher, so this is no proof of the global maximum.  Refinement is one
+safeguarded loop per start (rtsafe, Numerical Recipes 9.4): from the cell
+centre, a guarded Newton step on dL/dc (from one log-kernel derivative
+helper; skipped where L is not concave or the step leaves the bracket, or,
+once the bracket has narrowed, lands outside it), else a bisection of the
+bracket, which narrows on the sign of dL/dc at points strictly inside it.  A start stops once its
 accepted step or its bracket is below 1e-12, or at a step cap fixed by G
 alone (8 steps plus the bisections that shrink a two-cell bracket below
 1e-12); one whose point scores below its cell's exact score by more than

@@ -659,12 +659,18 @@ def _dense_oracle_score(params: PeaParams, est: np.ndarray, counting: bool) -> f
 # (T, row, a point that scores above that shortlist's answer)
 _MISSED_ROWS = [
     (16, [0.8090823000371207, 0.4945465967405849], 0.78382),
-    (256, [0.9947133620337772, 0.9880855449410233, 0.9888908588844939, 0.9939474305047314], 0.98866),
+    (
+        256,
+        [0.9947133620337772, 0.9880855449410233, 0.9888908588844939, 0.9939474305047314],
+        0.98866,
+    ),
 ]
 
 
 @pytest.mark.parametrize("T, row, point", _MISSED_ROWS)
-def test_mle_finds_the_global_maximum_a_snapped_shortlist_missed(T: int, row: list, point: float) -> None:
+def test_mle_finds_the_global_maximum_a_snapped_shortlist_missed(
+    T: int, row: list, point: float
+) -> None:
     # on score, not phase: the R = 2 likelihood has a mirror twin of its maximum
     params = PeaParams.from_T(T, len(row))
     res = mle_estimate(params, row)
