@@ -32,8 +32,6 @@ from .phase_math import ThetaMode
 
 __all__ = ["main", "build_parser"]
 
-_SWEEP_COMMANDS = tuple(e for e in EXPERIMENTS if e != "verify-circuit")
-
 
 class _UsageError(Exception):
     pass
@@ -83,7 +81,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="upea", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in _SWEEP_COMMANDS:
+    for name in EXPERIMENTS:
         _add_sweep_flags(sub.add_parser(name, help=f"run the {name} sweep"))
     v = sub.add_parser("verify-circuit", help="check circuits against analytic laws")
     v.add_argument("--seed", type=int, help="base seed (default 1)")

@@ -116,8 +116,7 @@ class CalibrationRecord:
     rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        if self.T < 1 or self.T & (self.T - 1):
-            raise ValueError(f"T must be a positive power of two, got {self.T}")
+        PeaParams.from_T(self.T)
         if self.R < 1:
             raise ValueError(f"R must be >= 1, got {self.R}")
         if self.n_samples < 2:

@@ -66,7 +66,6 @@ EXPERIMENTS = (
     "qca-bias-mae",
     "uqca-corrected",
     "calibrate",
-    "verify-circuit",
 )
 
 _AUTO_CAL_SAMPLES = 1 << 16
@@ -97,8 +96,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.T < 1 or (self.T & (self.T - 1)) != 0:
-            raise ValueError("T must be a positive power of two")
+        PeaParams.from_T(self.T)
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         if self.n_samples < 1:
@@ -290,8 +288,6 @@ def run_sweep(
     if config.experiment == "calibrate":
         rec = calibrate_b(config.T, config.R, config.n_samples, config.base_seed, workers)
         entries, records = [], [rec]
-    elif config.experiment == "verify-circuit":
-        raise ValueError("verify-circuit does not produce sweep entries; call run_verify_circuit")
     else:
         b_for, records = _slopes(config, workers, calibration)
         entries = _sweep(config, workers, b_for)

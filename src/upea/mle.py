@@ -30,20 +30,19 @@ neighbours are scored exactly once; each that no neighbour beats is a
 refinement start, whose neighbours bracket a local maximum.  A kept cell
 that a neighbour beats is not refined, though a narrow peak inside it may
 score higher, so this is no proof of the global maximum.  Refinement is one
-safeguarded loop per start (rtsafe, Numerical Recipes 9.4): from the cell
-centre, a guarded Newton step on dL/dc (from one log-kernel derivative
-helper; skipped where L is not concave or the step leaves the bracket, or,
-once the bracket has narrowed, lands outside it), else a bisection of the
-bracket, which narrows on the sign of dL/dc at points strictly inside it.  A start stops once its
-accepted step or its bracket is below 1e-12, or at a step cap fixed by G
-alone (8 steps plus the bisections that shrink a two-cell bracket below
-1e-12); one whose point scores below its cell's exact score by more than
-rounding takes the cell centre.  A mixture start whose bracket touches an
-end of [0, 1/2] takes that end exactly wherever it scores within rounding
-of the refined point, so a maximum at an end never stops a few ulps short
-of it.  Each row takes its best start, an exact tie the smaller phase, and
-reports the loop steps in which any of its starts was live.  Every step
-acts on each start alone, so a row's result never depends on its batch.
+safeguarded loop per start (rtsafe, Numerical Recipes 9.4), the package's
+only root finder; it also finds the table's sidelobe peaks.  From the cell
+centre, each step evaluates dL/dc once, narrows the bracket on its sign and
+takes the guarded Newton point, or the bracket's midpoint.  A start stops
+once its accepted step or its bracket is below 1e-12, or at a step cap
+fixed by G alone; one whose point scores below its cell's exact score by
+more than rounding takes the cell centre.  A mixture start whose bracket
+touches an end of [0, 1/2] takes that end exactly wherever it scores within
+rounding of the refined point, so a maximum at an end never stops a few
+ulps short of it.  Each row takes its best start, an exact tie the smaller
+phase, and reports the loop steps in which any of its starts was live.
+Every step acts on each start alone, so a row's result never depends on its
+batch.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phase_math import PeaParams, Phase, _kernel_parts, _reduce, _wrap_array, pea_kernel
+from .phase_math import _TINY, PeaParams, Phase, _kernel_parts, _reduce, _wrap_array, pea_kernel
 
 __all__ = [
     "LOG_ZERO",
@@ -230,17 +229,15 @@ _SCORE_BLOCK = 1 << 14
 @lru_cache(maxsize=8)
 def _sidelobe_peaks(T: int) -> np.ndarray:
     """The T - 2 sidelobe peaks of K in (0, 1): in each (m/T, (m+1)/T),
-    m = 1..T-2, the root of d log K / dx, which is tan(pi T x) = T tan(pi x).
-    Bisection on the sign of the derivative, positive left of the peak;
-    64 halvings of 1/T reach the last bit."""
+    m = 1..T-2, the maximum of log K, a root of tan(pi T x) = T tan(pi x).
+    The refinement loop finds them to about 1e-12 on one-column rows of
+    zeros, from the lobe midpoints; _TABLE_MARGIN absorbs the rest."""
     m = np.arange(1.0, T - 1.0)
-    a, b = m / T, (m + 1.0) / T
-    for _ in range(64):
-        mid = 0.5 * (a + b)
-        up = _dlog_kernel(T, mid)[0] > 0.0
-        a, b = np.where(up, mid, a), np.where(up, b, mid)
-    a.flags.writeable = False
-    return a
+    cap = _NEWTON_STEPS + math.ceil(math.log2(1.0 / (T * _REFINE_TOL)))
+    zero = np.zeros(m.size, dtype=np.int64)
+    x, _ = _refine(T, np.zeros((1, 1)), zero, (m + 0.5) / T, m / T, (m + 1.0) / T, False, cap)
+    x.flags.writeable = False
+    return x
 
 
 def _bound_table(T: int, G: int) -> np.ndarray:
@@ -249,9 +246,11 @@ def _bound_table(T: int, G: int) -> np.ndarray:
     k/T, the peak at 0 and one sidelobe peak between neighbouring zeros), so
     that max is the largest of K at the grid points d - 1, d and d + 1 and
     at any sidelobe peak inside the interval; the table is rounded up by the
-    relative _TABLE_MARGIN.  A snapped estimate i/G and a candidate in cell
-    k (within half a cell of k/G) differ by (i - k)/G to within one cell, so
-    UB[(i - k) mod G] bounds their kernel factor everywhere in the cell."""
+    relative _TABLE_MARGIN, which also absorbs the peaks' error of about
+    1e-12 (K is flat there to second order).  A snapped estimate i/G and a
+    candidate in cell k (within half a cell of k/G) differ by (i - k)/G to
+    within one cell, so UB[(i - k) mod G] bounds their kernel factor
+    everywhere in the cell."""
     k = pea_kernel(T, np.arange(G) / G)
     ub = np.maximum(np.maximum(k, np.roll(k, 1)), np.roll(k, -1))
     peaks = _sidelobe_peaks(T)
@@ -302,25 +301,31 @@ def _starts(bound: np.ndarray, score, tol, ends: bool):
     return key[keep] // m, key[keep] % m, fk[keep]
 
 
-def _dlog_kernel(T: int, delta) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives (h, h') of log K at delta, on the
-    kernel's reduction (e, f): h = 2 pi [T cot(pi f) - cot(pi e)] and
+def _dlog_kernel(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First and second derivatives (h, h') of log K at delta, and K itself,
+    on the kernel's reduction (e, f): h = 2 pi [T cot(pi f) - cot(pi e)] and
     h' = -2 pi^2 [T^2 / sin^2(pi f) - 1 / sin^2(pi e)], infinite at kernel
     zeros; near e = 0, where the two terms cancel, the series
     h = s e [(T^2 - 1) + (pi e)^2 (T^4 - 1) / 15] and
-    h' = s [(T^2 - 1) + (pi e)^2 (T^4 - 1) / 5], with s = -2 pi^2 / 3."""
+    h' = s [(T^2 - 1) + (pi e)^2 (T^4 - 1) / 5], with s = -2 pi^2 / 3.
+    K takes pea_kernel's operations on the same sines (in place on the
+    reduction's fresh f), so it is bit-identical to pea_kernel."""
     e, f = _reduce(T, delta)
     t2 = float(T * T)
+    pf = np.multiply(f, np.pi, out=f)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = 2.0 * np.pi * (T / np.tan(np.pi * f) - 1.0 / np.tan(np.pi * e))
-        hp = -2.0 * np.pi**2 * (t2 / np.sin(np.pi * f) ** 2 - 1.0 / np.sin(np.pi * e) ** 2)
+        h = 2.0 * np.pi * (T / np.tan(pf) - 1.0 / np.tan(np.pi * e))
+        sf, se = np.sin(pf, out=pf), np.sin(np.pi * e)
+        hp = -2.0 * np.pi**2 * (t2 / sf**2 - 1.0 / se**2)
+        k = np.divide(sf, se * T, out=sf)
+    np.copyto(k, 1.0, where=np.abs(e) < _TINY)
     # the series' truncation error and the cancellation error cross near here
     small = np.abs(e) < 1.5e-3 / T
     x2 = (np.pi * e) ** 2
     s = -2.0 * np.pi**2 / 3.0
     h = np.where(small, s * e * ((t2 - 1.0) + x2 * (t2 * t2 - 1.0) / 15.0), h)
     hp = np.where(small, s * ((t2 - 1.0) + x2 * (t2 * t2 - 1.0) / 5.0), hp)
-    return h, hp
+    return h, hp, np.multiply(k, k, out=k)
 
 
 def _dll(T: int, est: np.ndarray, c: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -332,11 +337,10 @@ def _dll(T: int, est: np.ndarray, c: np.ndarray, counting: bool) -> tuple[np.nda
     L'' = sum [w- (h-^2 + h-') + w+ (h+^2 + h+') - l'^2].
     """
     c = c[:, None]
-    h_m, hp_m = _dlog_kernel(T, est - c)
+    h_m, hp_m, k_m = _dlog_kernel(T, est - c)
     if not counting:
         return -h_m.sum(axis=1), hp_m.sum(axis=1)
-    h_p, hp_p = _dlog_kernel(T, est + c)
-    k_m, k_p = pea_kernel(T, est - c), pea_kernel(T, est + c)
+    h_p, hp_p, k_p = _dlog_kernel(T, est + c)
     with np.errstate(divide="ignore", invalid="ignore"):
         w_m = k_m / (k_m + k_p)
         w_p = 1.0 - w_m
@@ -346,17 +350,48 @@ def _dll(T: int, est: np.ndarray, c: np.ndarray, counting: bool) -> tuple[np.nda
 
 
 def _newton_step(
-    T: int, est: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray, counting: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """One guarded Newton step on L' per row of est (n, R) from c (n,).
-    Returns (next point, accepted): a step is skipped, and the row stays at
-    c, where L is not concave or the step would leave [lo, hi] by more than
-    1e-9."""
+    T: int, est: np.ndarray, c, a, b, lo, hi, counting: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One refinement step per row of est (n, R) from c (n,) in [a, b], the
+    start's [lo, hi] narrowed, on one evaluation of L' and L''.  Returns
+    (next point, accepted, a, b).  The bracket narrows on the sign of L' at
+    points strictly inside it only: the mixture's L' vanishes at both ends
+    of [0, 1/2], which need not be maxima.  The Newton point is accepted
+    where L'' < 0 and it lies in the narrowed bracket (within 1e-9 while
+    that is [lo, hi]), else the midpoint, so L' at rounding noise bisects."""
     d1, d2 = _dll(T, est, c, counting)
+    inside = (a < c) & (c < b)
+    a = np.where(inside & (d1 > 0.0), c, a)
+    b = np.where(inside & (d1 < 0.0), c, b)
     ok = np.isfinite(d1) & np.isfinite(d2) & (d2 < 0.0)
     nxt = c - np.divide(d1, d2, out=np.zeros_like(d1), where=ok)
-    ok &= (nxt >= lo - 1e-9) & (nxt <= hi + 1e-9)
-    return np.where(ok, nxt, c), ok
+    slack = np.where((a == lo) & (b == hi), 1e-9, 0.0)
+    ok &= (a - slack <= nxt) & (nxt <= b + slack)
+    return np.where(ok, nxt, 0.5 * (a + b)), ok, a, b
+
+
+def _refine(
+    T: int, est: np.ndarray, row, x, lo, hi, counting: bool, cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One safeguarded loop (rtsafe, Numerical Recipes 9.4) per start: the
+    maximum of L on row row[i] of est from x[i] in [lo[i], hi[i]], by
+    _newton_step for at most cap steps.  A start stops once its accepted
+    step or its bracket is below _REFINE_TOL.  Returns (points, steps)."""
+    a, b = lo.copy(), hi.copy()
+    iters = np.zeros(row.size, dtype=np.int64)
+    live = np.arange(row.size)
+    for _ in range(cap):
+        if not live.size:
+            break
+        c = x[live]
+        nxt, ok, a_l, b_l = _newton_step(
+            T, est[row[live]], c, a[live], b[live], lo[live], hi[live], counting
+        )
+        x[live], a[live], b[live] = nxt, a_l, b_l
+        iters[live] += 1
+        done = (ok & (np.abs(nxt - c) < _REFINE_TOL)) | (b_l - a_l < _REFINE_TOL)
+        live = live[~done]
+    return x, iters
 
 
 def _maximize(
@@ -397,7 +432,7 @@ def _maximize(
     # row G-1-i of back is tab[(i - k) % G], row i of fwd is tab[(i + k) % G]
     ext = np.arange(2 * G)
     back = sliding_window_view(tab[(G - 1 - ext) % G], ncand)
-    fwd = sliding_window_view(tab[ext % G], ncand)
+    fwd = sliding_window_view(tab[ext % G], ncand) if counting else None
 
     def tol(v: np.ndarray) -> np.ndarray:
         return _ROUNDING * (T * R + np.abs(v))
@@ -436,35 +471,9 @@ def _maximize(
     lo, hi = (best - 1.0) / G, (best + 1.0) / G
     if counting:
         lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
-
-    # one safeguarded loop per start (rtsafe, Numerical Recipes 9.4).  The
-    # bracket narrows only at points strictly inside it: the mixture's L'
-    # vanishes at both ends, which need not be maxima.  Once it has narrowed,
-    # a step must land in it, so L' at rounding noise bisects to the stop.
-    # The step cap depends on G alone, so no row depends on its batch
-    x = best / G
-    a, b = lo.copy(), hi.copy()
-    iters = np.zeros(row.size, dtype=np.int64)
-    live = np.arange(row.size)
-    for _ in range(_NEWTON_STEPS + math.ceil(math.log2(2.0 / (G * _REFINE_TOL)))):
-        e, c, a_l, b_l = est[row[live]], x[live], a[live], b[live]
-        nxt, ok = _newton_step(T, e, c, a_l, b_l, counting)
-        # an accepted step has the sign of L'; a rejected one is evaluated
-        slope = nxt - c
-        rejected = np.flatnonzero(~ok)
-        if rejected.size:
-            slope[rejected] = _dll(T, e[rejected], c[rejected], counting)[0]
-        inside = (a_l < c) & (c < b_l)
-        a_l = np.where(inside & (slope > 0.0), c, a_l)
-        b_l = np.where(inside & (slope < 0.0), c, b_l)
-        ok &= ((a_l == lo[live]) & (b_l == hi[live])) | ((a_l <= nxt) & (nxt <= b_l))
-        x[live] = np.where(ok, nxt, 0.5 * (a_l + b_l))
-        a[live], b[live] = a_l, b_l
-        iters[live] += 1
-        done = (ok & (np.abs(nxt - c) < _REFINE_TOL)) | (b_l - a_l < _REFINE_TOL)
-        live = live[~done]
-        if not live.size:
-            break
+    # the step cap depends on G alone, so no row depends on its batch
+    cap = _NEWTON_STEPS + math.ceil(math.log2(2.0 / (G * _REFINE_TOL)))
+    x, iters = _refine(T, est, row, best / G, lo, hi, counting, cap)
     x = np.clip(x, 0.0, 0.5) if counting else x
     fx = f(est[row], x)
     # the start's exact score is the floor

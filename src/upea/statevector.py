@@ -200,11 +200,10 @@ def measurement_pmf(state: StateVector, qubits) -> MeasurementPmf:
 def grover_operator(instance: CountingInstance) -> np.ndarray:
     """Dense search iteration: reflect about the mean after flipping the sign
     of every marked item.  Real orthogonal (N x N)."""
+    marked = np.zeros(instance.N, dtype=bool)
     if instance.marked is None:
-        marked = np.zeros(instance.N, dtype=bool)
         marked[: instance.M] = True
     else:
-        marked = np.zeros(instance.N, dtype=bool)
         marked[sorted(instance.marked)] = True
     oracle = np.where(marked, -1.0, 1.0)
     diffusion = 2.0 / instance.N - np.eye(instance.N)
@@ -246,9 +245,7 @@ def grover_pea_pmf(t: int, instance: CountingInstance, theta: float = 0.0) -> Me
     N = instance.N
     nq = t + n
     gmat = grover_operator(instance)
-    amps = np.zeros(1 << nq, dtype=complex)
-    amps[0] = 1.0
-    state = StateVector(nq, amps)
+    state = zero_state(nq)
     for q in range(nq):  # uniform superposition on register and work qubits
         state = apply_h(state, q)
     amps = state.amplitudes.copy()

@@ -57,6 +57,8 @@ def test_config_rejects_bad_combinations() -> None:
         _small("mae-vs-r", R=(3, 2))  # inverted range
     with pytest.raises(ValueError):
         _small("pea-bias-mae")  # needs a fixed theta mode
+    with pytest.raises(ValueError, match="unknown experiment 'verify-circuit'"):
+        _small("verify-circuit")  # a check report, not a sweep
 
 
 def test_presets_cover_documented_figures() -> None:

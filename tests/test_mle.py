@@ -257,7 +257,7 @@ def test_dlog_kernel_matches_central_differences(T: int) -> None:
     # form; every point keeps away from the kernel zeros k/T
     scaled = np.array([0.0, 1e-4, -1e-3, 1.4e-3, 1.6e-3, -0.0199, 0.3, 0.7, 1.5])
     delta = np.concatenate([scaled / T, [0.3, -0.4], 3.0 + scaled / T])
-    h, hp = _dlog_kernel(T, delta)
+    h, hp, _ = _dlog_kernel(T, delta)
     # five-point central differences, accurate to O(s^4)
     s = 1e-3 / T
     lk = [log_kernel(T, delta + k * s) for k in (-2, -1, 0, 1, 2)]
@@ -267,6 +267,16 @@ def test_dlog_kernel_matches_central_differences(T: int) -> None:
     assert np.allclose(hp, fd2, rtol=1e-7, atol=1e-7 * T * T)
     # log K peaks at the lattice: h' < 0 there, the sign the polish relies on
     assert h[0] == 0.0 and hp[0] == pytest.approx(-2.0 * np.pi**2 * (T * T - 1) / 3.0)
+
+
+@pytest.mark.parametrize("T", [1, 2, 16, 256, 1 << 16])
+def test_dlog_kernel_returns_pea_kernel_bit_for_bit(T: int) -> None:
+    # lattice points, kernel zeros, offsets of 2^-40 from both, and 1e300
+    # (a whole number of turns)
+    grid = np.arange(-2 * T, 2 * T + 1) / T
+    tiny = 2.0**-40
+    delta = np.concatenate([grid, grid + tiny, grid - tiny, [tiny, -tiny, 1e300, -1e300]])
+    assert np.array_equal(_dlog_kernel(T, delta)[2], pea_kernel(T, delta))
 
 
 def test_counting_single_row_matches_batch_bit_for_bit() -> None:
@@ -384,15 +394,18 @@ _FALLBACK_ROWS = [
 
 
 def _spy_newton_steps(monkeypatch) -> list:
-    """Spy on the loop's Newton step: each call, one per loop step, appends
-    its accepted mask; a rejected row takes the bisection branch."""
+    """Spy on the loop's step: each call, one per loop step, appends its
+    accepted mask; a rejected row takes the bisection branch.  One-column
+    rows are the sidelobe peak search's, which the first _maximize at each
+    T runs (refinement never runs at R = 1), so they are not counted."""
     calls: list = []
     orig = mle_mod._newton_step
 
-    def spy(*args):
-        nxt, ok = orig(*args)
-        calls.append(ok)
-        return nxt, ok
+    def spy(T, est, *args):
+        nxt, ok, a, b = orig(T, est, *args)
+        if est.shape[1] > 1:
+            calls.append(ok)
+        return nxt, ok, a, b
 
     monkeypatch.setattr(mle_mod, "_newton_step", spy)
     return calls
@@ -435,6 +448,25 @@ def test_refine_iterations_counts_the_loop_steps_the_row_ran(
     steps = _spy_newton_steps(monkeypatch)
     res = mle(PeaParams.from_T(T, len(row)), row)
     assert res.refine_iterations == len(steps) > 0
+
+
+@pytest.mark.parametrize("mle", [mle_estimate, mle_estimate_counting])
+@pytest.mark.parametrize("T, row", [(16, [0.1, 0.12, 0.11])] + _FALLBACK_ROWS)
+def test_each_refinement_step_evaluates_the_derivatives_once(
+    monkeypatch, mle, T: int, row: list
+) -> None:
+    # a rejected Newton step reads the sign of L' from the same evaluation;
+    # one-column rows are the sidelobe peak search's
+    calls: list = []
+    orig = mle_mod._dll
+
+    def spy(T, est, *args):
+        calls.append(est.shape[1] > 1)
+        return orig(T, est, *args)
+
+    monkeypatch.setattr(mle_mod, "_dll", spy)
+    res = mle(PeaParams.from_T(T, len(row)), row)
+    assert sum(calls) == res.refine_iterations > 0
 
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -620,6 +652,26 @@ def test_bound_table_bounds_the_kernel_on_each_two_cell_interval(T: int, G: int)
     assert np.all(dense <= ub[:, None])
     # and it is tight: no looser than the sampling's own gap below a peak
     assert np.all(ub <= dense.max(axis=1) * 1.001)
+
+
+def _bisected_peaks(T: int) -> np.ndarray:
+    """Oracle for the sidelobe peaks: 64 bisections of each (m/T, (m+1)/T)
+    on the sign of d log K / dx, positive left of the peak."""
+    m = np.arange(1.0, T - 1.0)
+    a, b = m / T, (m + 1.0) / T
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        up = _dlog_kernel(T, mid)[0] > 0.0
+        a, b = np.where(up, mid, a), np.where(up, b, mid)
+    return a
+
+
+@pytest.mark.parametrize("T", [1 << t for t in range(2, 17)])
+def test_sidelobe_peaks_match_a_bisection_oracle(T: int) -> None:
+    got, want = mle_mod._sidelobe_peaks(T), _bisected_peaks(T)
+    assert got.shape == (T - 2,)
+    assert np.abs(got - want).max() <= 1e-11 / T
+    assert np.allclose(pea_kernel(T, got), pea_kernel(T, want), rtol=2.0**-40, atol=0.0)
 
 
 def _dense_oracle_score(params: PeaParams, est: np.ndarray, counting: bool) -> float:
