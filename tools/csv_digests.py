@@ -32,7 +32,11 @@ fraction m = 0) for each (T, R) in {(2, 3), (4, 2)}, where the likelihood
 peaks are flattest and many counting maxima sit on an interval end, and
 the MleResult fields of both single-trial maximizers on three pinned rows
 that once missed the global maximum or ran the refinement loop to its cap
-(the same at every seed).
+(the same at every seed), and the raw register PMFs of the gate-level
+simulator, one circuit per call: pea_circuit_pmf at each t in 1..6 on a
+(phi, theta) grid of fixed values and seed-drawn ones, and grover_pea_pmf at
+each t in 1..5 and n in 1..4 for every marked count M at a fixed and a
+seed-drawn theta.
 
 It imports upea from the src/ directory next to this file and nothing else
 outside the standard library but NumPy, which upea itself needs.
@@ -58,6 +62,7 @@ from upea.mle import (  # noqa: E402
     mle_estimate_counting,
 )
 from upea.sampler import sample_upea_block  # noqa: E402
+from upea.statevector import grover_pea_pmf, pea_circuit_pmf  # noqa: E402
 
 SEEDS = (1, 2, 3, 11, 12)
 MLE_T = (2, 4, 16, 64, 256)
@@ -91,6 +96,14 @@ SAMPLER_VECTOR_T = (16, 256)
 # offsets from a lattice point k/T: exact, dyadic, decimal, subnormal and
 # below-ulp ones (k/T + offset rounds back to k/T for most k)
 LATTICE_OFFSETS = (0.0, 2.0**-40, -(2.0**-40), 1e-12, -1e-12, 1e-300, 5e-324, -1e-20)
+# register sizes of the simulator PMF lines: the caps of run_verify_circuit
+PMF_PEA_T = range(1, 7)
+PMF_GROVER_T = range(1, 6)
+PMF_GROVER_N = range(1, 5)
+# fixed phases and shifts of the PMF grid (lattice points, phases outside
+# [0, 1)); each t adds seed-drawn ones
+PMF_PHI = (0.0, 0.25, 1.0 / 3.0, 0.5, 0.7, -0.3, 1.25)
+PMF_THETA = (0.0, 0.125, 0.9)
 
 
 def _reduced_sweeps(seed: int) -> dict:
@@ -225,6 +238,24 @@ def _mle_pinned_outputs(seed: int):
             yield from _single_results(f"{name}.pinned.T{T}.R{len(row)}", fn, params, [row])
 
 
+def _statevector_outputs(seed: int):
+    """(name, bytes) of the simulator's register PMFs, one circuit per call:
+    pea_circuit_pmf over every (phi, theta) pair of the grid at each t, and
+    grover_pea_pmf over every (theta, M) at each (t, n)."""
+    rng = upea.make_rng(upea.derive_seed(seed, "csv-digests", "statevector"))
+    for t in PMF_PEA_T:
+        phis = PMF_PHI + tuple(rng.random(4))
+        thetas = PMF_THETA + tuple(rng.random(2))
+        pmfs = [pea_circuit_pmf(t, phi, theta).probs for phi in phis for theta in thetas]
+        yield f"statevector.pea.t{t}", b"".join(p.tobytes() for p in pmfs)
+    for t in PMF_GROVER_T:
+        for n in PMF_GROVER_N:
+            thetas = (0.0, float(rng.random()))
+            insts = [upea.CountingInstance(n=n, M=M) for M in range((1 << n) + 1)]
+            pmfs = [grover_pea_pmf(t, inst, theta).probs for theta in thetas for inst in insts]
+            yield f"statevector.grover.t{t}.n{n}", b"".join(p.tobytes() for p in pmfs)
+
+
 def digests(seed: int):
     """(name, sha256 hex) for every output at one base seed."""
     sweeps = _reduced_sweeps(seed)
@@ -241,7 +272,13 @@ def digests(seed: int):
     )
     for name, text in texts.items():
         yield name, hashlib.sha256(text.encode("utf-8")).hexdigest()
-    for outputs in (_sampler_outputs, _mle_outputs, _mle_flat_outputs, _mle_pinned_outputs):
+    for outputs in (
+        _sampler_outputs,
+        _mle_outputs,
+        _mle_flat_outputs,
+        _mle_pinned_outputs,
+        _statevector_outputs,
+    ):
         for name, data in outputs(seed):
             yield name, hashlib.sha256(data).hexdigest()
 
