@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phase_math import PeaParams, Phase, ThetaMode, _finite
+from .phase_math import PeaParams, Phase, ThetaMode, _finite, _integer
 from .mle import mle_counting_batch
 from .sampler import (
     _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, derive_seed, make_rng, sample_upea_block
@@ -48,13 +48,15 @@ __all__ = [
 @dataclass(frozen=True)
 class CountingInstance:
     """A counting problem: n work qubits, N = 2^n items, and either an
-    explicit marked set or just the marked count M (both route to one phi)."""
+    explicit marked set or just the marked count M (both route to one phi).
+    n and M must be integers."""
 
     n: int
     marked: frozenset[int] | None = None
     M: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         N = self.N
@@ -69,6 +71,7 @@ class CountingInstance:
                 raise ValueError("M disagrees with |marked|")
         elif self.M is None:
             raise ValueError("provide a marked set or a marked count")
+        object.__setattr__(self, "M", _integer("M", self.M))
         if not (0 <= self.M <= N):
             raise ValueError("M must lie in [0, N]")
 

@@ -42,7 +42,14 @@ from .counting import (
     sample_uqca_block,
 )
 from .mle import mle_batch
-from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, pea_kernel
+from .phase_math import (
+    BiasMaeEntry,
+    PeaParams,
+    ThetaMode,
+    _circ_dist_array,
+    _integer,
+    pea_kernel,
+)
 from .sampler import RNG_ALGORITHM, _chunks, derive_seed, make_rng, sample_upea_block
 from .statevector import analytic_counting_pmf, grover_pea_pmf, pea_circuit_pmf
 
@@ -342,11 +349,17 @@ def run_verify_circuit(
     """Run the two oracle-equivalence suites and report max deviations,
     each of which must stay below 1e-10.
 
-    corrupt_theta runs the estimation circuit at -theta (the Rz ladder's
-    sign flipped), a negative control that must make the check fail.  Every
-    count must be >= 1: a check over no cases would pass without checking.
+    Each register size is one batched simulator call: the estimation
+    circuit over all n_phi x n_theta pairs at each t, the counting circuit
+    over every marked count M at each (t, n).  corrupt_theta runs the
+    estimation circuit at -theta (the Rz ladder's sign flipped), a negative
+    control that must make the check fail.  Every size and count must be an
+    integer >= 1: a check over no cases would pass without checking.  A NaN
+    deviation fails its check.
     """
-    if min(pea_max_t, grover_max_t, grover_max_n, n_phi, n_theta) < 1:
+    names = ("pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta")
+    sizes = (pea_max_t, grover_max_t, grover_max_n, n_phi, n_theta)
+    if min(map(_integer, names, sizes)) < 1:
         raise ValueError("pea_max_t, grover_max_t, grover_max_n, n_phi and n_theta must be >= 1")
     if pea_max_t > 6:
         raise ValueError("PEA check supports t <= 6")
@@ -358,28 +371,25 @@ def run_verify_circuit(
         tol = _VERIFY_TOLERANCE
         return {"name": name, "max_deviation": worst, "tolerance": tol, "passed": worst < tol}
 
-    worst = 0.0
+    # max over np.max, not the builtin: a NaN deviation must propagate
+    worst = []
     for t in range(1, pea_max_t + 1):
         T = 1 << t
-        phis = rng.random(n_phi)
-        thetas = rng.random(n_theta)
-        for phi in phis:
-            for theta in thetas:
-                pmf = pea_circuit_pmf(t, phi, -theta if corrupt_theta else theta).probs
-                ref = pea_kernel(T, np.arange(T) / T - (phi + theta))
-                worst = max(worst, float(np.max(np.abs(pmf - ref))))
-    checks = [check("pea-circuit-vs-analytic", worst)]
+        phi = rng.random(n_phi)[:, None]
+        theta = rng.random(n_theta)[None, :]
+        pmf = pea_circuit_pmf(t, phi, -theta if corrupt_theta else theta).probs
+        ref = pea_kernel(T, np.arange(T) / T - (phi + theta)[..., None])
+        worst.append(np.max(np.abs(pmf - ref)))
+    checks = [check("pea-circuit-vs-analytic", float(np.max(worst)))]
 
-    worst = 0.0
+    worst = []
     for t in range(1, grover_max_t + 1):
         for n in range(1, grover_max_n + 1):
             N = 1 << n
             theta = float(rng.random())
-            for M in range(N + 1):
-                inst = CountingInstance(n=n, M=M)
-                pmf = grover_pea_pmf(t, inst, theta).probs
-                ref = analytic_counting_pmf(t, M / N, theta)
-                worst = max(worst, float(np.max(np.abs(pmf - ref))))
-    checks.append(check("counting-circuit-vs-mixture", worst))
+            pmf = grover_pea_pmf(t, [CountingInstance(n=n, M=M) for M in range(N + 1)], theta).probs
+            ref = analytic_counting_pmf(t, np.arange(N + 1) / N, theta)
+            worst.append(np.max(np.abs(pmf - ref)))
+    checks.append(check("counting-circuit-vs-mixture", float(np.max(worst))))
 
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}

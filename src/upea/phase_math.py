@@ -20,6 +20,7 @@ mean-absolute-error functionals of the two estimators.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -166,6 +167,23 @@ def _finite(name: str, x) -> float:
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite")
     return x
+
+
+def _finite_array(name: str, x) -> np.ndarray:
+    """x as a float array (0-d for a scalar), or a ValueError naming the
+    input when any entry is not finite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _integer(name: str, x) -> int:
+    """x as an int, or a ValueError naming the input when it is not an
+    integer type (a whole float and a bool included)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def wrap_phase(x: float) -> Phase:

@@ -203,6 +203,13 @@ def test_counting_instance_validation() -> None:
         CountingInstance(n=2)  # must give one of the two
 
 
+@pytest.mark.parametrize("kw", [dict(n=2.5, M=1), dict(n=2.0, M=1), dict(n=2, M=1.0), dict(n=2, M=0.5)])
+def test_counting_instance_rejects_non_integer_sizes(kw: dict) -> None:
+    name = "n" if not isinstance(kw["n"], int) else "M"
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        CountingInstance(**kw)
+
+
 def test_counting_estimate_consistency_enforced() -> None:
     CountingEstimate(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1)
     with pytest.raises(ValueError):

@@ -5,11 +5,13 @@ formats, calibration plumbing, and exit codes."""
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import upea.cli as cli
+import upea.harness as harness
 from upea.counting import calibrate_b
 from upea.harness import (
     CSV_HEADER,
@@ -247,6 +249,32 @@ def test_verify_circuit_rejects_a_check_over_no_cases(name: str) -> None:
     sizes = dict(pea_max_t=1, grover_max_t=1, grover_max_n=1, n_phi=1, n_theta=1)
     with pytest.raises(ValueError, match=">= 1"):
         run_verify_circuit(**{**sizes, name: 0}, corrupt_theta=True)
+
+
+@pytest.mark.parametrize("name", ["pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta"])
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+def test_verify_circuit_rejects_a_non_integer_size(name: str, value) -> None:
+    sizes = dict(pea_max_t=1, grover_max_t=1, grover_max_n=1, n_phi=1, n_theta=1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        run_verify_circuit(**{**sizes, name: value})
+
+
+def test_verify_circuit_fails_on_a_nan_pmf_after_finite_ones(monkeypatch) -> None:
+    # the builtin max(0.0, nan) is 0.0, so a NaN after a finite deviation
+    # once passed; t = 1 stays finite and t = 2 turns NaN
+    real = harness.pea_circuit_pmf
+
+    def nan_at_t2(t, phi, theta):
+        pmf = real(t, phi, theta)
+        return SimpleNamespace(probs=np.full_like(pmf.probs, np.nan) if t == 2 else pmf.probs)
+
+    monkeypatch.setattr(harness, "pea_circuit_pmf", nan_at_t2)
+    rep = run_verify_circuit(pea_max_t=2, grover_max_t=1, grover_max_n=1, n_phi=2, n_theta=2)
+    pea = rep["checks"][0]
+    assert pea["name"] == "pea-circuit-vs-analytic"
+    assert np.isnan(pea["max_deviation"])
+    assert pea["passed"] is False
+    assert rep["passed"] is False
 
 
 # ---------------------------------------------------------------------------

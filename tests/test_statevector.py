@@ -235,3 +235,122 @@ def test_analytic_counting_pmf_wraps_a_far_theta(far: float) -> None:
 def test_measurement_pmf_validation() -> None:
     with pytest.raises(ValueError):
         MeasurementPmf(register_qubits=(0,), probs=np.array([0.7, 0.7]))
+
+
+@pytest.mark.parametrize("qubits", [[0], [2], [2, 0], [3, 1, 0], [1, 3, 2, 0]])
+def test_measurement_pmf_matches_an_index_oracle(qubits: list) -> None:
+    # bit for bit: the marginal adds each outcome's terms in index order, as
+    # bincount over the read-out integer of every basis index does
+    st0 = _random_state(4, 17)
+    idx = np.arange(16)
+    out = sum(((idx >> q) & 1) << pos for pos, q in enumerate(qubits))
+    expect = np.bincount(out, weights=st0.probs(), minlength=1 << len(qubits))
+    assert measurement_pmf(st0, qubits).probs.tobytes() == expect.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# batched states
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
+def test_batched_pea_circuit_equals_scalar_calls_bit_for_bit(t: int) -> None:
+    rng = np.random.default_rng(100 + t)
+    phi, theta = rng.random((4, 1)), rng.random(4)
+    got = pea_circuit_pmf(t, phi, theta).probs
+    assert got.shape == (4, 4, 1 << t)
+    for i in range(4):
+        for j in range(4):
+            one = pea_circuit_pmf(t, float(phi[i, 0]), float(theta[j])).probs
+            assert got[i, j].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_grover_circuit_equals_per_instance_calls_bit_for_bit(t: int, n: int) -> None:
+    insts = [CountingInstance(n=n, M=M) for M in range((1 << n) + 1)]
+    theta = 0.37
+    got = grover_pea_pmf(t, insts, theta).probs
+    assert got.shape == (len(insts), 1 << t)
+    for row, inst in zip(got, insts):
+        assert row.tobytes() == grover_pea_pmf(t, inst, theta).probs.tobytes()
+    # one shift per instance
+    thetas = np.linspace(0.0, 1.0, len(insts), endpoint=False)
+    got = grover_pea_pmf(t, insts, thetas).probs
+    for row, inst, th in zip(got, insts, thetas):
+        assert row.tobytes() == grover_pea_pmf(t, inst, float(th)).probs.tobytes()
+
+
+def test_batched_analytic_counting_pmf_equals_scalar_calls_bit_for_bit() -> None:
+    m = np.arange(9) / 8
+    got = analytic_counting_pmf(4, m, 0.21)
+    assert got.shape == (9, 16)
+    for row, x in zip(got, m):
+        assert row.tobytes() == analytic_counting_pmf(4, float(x), 0.21).tobytes()
+
+
+def test_batched_gates_act_on_each_state() -> None:
+    states = [_random_state(3, seed) for seed in (1, 2)]
+    batch = StateVector(3, np.stack([s.amplitudes for s in states]))
+    angles = np.array([0.3, -1.1])
+    gates = [
+        lambda s, a: apply_h(s, 1),
+        lambda s, a: apply_rz(s, 2, a),
+        lambda s, a: apply_controlled_phase(s, 2, 0, a),
+        lambda s, a: apply_swap(s, 0, 2),
+    ]
+    for gate in gates:
+        got = gate(batch, angles).amplitudes
+        for i, s in enumerate(states):
+            assert np.array_equal(got[i], gate(s, float(angles[i])).amplitudes)
+
+
+def test_batch_holding_one_unnormalized_state_raises() -> None:
+    amps = np.zeros((3, 4), dtype=complex)
+    amps[:, 0] = 1.0
+    amps[1, 1] = 0.5
+    with pytest.raises(ValueError, match="norm"):
+        StateVector(2, amps)
+    probs = np.array([[1.0, 0.0], [0.6, 0.6]])
+    with pytest.raises(ValueError, match="sum to 1"):
+        MeasurementPmf((0,), probs)
+
+
+def test_grover_batch_with_mixed_n_raises() -> None:
+    with pytest.raises(ValueError, match="one n"):
+        grover_pea_pmf(2, [CountingInstance(n=2, M=1), CountingInstance(n=3, M=1)])
+    with pytest.raises(ValueError, match="at least one"):
+        grover_pea_pmf(2, [])
+
+
+# ---------------------------------------------------------------------------
+# non-finite and non-integer inputs
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pea_circuit_pmf(3, float("nan")),
+        lambda: pea_circuit_pmf(3, 0.2, float("inf")),
+        lambda: pea_circuit_pmf(3, np.array([0.1, np.nan])),
+        lambda: grover_pea_pmf(2, CountingInstance(n=2, M=1), float("nan")),
+        lambda: analytic_counting_pmf(2, 0.3, float("nan")),
+    ],
+)
+def test_pmf_builders_reject_a_non_finite_phase(build) -> None:
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
+def test_state_and_pmf_checks_fail_a_nan() -> None:
+    with pytest.raises(ValueError, match="norm"):
+        StateVector(1, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        MeasurementPmf((0,), np.array([np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("t", [2.5, 3.0, True])
+def test_pmf_builders_reject_a_non_integer_t(t) -> None:
+    with pytest.raises(ValueError, match="t must be an integer"):
+        pea_circuit_pmf(t, 0.1)
+    with pytest.raises(ValueError, match="t must be an integer"):
+        grover_pea_pmf(t, CountingInstance(n=2, M=1))
