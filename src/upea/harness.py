@@ -42,14 +42,7 @@ from .counting import (
     sample_uqca_block,
 )
 from .mle import mle_batch
-from .phase_math import (
-    BiasMaeEntry,
-    PeaParams,
-    ThetaMode,
-    _circ_dist_array,
-    _integer,
-    pea_kernel,
-)
+from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, _integer, pea_kernel
 from .sampler import RNG_ALGORITHM, _chunks, derive_seed, make_rng, sample_upea_block
 from .statevector import analytic_counting_pmf, grover_pea_pmf, pea_circuit_pmf
 
@@ -103,6 +96,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name in ("T", "grid_points", "n_samples", "base_seed"):
+            _integer(name, getattr(self, name))
+        for r in self.R if isinstance(self.R, tuple) else (self.R,):
+            _integer("R", r)
         PeaParams.from_T(self.T)
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
@@ -354,8 +351,8 @@ def run_verify_circuit(
     over every marked count M at each (t, n).  corrupt_theta runs the
     estimation circuit at -theta (the Rz ladder's sign flipped), a negative
     control that must make the check fail.  Every size and count must be an
-    integer >= 1: a check over no cases would pass without checking.  A NaN
-    deviation fails its check.
+    integer >= 1: a check over no cases would pass without checking.  The
+    seed must be an integer too.  A NaN deviation fails its check.
     """
     names = ("pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta")
     sizes = (pea_max_t, grover_max_t, grover_max_n, n_phi, n_theta)
@@ -365,7 +362,7 @@ def run_verify_circuit(
         raise ValueError("PEA check supports t <= 6")
     if grover_max_t > 5 or grover_max_n > 4:
         raise ValueError("counting check supports t <= 5, n <= 4")
-    rng = make_rng(derive_seed(seed, "verify-circuit"))
+    rng = make_rng(derive_seed(_integer("seed", seed), "verify-circuit"))
 
     def check(name: str, worst: float) -> dict:
         tol = _VERIFY_TOLERANCE

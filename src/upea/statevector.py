@@ -65,7 +65,7 @@ class StateVector:
     def __post_init__(self) -> None:
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        if self.num_qubits < 1:
+        if _integer("num_qubits", self.num_qubits) < 1:
             raise ValueError("need at least one qubit")
         if amps.shape[-1:] != (1 << self.num_qubits,):
             raise ValueError("amplitude count must be 2^num_qubits")
@@ -108,15 +108,15 @@ def zero_state(num_qubits: int, batch: tuple[int, ...] = ()) -> StateVector:
 
 def basis_state(num_qubits: int, index: int, batch: tuple[int, ...] = ()) -> StateVector:
     """|index>, once for each index of the batch shape."""
-    amps = np.zeros((*batch, 1 << num_qubits), dtype=complex)
-    amps[..., index] = 1.0
+    amps = np.zeros((*batch, 1 << _integer("num_qubits", num_qubits)), dtype=complex)
+    amps[..., _integer("index", index)] = 1.0
     return StateVector(num_qubits, amps)
 
 
 def _check_qubit(state: StateVector, *qubits: int) -> None:
     seen = set()
     for q in qubits:
-        if not (0 <= q < state.num_qubits):
+        if not (0 <= _integer("qubit index", q) < state.num_qubits):
             raise ValueError(f"qubit index {q} out of range")
         if q in seen:
             raise ValueError("qubit indices must be distinct")

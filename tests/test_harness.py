@@ -63,6 +63,22 @@ def test_config_rejects_bad_combinations() -> None:
         _small("verify-circuit")  # a check report, not a sweep
 
 
+@pytest.mark.parametrize(
+    "name,kw",
+    [
+        ("T", dict(T=16.0)),
+        ("grid_points", dict(grid_points=2.5)),
+        ("n_samples", dict(n_samples=100.5)),
+        ("base_seed", dict(base_seed=2.5)),
+        ("R", dict(experiment="mae-vs-r", R=(1, 2.0))),
+    ],
+)
+def test_config_rejects_a_non_integer_size(name: str, kw: dict) -> None:
+    # these once ran as truncated values or raised a bare TypeError
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        _small(kw.pop("experiment", "upea-bias-mae"), **kw)
+
+
 def test_presets_cover_documented_figures() -> None:
     assert set(PRESETS) == {"fig3", "fig4", "fig5", "fig6", "fig7", "fig8"}
     assert all(c.T == 16 for c in PRESETS.values())
@@ -251,9 +267,9 @@ def test_verify_circuit_rejects_a_check_over_no_cases(name: str) -> None:
         run_verify_circuit(**{**sizes, name: 0}, corrupt_theta=True)
 
 
-@pytest.mark.parametrize("name", ["pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta"])
+@pytest.mark.parametrize("name", ["pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta", "seed"])
 @pytest.mark.parametrize("value", [1.5, 2.0, True])
-def test_verify_circuit_rejects_a_non_integer_size(name: str, value) -> None:
+def test_verify_circuit_rejects_a_non_integer_size_or_seed(name: str, value) -> None:
     sizes = dict(pea_max_t=1, grover_max_t=1, grover_max_n=1, n_phi=1, n_theta=1)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run_verify_circuit(**{**sizes, name: value})

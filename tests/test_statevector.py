@@ -114,6 +114,12 @@ def test_gate_qubit_validation() -> None:
         apply_swap(st0, 1, 1)
     with pytest.raises(ValueError):
         apply_controlled_phase(st0, 0, 0, 0.5)
+    # a float index or qubit count once raised a bare TypeError
+    for build in (lambda: apply_h(st0, 1.0), lambda: zero_state(2.0), lambda: basis_state(2, 1.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+    with pytest.raises(ValueError, match="must be an integer"):
+        StateVector(1.0, np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
