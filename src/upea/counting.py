@@ -61,7 +61,7 @@ class CountingInstance:
             raise ValueError("n must be >= 1")
         N = self.N
         if self.marked is not None:
-            marked = frozenset(int(x) for x in self.marked)
+            marked = frozenset(_integer("marked item", x) for x in self.marked)
             object.__setattr__(self, "marked", marked)
             if any(not (0 <= x < N) for x in marked):
                 raise ValueError("marked items must lie in [0, N)")
@@ -100,9 +100,9 @@ class CountingEstimate:
     m_corrected: float | None = None
 
     def __post_init__(self) -> None:
-        if abs(self.m_tilde - m_from_phi(self.phi_hat)) > 1e-12:
+        if not (abs(self.m_tilde - m_from_phi(self.phi_hat)) <= 1e-12):
             raise ValueError("m_tilde must equal sin^2(pi phi_hat)")
-        if self.R < 1:
+        if _integer("R", self.R) < 1:
             raise ValueError("R must be >= 1")
 
 
@@ -119,6 +119,8 @@ class CalibrationRecord:
     rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
+        for name in ("T", "R", "n_samples", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         PeaParams.from_T(self.T)
         if self.R < 1:
             raise ValueError(f"R must be >= 1, got {self.R}")
@@ -136,12 +138,12 @@ class CalibrationRecord:
     def from_json(cls, text: str) -> "CalibrationRecord":
         raw = json.loads(text)
         return cls(
-            T=int(raw["T"]),
-            R=int(raw["R"]),
+            T=raw["T"],
+            R=raw["R"],
             b=float(raw["b"]),
             stderr_b=float(raw["stderr_b"]),
-            n_samples=int(raw["n_samples"]),
-            seed=int(raw["seed"]),
+            n_samples=raw["n_samples"],
+            seed=raw["seed"],
             rng_algorithm=str(raw["rng_algorithm"]),
         )
 
@@ -155,8 +157,9 @@ def phi_from_m(m: float) -> Phase:
 
 
 def m_from_phi(phi: float) -> float:
-    """sin^2(pi phi); inverse of phi_from_m on [0, 1/2]."""
-    return math.sin(math.pi * float(phi)) ** 2
+    """sin^2(pi phi); inverse of phi_from_m on [0, 1/2].  phi must be
+    finite."""
+    return math.sin(math.pi * _finite("phi", phi)) ** 2
 
 
 def sample_uqca(params: PeaParams, m: float, rng: np.random.Generator) -> CountingEstimate:
@@ -219,10 +222,11 @@ def calibrate_b(
     disjoint from any evaluation stream built on the same base seed.  Chunks
     run on a pool of workers threads and fill their own slots of one array,
     so the record is the same for any worker count."""
-    if n_samples < 2:
+    if _integer("n_samples", n_samples) < 2:
         raise ValueError("n_samples must be >= 2")
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
+    seed = _integer("seed", seed)
     params = PeaParams.from_T(T, R, ThetaMode.full())
     vals = np.empty(n_samples)
 
@@ -236,4 +240,4 @@ def calibrate_b(
         list(pool.map(work, _chunks(n_samples)))
     b = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(n_samples))
-    return CalibrationRecord(T, R, b, stderr, n_samples, int(seed))
+    return CalibrationRecord(T, R, b, stderr, n_samples, seed)

@@ -132,12 +132,12 @@ class SweepConfig:
         r = raw["R"]
         return cls(
             experiment=str(raw["experiment"]),
-            T=int(raw["T"]),
-            R=(int(r[0]), int(r[1])) if isinstance(r, list) else int(r),
-            grid_points=int(raw["grid_points"]),
-            n_samples=int(raw["n_samples"]),
+            T=raw["T"],
+            R=tuple(r) if isinstance(r, list) else r,
+            grid_points=raw["grid_points"],
+            n_samples=raw["n_samples"],
             theta_mode=ThetaMode.parse(str(raw["theta_mode"])),
-            base_seed=int(raw["base_seed"]),
+            base_seed=raw["base_seed"],
             output_path=raw.get("output_path"),
         )
 
@@ -282,7 +282,7 @@ def run_sweep(
     """Execute one experiment; the report depends only on the config (and the
     supplied calibration record), never on the worker count.  A calibration
     record is accepted only by a single-R uqca-corrected sweep."""
-    if workers < 1:
+    if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
     if calibration is not None and (
         config.experiment != "uqca-corrected" or isinstance(config.R, tuple)

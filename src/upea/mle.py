@@ -19,9 +19,10 @@ of estimates, serves both; the single-trial entry points run it on one row.
 The coarse scan runs over G = 4*T*R equispaced cells (4x oversampling of
 the likelihood's O(T*R) oscillations), each estimate snapped to the grid.
 It reads a table of exact upper bounds, UB[d] >= max K over
-[(d - 1)/G, (d + 1)/G] (K at the grid points and at its sidelobe peaks,
-rounded up), so each cell's sum bounds the likelihood everywhere in the
-cell; each run's terms over all cells are one window of a doubled table,
+[(d - 1)/G, (d + 1)/G] (K at the grid points, or where the tangents of the
+concave log K meet beside each lobe's grid maximum, rounded up), so each
+cell's sum bounds the likelihood everywhere in the cell; each run's terms
+over all cells are one window of a doubled table,
 a row of a sliding-window view (the plain scan takes the log, the mixture
 sums a backward and a forward row first).  The exact score f0 at a row's
 best-bounded cell rules out every cell whose bound is below f0 minus
@@ -31,9 +32,9 @@ refinement start, whose neighbours bracket a local maximum.  A kept cell
 that a neighbour beats is not refined, though a narrow peak inside it may
 score higher, so this is no proof of the global maximum.  Refinement is one
 safeguarded loop per start (rtsafe, Numerical Recipes 9.4), the package's
-only root finder; it also finds the table's sidelobe peaks.  From the cell
-centre, each step evaluates dL/dc once, narrows the bracket on its sign and
-takes the guarded Newton point, or the bracket's midpoint.  A start stops
+only root finder.  From the cell centre, each step evaluates dL/dc once,
+narrows the bracket on its sign and takes the guarded Newton point, or the
+bracket's midpoint.  A start stops
 once its accepted step or its bracket is below 1e-12, or at a step cap
 fixed by G alone; one whose point scores below its cell's exact score by
 more than rounding takes the cell centre.  A mixture start whose bracket
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -216,8 +216,8 @@ def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
 
 
 # relative round-up of the bound table: far above the rounding of its kernel
-# values and peaks, of the scan's logs and R-term sums and of the snap, and
-# far below the table's own slack, which is O(1) nats per cell
+# values and tangent points, of the scan's logs and R-term sums and of the
+# snap, and far below the table's own slack, which is O(1) nats per cell
 _TABLE_MARGIN = 2.0**-20
 # scores per row block of the coarse scan, whose buffers every block reuses:
 # block-sized temporaries, freed and faulted in again, cost a varying amount.
@@ -226,38 +226,31 @@ _SCAN_BLOCK = 1 << 17
 _SCORE_BLOCK = 1 << 14
 
 
-@lru_cache(maxsize=8)
-def _sidelobe_peaks(T: int) -> np.ndarray:
-    """The T - 2 sidelobe peaks of K in (0, 1): in each (m/T, (m+1)/T),
-    m = 1..T-2, the maximum of log K, a root of tan(pi T x) = T tan(pi x).
-    The refinement loop finds them to about 1e-12 on one-column rows of
-    zeros, from the lobe midpoints; _TABLE_MARGIN absorbs the rest."""
-    m = np.arange(1.0, T - 1.0)
-    cap = _NEWTON_STEPS + math.ceil(math.log2(1.0 / (T * _REFINE_TOL)))
-    zero = np.zeros(m.size, dtype=np.int64)
-    x, _ = _refine(T, np.zeros((1, 1)), zero, (m + 0.5) / T, m / T, (m + 1.0) / T, False, cap)
-    x.flags.writeable = False
-    return x
-
-
 def _bound_table(T: int, G: int) -> np.ndarray:
-    """UB[d] >= max K over [(d - 1)/G, (d + 1)/G], for d in 0..G-1 and G a
-    multiple of T.  K is monotone between its stationary points (the zeros
-    k/T, the peak at 0 and one sidelobe peak between neighbouring zeros), so
-    that max is the largest of K at the grid points d - 1, d and d + 1 and
-    at any sidelobe peak inside the interval; the table is rounded up by the
-    relative _TABLE_MARGIN, which also absorbs the peaks' error of about
-    1e-12 (K is flat there to second order).  A snapped estimate i/G and a
-    candidate in cell k (within half a cell of k/G) differ by (i - k)/G to
-    within one cell, so UB[(i - k) mod G] bounds their kernel factor
-    everywhere in the cell."""
+    """UB[d] >= max K over [(d - 1)/G, (d + 1)/G], for d in 0..G-1 and G >= 4T
+    a multiple of T.  The zeros k/T are grid points, and between them log K
+    is concave: (log K)'' = 2 pi^2 [1/sin^2(pi y) - T^2/sin^2(pi T y)] <= 0,
+    since K <= 1.  So on a cell log K is at most its larger end value,
+    unless its slope turns from + to - inside the cell, one of the two
+    beside the lobe's grid maximum p.  On those two cells log K is at most
+    where the tangents at the cell's ends meet, g0 + s0 (g1 - g0 - s1) /
+    (s0 - s1), with g = log K and s = h/G; on a cell where the slope keeps
+    its sign that point lies below an end value, so it does no harm.  A
+    lobe's peak lies 0.43 to 0.57 of the way across it, so at G >= 4T no
+    cell beside p ends at a zero.  The table is rounded up by the relative
+    _TABLE_MARGIN.  A snapped estimate i/G and a candidate in cell k (within
+    half a cell of k/G) differ by (i - k)/G to within one cell, so
+    UB[(i - k) mod G] bounds their kernel factor everywhere in the cell."""
     k = pea_kernel(T, np.arange(G) / G)
     ub = np.maximum(np.maximum(k, np.roll(k, 1)), np.roll(k, -1))
-    peaks = _sidelobe_peaks(T)
-    k_peak = pea_kernel(T, peaks)
-    d = np.floor(peaks * G).astype(np.int64)
-    np.maximum.at(ub, d, k_peak)
-    np.maximum.at(ub, (d + 1) % G, k_peak)
+    # each lobe's grid maximum: K there is at least both neighbours'
+    p = np.flatnonzero((ub == k) & (k > 0.0))
+    h, _, k_p = _dlog_kernel(T, (p[:, None] + np.arange(-1.0, 2.0)) / G)
+    g, s = np.log(k_p), h / G
+    g0, g1, s0, s1 = g[:, :-1], g[:, 1:], s[:, :-1], s[:, 1:]
+    top = np.exp(g0 + s0 * (g1 - g0 - s1) / (s0 - s1))
+    # cell [p - 1 + j, p + j] lies in the entries p - 1 + j and p + j
+    np.maximum.at(ub, (p[:, None, None] + np.array([[-1, 0], [0, 1]])) % G, top[:, :, None])
     return ub * (1.0 + _TABLE_MARGIN)
 
 

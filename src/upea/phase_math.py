@@ -105,9 +105,9 @@ class PeaParams:
     theta_mode: ThetaMode = field(default_factory=ThetaMode.full)
 
     def __post_init__(self) -> None:
-        if self.t < 0:
+        if _integer("t", self.t) < 0:
             raise ValueError("t must be >= 0")
-        if self.R < 1:
+        if _integer("R", self.R) < 1:
             raise ValueError("R must be >= 1")
 
     @property
@@ -117,6 +117,7 @@ class PeaParams:
     @classmethod
     def from_T(cls, T: int, R: int = 1, theta_mode: ThetaMode | None = None) -> "PeaParams":
         """Build from the outcome count T, which must be a power of two."""
+        T = _integer("T", T)
         if T < 1 or (T & (T - 1)) != 0:
             raise ValueError("T must be a positive power of two")
         return cls(T.bit_length() - 1, R, theta_mode or ThetaMode.full())

@@ -25,6 +25,7 @@ from .phase_math import (
     ThetaMode,
     _circ_dist_array,
     _kernel_rows,
+    _integer,
     _wrap_array,
     wrap_phase,
 )
@@ -86,7 +87,7 @@ class SampleBatch:
 
 def make_rng(seed: RngSeed) -> np.random.Generator:
     """PCG64 generator for a 64-bit seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
+    return np.random.default_rng(np.random.SeedSequence(_integer("seed", seed)))
 
 
 def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
@@ -95,7 +96,7 @@ def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
     sha256 over the rendered path; collision-free for practical purposes and
     stable across platforms and processes.
     """
-    text = "|".join([str(int(base_seed))] + [str(p) for p in path])
+    text = "|".join([str(_integer("base_seed", base_seed))] + [str(p) for p in path])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
 

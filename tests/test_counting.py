@@ -203,9 +203,19 @@ def test_counting_instance_validation() -> None:
         CountingInstance(n=2)  # must give one of the two
 
 
-@pytest.mark.parametrize("kw", [dict(n=2.5, M=1), dict(n=2.0, M=1), dict(n=2, M=1.0), dict(n=2, M=0.5)])
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n=2.5, M=1),
+        dict(n=2.0, M=1),
+        dict(n=2, M=1.0),
+        dict(n=2, M=0.5),
+        dict(n=3, marked={1.5}),
+        dict(n=3, marked={True, 2}),
+    ],
+)
 def test_counting_instance_rejects_non_integer_sizes(kw: dict) -> None:
-    name = "n" if not isinstance(kw["n"], int) else "M"
+    name = "n" if not isinstance(kw["n"], int) else "M" if "M" in kw else "marked item"
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         CountingInstance(**kw)
 
@@ -214,6 +224,46 @@ def test_counting_estimate_consistency_enforced() -> None:
     CountingEstimate(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1)
     with pytest.raises(ValueError):
         CountingEstimate(m_tilde=0.9, phi_hat=0.2, R=1)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(m_tilde=0.1, phi_hat=math.nan), "phi must be finite"),
+        (dict(m_tilde=0.1, phi_hat=math.inf), "phi must be finite"),
+        (dict(m_tilde=math.nan, phi_hat=0.2), "m_tilde must equal"),
+        (dict(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1.5), "R must be an integer"),
+    ],
+)
+def test_counting_estimate_rejects_a_bad_value(kw: dict, message: str) -> None:
+    # a NaN once passed the consistency check, which compared against it
+    with pytest.raises(ValueError, match=message):
+        CountingEstimate(**{"R": 1, **kw})
+
+
+@pytest.mark.parametrize(
+    "name, kw",
+    [
+        ("T", dict(T=16.0)),
+        ("R", dict(R=2.5)),
+        ("n_samples", dict(n_samples=10.5)),
+        ("seed", dict(seed=1.5)),
+        ("workers", dict(workers=1.5)),
+        ("workers", dict(workers=True)),
+    ],
+)
+def test_calibrate_b_rejects_a_non_integer_argument(name: str, kw: dict) -> None:
+    # seed = 1.5 once ran and recorded seed 1; n_samples = 10.5 raised a
+    # bare TypeError
+    args = dict(T=16, R=3, n_samples=100, seed=1, workers=1)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        calibrate_b(**{**args, **kw})
+
+
+@pytest.mark.parametrize("law", [exact_bias_uqca_single, correct_single])
+def test_single_run_laws_reject_a_non_integer_t(law) -> None:
+    with pytest.raises(ValueError, match="T must be an integer"):
+        law(0.1, 16.0)
 
 
 def test_calibration_is_bit_identical_for_any_worker_count() -> None:
@@ -248,6 +298,11 @@ def test_single_run_bias_law_and_correction_need_a_power_of_two_t(T: int) -> Non
         ("R", 0, "R must be >= 1"),
         ("n_samples", 1, "n_samples must be >= 2"),
         ("n_samples", -5, "n_samples must be >= 2"),
+        ("T", 16.0, "T must be an integer"),
+        ("T", 16.5, "T must be an integer"),
+        ("R", 2.5, "R must be an integer"),
+        ("n_samples", True, "n_samples must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
     ],
 )
 def test_calibration_record_rejects_a_bad_shape(field: str, bad: int, message: str) -> None:

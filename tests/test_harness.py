@@ -79,6 +79,16 @@ def test_config_rejects_a_non_integer_size(name: str, kw: dict) -> None:
         _small(kw.pop("experiment", "upea-bias-mae"), **kw)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("T", 16.7), ("n_samples", True), ("R", [1.9, 3.2]), ("base_seed", 2.5)]
+)
+def test_config_from_json_rejects_a_non_integer_size(name: str, value) -> None:
+    # these once loaded as int() of the value: 16, 1, (1, 3) and 2
+    raw = json.loads(_small("mae-vs-r", R=(1, 2)).to_json())
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SweepConfig.from_json(json.dumps({**raw, name: value}))
+
+
 def test_presets_cover_documented_figures() -> None:
     assert set(PRESETS) == {"fig3", "fig4", "fig5", "fig6", "fig7", "fig8"}
     assert all(c.T == 16 for c in PRESETS.values())
@@ -112,6 +122,13 @@ def test_parallel_execution_is_byte_identical() -> None:
 def test_run_sweep_rejects_nonpositive_workers() -> None:
     with pytest.raises(ValueError, match="workers"):
         run_sweep(_small("upea-bias-mae"), workers=0)
+
+
+@pytest.mark.parametrize("workers", [1.5, 2.0, True])
+def test_run_sweep_rejects_a_non_integer_worker_count(workers) -> None:
+    # 1.5 and True both ran
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        run_sweep(_small("upea-bias-mae"), workers=workers)
 
 
 def test_repeat_run_is_byte_identical() -> None:

@@ -253,6 +253,20 @@ def test_pea_params_validation() -> None:
         PeaParams.from_T(12)
 
 
+@pytest.mark.parametrize("kw", [dict(t=2.5), dict(t=4.0), dict(t=True), dict(t=4, R=2.5)])
+def test_pea_params_reject_a_non_integer_size(kw: dict) -> None:
+    # t = 2.5 was accepted, and its .T then raised a bare TypeError
+    name = "R" if "R" in kw else "t"
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        PeaParams(**kw)
+
+
+@pytest.mark.parametrize("T", [16.0, 16.5, True])
+def test_from_t_rejects_a_non_integer_size(T) -> None:
+    with pytest.raises(ValueError, match="T must be an integer"):
+        PeaParams.from_T(T)
+
+
 def test_theta_mode_parse_and_str() -> None:
     assert ThetaMode.parse("full").kind == "full"
     assert ThetaMode.parse("period").kind == "period"

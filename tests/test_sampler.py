@@ -42,6 +42,15 @@ def test_derive_seed_is_stable_and_distinct() -> None:
     assert 0 <= a < (1 << 64)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.7, 2.0, True])
+def test_seeds_must_be_integers(seed) -> None:
+    # a float seed was once truncated, so 1.5 and 1.7 ran as seed 1
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        make_rng(seed)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        derive_seed(seed, "exp", 0)
+
+
 def test_derive_seed_pinned() -> None:
     # frozen: first 8 bytes (little-endian) of sha256("1|exp|0|0")
     import hashlib
