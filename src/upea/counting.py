@@ -27,7 +27,7 @@ import numpy as np
 from .phase_math import PeaParams, Phase, ThetaMode, _finite, _integer
 from .mle import mle_counting_batch
 from .sampler import (
-    _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, derive_seed, make_rng, sample_upea_block
+    _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, _trials, derive_seed, make_rng, sample_upea_block
 )
 
 __all__ = [
@@ -121,6 +121,8 @@ class CalibrationRecord:
     def __post_init__(self) -> None:
         for name in ("T", "R", "n_samples", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        for name in ("b", "stderr_b"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
         PeaParams.from_T(self.T)
         if self.R < 1:
             raise ValueError(f"R must be >= 1, got {self.R}")
@@ -128,8 +130,6 @@ class CalibrationRecord:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if not (self.stderr_b > 0.0):
             raise ValueError("stderr_b must be positive")
-        if not math.isfinite(self.b):
-            raise ValueError("b must be finite")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -140,8 +140,8 @@ class CalibrationRecord:
         return cls(
             T=raw["T"],
             R=raw["R"],
-            b=float(raw["b"]),
-            stderr_b=float(raw["stderr_b"]),
+            b=raw["b"],
+            stderr_b=raw["stderr_b"],
             n_samples=raw["n_samples"],
             seed=raw["seed"],
             rng_algorithm=str(raw["rng_algorithm"]),
@@ -175,7 +175,9 @@ def sample_uqca_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized block of n counting trials; returns (phi_hat, m_tilde)
     arrays.  Stream order: sign vector, then per repetition a theta vector
-    and a uniform vector (see the sampler module on block streams)."""
+    and a uniform vector (see the sampler module on block streams).  An n
+    that is not an integer >= 0 raises ValueError."""
+    n = _trials(n)
     phi = phi_from_m(m)
     sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     est = np.empty((n, params.R))

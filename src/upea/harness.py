@@ -98,9 +98,11 @@ class SweepConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for name in ("T", "grid_points", "n_samples", "base_seed"):
             _integer(name, getattr(self, name))
+        if isinstance(self.R, (tuple, list)) and len(self.R) != 2:
+            raise ValueError(f"R must be an integer or an inclusive (lo, hi) range, got {self.R!r}")
         for r in self.R if isinstance(self.R, tuple) else (self.R,):
             _integer("R", r)
-        PeaParams.from_T(self.T)
+        PeaParams.from_T(self.T, theta_mode=self.theta_mode)
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
         if self.n_samples < 1:

@@ -16,34 +16,32 @@ phase uniformly and K is even.
 Each objective is written once, as a broadcasting function that the public
 log-likelihoods and the maximizer call.  One maximizer, vectorized over rows
 of estimates, serves both; the single-trial entry points run it on one row.
-The coarse scan runs over G = 4*T*R equispaced cells (4x oversampling of
-the likelihood's O(T*R) oscillations), each estimate snapped to the grid.
-It reads a table of exact upper bounds, UB[d] >= max K over
+The coarse scan runs over G = 4*T*R equispaced cells (4x oversampling of the
+likelihood's O(T*R) oscillations), each estimate snapped to the grid.  It
+reads a table of exact upper bounds, UB[d] >= max K over
 [(d - 1)/G, (d + 1)/G] (K at the grid points, or where the tangents of the
 concave log K meet beside each lobe's grid maximum, rounded up), so each
-cell's sum bounds the likelihood everywhere in the cell; each run's terms
-over all cells are one window of a doubled table,
-a row of a sliding-window view (the plain scan takes the log, the mixture
-sums a backward and a forward row first).  The exact score f0 at a row's
-best-bounded cell rules out every cell whose bound is below f0 minus
-rounding, never the global maximizer's.  The cells left and their
-neighbours are scored exactly once; each that no neighbour beats is a
-refinement start, whose neighbours bracket a local maximum.  A kept cell
-that a neighbour beats is not refined, though a narrow peak inside it may
-score higher, so this is no proof of the global maximum.  Refinement is one
-safeguarded loop per start (rtsafe, Numerical Recipes 9.4), the package's
-only root finder.  From the cell centre, each step evaluates dL/dc once,
-narrows the bracket on its sign and takes the guarded Newton point, or the
-bracket's midpoint.  A start stops
-once its accepted step or its bracket is below 1e-12, or at a step cap
-fixed by G alone; one whose point scores below its cell's exact score by
-more than rounding takes the cell centre.  A mixture start whose bracket
-touches an end of [0, 1/2] takes that end exactly wherever it scores within
-rounding of the refined point, so a maximum at an end never stops a few
-ulps short of it.  Each row takes its best start, an exact tie the smaller
-phase, and reports the loop steps in which any of its starts was live.
-Every step acts on each start alone, so a row's result never depends on its
-batch.
+cell's sum bounds the likelihood everywhere in the cell.  K is even, so the
+table is built on half the circle and mirrored, and each run's terms over
+all cells are one row of a window view of the table laid end to end.  The
+exact score f0 at a row's best-bounded cell rules out every cell whose bound
+is below f0 minus rounding, never the global maximizer's.  The cells left
+and their neighbours are scored exactly once; each that no neighbour beats
+is a refinement start, whose neighbours bracket a local maximum.  A kept
+cell that a neighbour beats is not refined, though a narrow peak inside it
+may score higher, so this is no proof of the global maximum.  Refinement is
+one safeguarded loop per start (rtsafe, Numerical Recipes 9.4), the
+package's only root finder.  From the cell centre, each step evaluates dL/dc
+once, narrows the bracket on its sign and takes the guarded Newton point, or
+the bracket's midpoint.  A start stops once its accepted step or its bracket
+is below 1e-12, or at a step cap fixed by G alone; one whose point scores
+below its cell's exact score by more than rounding takes the cell centre.  A
+mixture start whose bracket touches an end of [0, 1/2] takes that end
+exactly wherever it scores within rounding of the refined point, so a
+maximum at an end never stops a few ulps short of it.  Each row takes its
+best start, an exact tie the smaller phase, and reports the loop steps in
+which any of its starts was live.  Every step acts on each start alone, so a
+row's result never depends on its batch.
 """
 
 from __future__ import annotations
@@ -227,31 +225,34 @@ _SCORE_BLOCK = 1 << 14
 
 
 def _bound_table(T: int, G: int) -> np.ndarray:
-    """UB[d] >= max K over [(d - 1)/G, (d + 1)/G], for d in 0..G-1 and G >= 4T
-    a multiple of T.  The zeros k/T are grid points, and between them log K
-    is concave: (log K)'' = 2 pi^2 [1/sin^2(pi y) - T^2/sin^2(pi T y)] <= 0,
-    since K <= 1.  So on a cell log K is at most its larger end value,
-    unless its slope turns from + to - inside the cell, one of the two
-    beside the lobe's grid maximum p.  On those two cells log K is at most
-    where the tangents at the cell's ends meet, g0 + s0 (g1 - g0 - s1) /
-    (s0 - s1), with g = log K and s = h/G; on a cell where the slope keeps
-    its sign that point lies below an end value, so it does no harm.  A
-    lobe's peak lies 0.43 to 0.57 of the way across it, so at G >= 4T no
-    cell beside p ends at a zero.  The table is rounded up by the relative
-    _TABLE_MARGIN.  A snapped estimate i/G and a candidate in cell k (within
-    half a cell of k/G) differ by (i - k)/G to within one cell, so
-    UB[(i - k) mod G] bounds their kernel factor everywhere in the cell."""
-    k = pea_kernel(T, np.arange(G) / G)
-    ub = np.maximum(np.maximum(k, np.roll(k, 1)), np.roll(k, -1))
+    """UB[d] >= max K over [(d - 1)/G, (d + 1)/G], for d in 0..G-1, T >= 2 a
+    power of two and G >= 4T a multiple of T.  The zeros k/T are grid points,
+    and between them log K is concave: (log K)'' = 2 pi^2 [1/sin^2(pi y) -
+    T^2/sin^2(pi T y)] <= 0, since K <= 1.  So on a cell log K is at most its
+    larger end value, unless its slope turns from + to - inside the cell, one
+    of the two beside the lobe's grid maximum p.  On those two cells log K is
+    at most where the tangents at the cell's ends meet, g0 + s0 (g1 - g0 - s1)
+    / (s0 - s1), with g = log K and s = h/G; on a cell where the slope keeps
+    its sign that point lies below an end value, so it does no harm.  A lobe's
+    peak lies 0.43 to 0.57 of the way across it, so at G >= 4T no cell beside p
+    ends at a zero.  K is even, so entries 0..G/2 are built and mirrored,
+    UB[G - d] = UB[d], as entry G - d's interval mirrors entry d's; every
+    p < G/2, K(1/2) being 0, and the main lobe's cell [-1, 0] gives entry -1's
+    share to its mirror, entry 1.  The relative round-up _TABLE_MARGIN covers
+    K's rounding at mirror points.  A snapped estimate i/G and a candidate in
+    cell k (within half a cell of k/G) differ by (i - k)/G to within one cell,
+    so UB[(i - k) mod G] bounds their kernel factor everywhere in the cell."""
+    k = pea_kernel(T, np.arange(-1, G // 2 + 2) / G)
+    ub = np.maximum(np.maximum(k[:-2], k[1:-1]), k[2:])
     # each lobe's grid maximum: K there is at least both neighbours'
-    p = np.flatnonzero((ub == k) & (k > 0.0))
+    p = np.flatnonzero((ub == k[1:-1]) & (k[1:-1] > 0.0))
     h, _, k_p = _dlog_kernel(T, (p[:, None] + np.arange(-1.0, 2.0)) / G)
     g, s = np.log(k_p), h / G
     g0, g1, s0, s1 = g[:, :-1], g[:, 1:], s[:, :-1], s[:, 1:]
     top = np.exp(g0 + s0 * (g1 - g0 - s1) / (s0 - s1))
     # cell [p - 1 + j, p + j] lies in the entries p - 1 + j and p + j
-    np.maximum.at(ub, (p[:, None, None] + np.array([[-1, 0], [0, 1]])) % G, top[:, :, None])
-    return ub * (1.0 + _TABLE_MARGIN)
+    np.maximum.at(ub, np.abs(p[:, None, None] + np.array([[-1, 0], [0, 1]])), top[:, :, None])
+    return np.concatenate([ub, ub[-2:0:-1]]) * (1.0 + _TABLE_MARGIN)
 
 
 def _starts(bound: np.ndarray, score, tol, ends: bool):
@@ -415,17 +416,16 @@ def _maximize(
     if T == 1:
         raise ValueError("T = 1 gives a flat likelihood; the MLE needs T >= 2 when R >= 2")
     G = 4 * T * R
-    # the mixture sums kernel bounds before the log; the plain scan reads logs
-    tab = _bound_table(T, G) if counting else np.log(_bound_table(T, G))
     # candidate cells: the whole circle, or [0, 1/2] with both ends
     ncand = G // 2 + 1 if counting else G
     if not n:
         return np.empty(0), np.empty(0), ncand, np.zeros(0, dtype=np.int64)
-    # each scan term is one window of a doubled table over the cells k:
-    # row G-1-i of back is tab[(i - k) % G], row i of fwd is tab[(i + k) % G]
-    ext = np.arange(2 * G)
-    back = sliding_window_view(tab[(G - 1 - ext) % G], ncand)
-    fwd = sliding_window_view(tab[ext % G], ncand) if counting else None
+    # the mixture sums kernel bounds before the log; the plain scan reads logs
+    tab = _bound_table(T, G) if counting else np.log(_bound_table(T, G))
+    # row j of the window view is tab[(j + k) % G] over the cells k, so,
+    # the table being even, row -i % G is tab[(i - k) % G]
+    win = sliding_window_view(np.concatenate([tab, tab[: ncand - 1]]), ncand)
+    del tab
 
     def tol(v: np.ndarray) -> np.ndarray:
         return _ROUNDING * (T * R + np.abs(v))
@@ -440,16 +440,16 @@ def _maximize(
         bound.fill(0.0)
         for j in range(R):
             i = np.rint(e[:, j] * G).astype(np.int64) % G
-            # plain fancy indexing: np.take(back, ..., out=) would first copy
+            # plain fancy indexing: np.take(win, ..., out=) would first copy
             # the whole strided view.  Its result is one block-sized
             # temporary at a time, which malloc reuses for the next term;
             # two alive at once were trimmed and faulted in again
             if counting:
-                term[...] = back[G - 1 - i]
-                term += fwd[i]
+                term[...] = win[-i % G]
+                term += win[i]
                 bound += _log_mix(term)
             else:
-                bound += back[G - 1 - i]
+                bound += win[-i % G]
 
         def score(key: np.ndarray) -> np.ndarray:
             return np.concatenate([

@@ -61,6 +61,7 @@ class ThetaMode:
     def __post_init__(self) -> None:
         if self.kind not in ("full", "period", "fixed"):
             raise ValueError(f"unknown theta mode kind: {self.kind!r}")
+        object.__setattr__(self, "value", _finite("theta value", self.value))
         if self.kind == "fixed" and not (0.0 <= self.value < 1.0):
             raise ValueError("fixed theta must lie in [0, 1)")
 
@@ -74,7 +75,7 @@ class ThetaMode:
 
     @classmethod
     def fixed(cls, value: float) -> "ThetaMode":
-        return cls("fixed", float(value))
+        return cls("fixed", value)
 
     def __str__(self) -> str:
         return f"fixed:{self.value!r}" if self.kind == "fixed" else self.kind
@@ -109,6 +110,8 @@ class PeaParams:
             raise ValueError("t must be >= 0")
         if _integer("R", self.R) < 1:
             raise ValueError("R must be >= 1")
+        if not isinstance(self.theta_mode, ThetaMode):
+            raise ValueError(f"theta_mode must be a ThetaMode, got {self.theta_mode!r}")
 
     @property
     def T(self) -> int:
@@ -120,7 +123,7 @@ class PeaParams:
         T = _integer("T", T)
         if T < 1 or (T & (T - 1)) != 0:
             raise ValueError("T must be a positive power of two")
-        return cls(T.bit_length() - 1, R, theta_mode or ThetaMode.full())
+        return cls(T.bit_length() - 1, R, ThetaMode.full() if theta_mode is None else theta_mode)
 
 
 @dataclass(frozen=True)
@@ -163,16 +166,17 @@ class BiasMaeEntry:
 
 
 def _finite(name: str, x) -> float:
-    """x as a float, or a ValueError naming the input when it is not finite."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite")
-    return x
+    """x as a float, or a ValueError naming the input as _finite_array
+    does."""
+    return float(_finite_array(name, x))
 
 
 def _finite_array(name: str, x) -> np.ndarray:
     """x as a float array (0-d for a scalar), or a ValueError naming the
-    input when any entry is not finite."""
+    input when it is a str, bytes or bool, or an array of them or of
+    objects, or when any entry is not finite."""
+    if np.asarray(x).dtype.kind in "bUSO":
+        raise ValueError(f"{name} must be finite and numeric, got {x!r}")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
@@ -195,7 +199,8 @@ def wrap_phase(x: float) -> Phase:
 def circ_dist(a: float, b: float) -> float:
     """Signed circular distance d(a, b) in (-1/2, +1/2]; the antipodal tie
     resolves to +1/2.  d is the unique representative of a - b (mod 1)."""
-    return float(_circ_dist_array(_finite("phase", float(a) - float(b)), 0.0))
+    d = _finite("phase", a) - _finite("phase", b)
+    return float(_circ_dist_array(_finite("phase", d), 0.0))
 
 
 def _wrap_array(x) -> np.ndarray:
@@ -306,7 +311,7 @@ def _kernel_rows(T: int, x: np.ndarray, out: np.ndarray):
 def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
     """Probability of measuring outcome s at true phase phi."""
     T = params.T
-    if not (0 <= s < T):
+    if not (0 <= _integer("s", s) < T):
         raise ValueError(f"outcome s must lie in [0, {T})")
     # wrapped first: far outside [0, 1), s/T - phi would keep no fraction
     return float(pea_kernel(T, s / T - _wrap_array(_finite("phi", phi))))

@@ -106,6 +106,14 @@ def _chunks(n: int) -> list[tuple[int, int]]:
     return [(i, min(_CHUNK, n - start)) for i, start in enumerate(range(0, n, _CHUNK))]
 
 
+def _trials(n: int) -> int:
+    """n as an int, or a ValueError when it is not an integer >= 0."""
+    n = _integer("n", n)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return n
+
+
 def _draw_theta(mode: ThetaMode, T: int, rng: np.random.Generator, n: int) -> np.ndarray:
     if mode.kind == "full":
         return rng.random(n)
@@ -134,10 +142,12 @@ def sample_upea_block(
     """Vectorized block of n independent runs; returns (s, theta, phi_tilde)
     arrays.  Draws the whole theta vector, then the whole uniform vector.
     phi may be a scalar or a length-n vector of per-trial true phases; a
-    non-finite phi + theta raises ValueError.
-    Outcome CDFs are built and inverted a slice of rows at a time, about
-    _SLICE_CELLS cells per slice, so memory stays bounded for large T."""
+    non-finite phi + theta and an n that is not an integer >= 0 raise
+    ValueError.  Outcome CDFs are built and inverted a slice of rows at a
+    time, about _SLICE_CELLS cells per slice, so memory stays bounded for
+    large T."""
     T = params.T
+    n = _trials(n)
     theta = _draw_theta(params.theta_mode, T, rng, n)
     shifted = np.asarray(phi, dtype=float) + theta
     if not np.isfinite(shifted).all():

@@ -231,6 +231,7 @@ def test_counting_estimate_consistency_enforced() -> None:
     [
         (dict(m_tilde=0.1, phi_hat=math.nan), "phi must be finite"),
         (dict(m_tilde=0.1, phi_hat=math.inf), "phi must be finite"),
+        (dict(m_tilde=0.1, phi_hat="0.2"), "phi must be finite"),
         (dict(m_tilde=math.nan, phi_hat=0.2), "m_tilde must equal"),
         (dict(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1.5), "R must be an integer"),
     ],
@@ -266,6 +267,24 @@ def test_single_run_laws_reject_a_non_integer_t(law) -> None:
         law(0.1, 16.0)
 
 
+@pytest.mark.parametrize(
+    "n, message", [(2.5, "n must be an integer"), (True, "n must be an integer"), (-1, "n must be >= 0")]
+)
+def test_counting_block_rejects_a_bad_trial_count(n, message: str) -> None:
+    with pytest.raises(ValueError, match=message):
+        sample_uqca_block(PeaParams.from_T(4, 2), 0.3, make_rng(1), n)
+
+
+def test_counting_block_takes_zero_trials() -> None:
+    phi_hat, m_tilde = sample_uqca_block(PeaParams.from_T(4, 2), 0.3, make_rng(1), 0)
+    assert phi_hat.shape == m_tilde.shape == (0,)
+
+
+def test_calibration_record_stores_b_and_its_error_as_floats() -> None:
+    rec = CalibrationRecord(16, 3, np.float64(0.01), 1, 4096, 1)
+    assert type(rec.b) is float and type(rec.stderr_b) is float and rec.stderr_b == 1.0
+
+
 def test_calibration_is_bit_identical_for_any_worker_count() -> None:
     # three chunks, the last one short
     n = 2 * 4096 + 100
@@ -276,7 +295,7 @@ def test_calibration_is_bit_identical_for_any_worker_count() -> None:
         calibrate_b(16, 3, n, 21, workers=0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.1", True])
 def test_correct_mle_rejects_a_non_finite_slope(bad: float) -> None:
     with pytest.raises(ValueError, match="b must be finite"):
         correct_mle(0.3, bad)
@@ -303,6 +322,9 @@ def test_single_run_bias_law_and_correction_need_a_power_of_two_t(T: int) -> Non
         ("R", 2.5, "R must be an integer"),
         ("n_samples", True, "n_samples must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
+        ("b", True, "b must be finite"),
+        ("stderr_b", "0.5", "stderr_b must be finite"),
+        ("stderr_b", True, "stderr_b must be finite"),
     ],
 )
 def test_calibration_record_rejects_a_bad_shape(field: str, bad: int, message: str) -> None:

@@ -89,6 +89,22 @@ def test_config_from_json_rejects_a_non_integer_size(name: str, value) -> None:
         SweepConfig.from_json(json.dumps({**raw, name: value}))
 
 
+@pytest.mark.parametrize("R", [(1, 2, 3), (2,), (), [1, 2, 3], [2]])
+def test_config_rejects_an_r_range_of_other_than_two_items(R) -> None:
+    # these raised "too many values to unpack" or "not enough values"
+    with pytest.raises(ValueError, match=r"R must be an integer or an inclusive \(lo, hi\) range"):
+        _small("mae-vs-r", R=R)
+    raw = json.loads(_small("mae-vs-r", R=(1, 2)).to_json())
+    with pytest.raises(ValueError, match=r"R must be an integer or an inclusive \(lo, hi\) range"):
+        SweepConfig.from_json(json.dumps({**raw, "R": list(R)}))
+
+
+def test_config_rejects_a_theta_mode_that_is_not_a_theta_mode() -> None:
+    # theta_mode="full" was accepted and failed at run time on its .kind
+    with pytest.raises(ValueError, match="theta_mode must be a ThetaMode"):
+        _small("upea-bias-mae", theta_mode="full")
+
+
 def test_presets_cover_documented_figures() -> None:
     assert set(PRESETS) == {"fig3", "fig4", "fig5", "fig6", "fig7", "fig8"}
     assert all(c.T == 16 for c in PRESETS.values())

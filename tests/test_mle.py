@@ -623,6 +623,24 @@ def test_large_t_rows_stay_within_a_stated_traced_peak(batch) -> None:
     assert peak <= 32 << 20
 
 
+@pytest.mark.parametrize("batch", [mle_batch, mle_counting_batch])
+def test_scan_at_t_2_16_stays_under_a_192_mib_traced_peak(batch) -> None:
+    # T = 2^16, R = 16: G = 2^22 cells of 8 bytes, 32 MiB per table-sized
+    # array.  The window view over the tiled table reads every scan term, so
+    # no index array of 2G entries and no second copy of the table is built
+    params = PeaParams.from_T(1 << 16, 16)
+    rng = make_rng(92)
+    mat = rng.random((4, 16))
+    tracemalloc.start()
+    try:
+        x = batch(params, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (4,) and np.all((0.0 <= x) & (x < 1.0))
+    assert peak <= 192 << 20
+
+
 def test_entry_points_reject_a_run_count_other_than_params_r() -> None:
     row = [0.1, 0.12, 0.09, 0.11, 0.1]
     for fn in (mle_batch, mle_counting_batch):
@@ -667,6 +685,15 @@ def test_bound_table_bounds_the_kernel_on_each_two_cell_interval(T: int, G: int)
     top = dense.max(axis=1)
     assert np.all(ub[~near] <= top[~near] * 1.001)
     assert np.all(ub[near] <= top[near] * math.exp(math.pi**2 * (T / G) ** 2 / 2))
+
+
+@pytest.mark.parametrize("T, G", [(2, 1024), (16, 128), (16, 192), (64, 768)])
+def test_bound_table_is_exactly_even(T: int, G: int) -> None:
+    # K is even, and the scan reads tab[(i - k) % G] as row -i % G of one
+    # window view, which holds only if UB[G - d] == UB[d] to the last bit
+    ub = mle_mod._bound_table(T, G)
+    assert ub.shape == (G,)
+    assert np.array_equal(ub, ub[-np.arange(G) % G])
 
 
 def _bisected_peaks(T: int) -> np.ndarray:

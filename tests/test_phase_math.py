@@ -296,6 +296,48 @@ def test_bias_mae_entry_rejects_non_finite_values() -> None:
         BiasMaeEntry(0.0, 0.0, math.inf)
 
 
+@pytest.mark.parametrize(
+    "bad", ["0.3", b"0.3", True, np.True_, np.array(["0.3"]), np.array([0.3], dtype=object)]
+)
+def test_phase_inputs_reject_strings_and_bools(bad) -> None:
+    # wrap_phase("0.3") returned 0.3 and circ_dist(True, 0.2) returned -0.2
+    with pytest.raises(ValueError, match="phase must be finite and numeric"):
+        wrap_phase(bad)
+    with pytest.raises(ValueError, match="phase must be finite and numeric"):
+        circ_dist(bad, 0.2)
+    with pytest.raises(ValueError, match="phase must be finite and numeric"):
+        circ_dist(0.2, bad)
+
+
+def test_phase_inputs_take_numpy_scalars_and_0d_arrays() -> None:
+    assert wrap_phase(np.array(1.25)) == wrap_phase(np.float64(1.25)) == 0.25
+    assert circ_dist(np.float32(0.75), np.array(0.25)) == 0.5
+    # each argument is finite, but their difference overflows
+    with pytest.raises(ValueError, match="phase must be finite"):
+        circ_dist(1e308, -1e308)
+
+
+@pytest.mark.parametrize("s", [1.5, 1.0, True])
+def test_pmf_at_rejects_a_non_integer_outcome(s) -> None:
+    # s = 1.5 returned 0.968 for an outcome that does not exist
+    with pytest.raises(ValueError, match="s must be an integer"):
+        pea_pmf_at(PeaParams(t=4), s, 0.1)
+
+
+def test_theta_mode_and_params_reject_a_bad_mode() -> None:
+    # ThetaMode("fixed", "0.5") raised a bare TypeError; PeaParams took a
+    # str mode, and sampling then failed on its missing .kind
+    with pytest.raises(ValueError, match="theta value must be finite and numeric"):
+        ThetaMode("fixed", "0.5")
+    with pytest.raises(ValueError, match="theta value must be finite and numeric"):
+        ThetaMode.fixed("0.5")
+    assert ThetaMode("fixed", 0).value == 0.0 and type(ThetaMode("fixed", 0).value) is float
+    with pytest.raises(ValueError, match="theta_mode must be a ThetaMode"):
+        PeaParams(2, 1, "full")
+    with pytest.raises(ValueError, match="theta_mode must be a ThetaMode"):
+        PeaParams.from_T(4, 1, "period")
+
+
 def test_pmf_rejects_a_non_finite_phase() -> None:
     with pytest.raises(ValueError, match="finite"):
         pea_pmf(P16, math.nan)
@@ -426,7 +468,7 @@ def test_scalar_and_array_wraps_agree_bit_for_bit_with_a_positive_zero() -> None
             circ_dist(bad, 0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.3", True])
 def test_pointwise_laws_reject_a_non_finite_phase_by_name(bad: float) -> None:
     with pytest.raises(ValueError, match="phi_tilde must be finite"):
         upea_pdf(P16, bad, 0.1)

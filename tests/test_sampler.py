@@ -176,6 +176,20 @@ def test_empirical_bias_mae_single_sample_has_zero_stderr() -> None:
     assert entry.stderr_bias == 0.0 and entry.stderr_mae == 0.0
 
 
+@pytest.mark.parametrize(
+    "n, message", [(2.5, "n must be an integer"), (True, "n must be an integer"), (-1, "n must be >= 0")]
+)
+def test_block_sampler_rejects_a_bad_trial_count(n, message: str) -> None:
+    # these raised NumPy's TypeError or "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=message):
+        sample_upea_block(P16, 0.3, make_rng(1), n)
+
+
+def test_block_sampler_takes_zero_trials() -> None:
+    s, theta, phi_tilde = sample_upea_block(P16, 0.3, make_rng(1), 0)
+    assert s.shape == theta.shape == phi_tilde.shape == (0,)
+
+
 @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
 def test_block_sampler_rejects_a_non_finite_phase(phi: float) -> None:
     with pytest.raises(ValueError, match="finite"):

@@ -340,6 +340,11 @@ def test_grover_batch_with_mixed_n_raises() -> None:
         lambda: pea_circuit_pmf(3, np.array([0.1, np.nan])),
         lambda: grover_pea_pmf(2, CountingInstance(n=2, M=1), float("nan")),
         lambda: analytic_counting_pmf(2, 0.3, float("nan")),
+        lambda: pea_circuit_pmf(2, "0.3"),
+        lambda: pea_circuit_pmf(2, 0.2, True),
+        lambda: pea_circuit_pmf(2, np.array(["0.1", "0.2"])),
+        lambda: grover_pea_pmf(2, CountingInstance(n=2, M=1), "0.1"),
+        lambda: analytic_counting_pmf(2, 0.25, "0.1"),
     ],
 )
 def test_pmf_builders_reject_a_non_finite_phase(build) -> None:
