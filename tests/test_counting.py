@@ -231,9 +231,9 @@ def test_counting_estimate_consistency_enforced() -> None:
     [
         (dict(m_tilde=0.1, phi_hat=math.nan), "phi must be finite"),
         (dict(m_tilde=0.1, phi_hat=math.inf), "phi must be finite"),
-        (dict(m_tilde=0.1, phi_hat="0.2"), "phi must be finite"),
         (dict(m_tilde=math.nan, phi_hat=0.2), "m_tilde must equal"),
         (dict(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1.5), "R must be an integer"),
+        (dict(m_tilde=0.1, phi_hat="0.2"), "phi must be finite"),
     ],
 )
 def test_counting_estimate_rejects_a_bad_value(kw: dict, message: str) -> None:
