@@ -47,6 +47,7 @@ from .phase_math import (
     circ_dist,
     exact_bias_mae_pea,
     exact_mae_upea,
+    exact_msd_upea,
     pea_kernel,
     pea_pmf,
     pea_pmf_at,
@@ -116,6 +117,7 @@ __all__ = [
     "exact_bias_mae_pea",
     "exact_bias_uqca_single",
     "exact_mae_upea",
+    "exact_msd_upea",
     "grover_operator",
     "grover_pea_pmf",
     "inverse_qft",

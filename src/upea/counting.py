@@ -149,8 +149,9 @@ class CalibrationRecord:
 
 
 def phi_from_m(m: float) -> Phase:
-    """Phase in [0, 1/2] whose squared sine of a half-turn equals m."""
-    m = float(m)
+    """Phase in [0, 1/2] whose squared sine of a half-turn equals m; m must
+    be a number in [0, 1]."""
+    m = _finite("m", m)
     if not (0.0 <= m <= 1.0):
         raise ValueError("m must lie in [0, 1]")
     return math.asin(math.sqrt(m)) / math.pi
@@ -174,26 +175,24 @@ def sample_uqca_block(
     params: PeaParams, m: float, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized block of n counting trials; returns (phi_hat, m_tilde)
-    arrays.  Stream order: sign vector, then per repetition a theta vector
-    and a uniform vector (see the sampler module on block streams).  An n
-    that is not an integer >= 0 raises ValueError."""
+    arrays.  Stream order: the sign vector, then one sampler block of n * R
+    runs (see the sampler module), whose (n, R) view holds trial i's runs in
+    row i, all at its signed phase.  An n that is not an integer >= 0
+    raises ValueError."""
     n = _trials(n)
+    R = params.R
     phi = phi_from_m(m)
-    sign = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    est = np.empty((n, params.R))
-    base = sign * phi
-    # one block per repetition; each trial's R runs share its sign
-    for j in range(params.R):
-        _, _, est[:, j] = sample_upea_block(params, base, rng, n)
-    phi_hat = mle_counting_batch(params, est)
+    signed = np.where(rng.random(n) < 0.5, phi, -phi)
+    _, _, est = sample_upea_block(params, np.repeat(signed, R), rng, n * R)
+    phi_hat = mle_counting_batch(params, est.reshape(n, R))
     m_tilde = np.sin(np.pi * phi_hat) ** 2
     return phi_hat, m_tilde
 
 
 def exact_bias_uqca_single(m: float, T: int) -> float:
     """Exact single-run bias of m_tilde: (1-2m)/(2T), valid for every m and
-    every power-of-two T."""
-    m = float(m)
+    every power-of-two T; m must be a number in [0, 1]."""
+    m = _finite("m", m)
     if not (0.0 <= m <= 1.0):
         raise ValueError("m must lie in [0, 1]")
     return (1.0 - 2.0 * m) / (2.0 * PeaParams.from_T(T).T)

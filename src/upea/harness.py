@@ -11,7 +11,8 @@ Every sweep runs through one function.  Its grid of G points is:
 A cell is one (R, grid point) pair, split into fixed-size chunks of trials.
 A chunk owns an independent generator seeded by sha256(base_seed |
 experiment | seed path | chunk index), where the seed path is (i,) for the
-three single-R phase sweeps and (R, i) for mae-vs-r and the counting sweeps.
+three single-R phase sweeps and (R, i) for mae-vs-r and the counting sweeps;
+it draws the R runs of all its trials as one sampler block.
 mae-vs-r and every R-range sweep pool the grid into one row per R (ground
 truth R, n_samples G times the config's); the others write one row per grid
 point.  Chunk results are reduced with exact compensated summation, so the
@@ -184,14 +185,12 @@ def _entry(parts, truth: float) -> BiasMaeEntry:
 
 
 def _phase_errors(params: PeaParams, phi: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Circular errors of size single-run (R = 1) or pooled-MLE estimates."""
-    if params.R == 1:
-        _, _, est = sample_upea_block(params, phi, rng, size)
-    else:
-        mat = np.empty((size, params.R))
-        for j in range(params.R):
-            _, _, mat[:, j] = sample_upea_block(params, phi, rng, size)
-        est = mle_batch(params, mat)
+    """Circular errors of size single-run (R = 1) or pooled-MLE estimates,
+    from one block of size * R runs: row i of its (size, R) view holds trial
+    i's runs."""
+    _, _, est = sample_upea_block(params, phi, rng, size * params.R)
+    if params.R > 1:
+        est = mle_batch(params, est.reshape(size, params.R))
     return _circ_dist_array(est, phi)
 
 

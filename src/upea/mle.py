@@ -52,7 +52,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .phase_math import _TINY, PeaParams, Phase, _kernel_parts, _reduce, _wrap_array, pea_kernel
+from .phase_math import (
+    _TINY,
+    PeaParams,
+    Phase,
+    _finite,
+    _finite_array,
+    _kernel_parts,
+    _reduce,
+    _wrap_array,
+    pea_kernel,
+)
 
 __all__ = [
     "LOG_ZERO",
@@ -133,7 +143,8 @@ def _log_mix(k_sum: np.ndarray) -> np.ndarray:
 
 
 def _nonempty(estimates) -> np.ndarray:
-    est = np.asarray(estimates, dtype=float)
+    """estimates as a float array of finite numbers, at least one."""
+    est = _finite_array("estimates", estimates)
     if est.size == 0:
         raise ValueError("estimates must be nonempty")
     return est
@@ -153,18 +164,19 @@ def _mixture_ll(T: int, est: np.ndarray, c) -> np.ndarray:
 
 def log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
     """Sum of log kernel factors at the candidate phase."""
-    return float(_plain_ll(params.T, _nonempty(estimates).ravel(), float(phi_cand)))
+    return float(_plain_ll(params.T, _nonempty(estimates).ravel(), _finite("phi_cand", phi_cand)))
 
 
 def mixture_log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
     """Counting-variant objective at one candidate."""
-    return float(_mixture_ll(params.T, _nonempty(estimates).ravel(), float(phi_cand)))
+    return float(_mixture_ll(params.T, _nonempty(estimates).ravel(), _finite("phi_cand", phi_cand)))
 
 
 def _runs(params: PeaParams, estimates) -> np.ndarray:
-    """estimates as a float array, once its rows (if it has two axes) are
-    checked to hold params.R runs each."""
-    est = np.asarray(estimates, dtype=float)
+    """estimates as a float array, once its entries are checked to be
+    finite numbers and its rows (if it has two axes) to hold params.R runs
+    each."""
+    est = _finite_array("estimates", estimates)
     if est.ndim == 2 and est.shape[1] != params.R:
         raise ValueError(
             f"estimates hold R = {est.shape[1]} runs per row but params.R = {params.R}"
@@ -396,12 +408,10 @@ def _maximize(
     (n, R).  Returns (phi_hat, log likelihood, candidate cells, refinement
     steps), the last a per-row count of the loop steps in which any of the
     row's starts was live (0 on the R = 1 path).  Estimates are wrapped into
-    [0, 1) first (a no-op on rows already there); another shape or a
-    non-finite estimate raises ValueError."""
+    [0, 1) first (a no-op on rows already there); the callers check that
+    they are finite (_runs), and another shape raises ValueError."""
     if est.ndim != 2:
         raise ValueError(f"estimates must be an (n, R) array, got shape {est.shape}")
-    if not np.isfinite(est).all():
-        raise ValueError("estimates must be finite")
     est = _wrap_array(est)
     n, R = est.shape
     ll_of = _mixture_ll if counting else _plain_ll

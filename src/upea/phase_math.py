@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +39,7 @@ __all__ = [
     "upea_pdf",
     "exact_bias_mae_pea",
     "exact_mae_upea",
+    "exact_msd_upea",
 ]
 
 # A phase is a plain float, canonically stored in [0, 1) (fraction of a turn).
@@ -167,8 +167,12 @@ class BiasMaeEntry:
 
 def _finite(name: str, x) -> float:
     """x as a float, or a ValueError naming the input as _finite_array
-    does."""
-    return float(_finite_array(name, x))
+    does, or when it is not a scalar (a list or array of one item
+    included)."""
+    x = _finite_array(name, x)
+    if x.ndim:
+        raise ValueError(f"{name} must be a scalar, got shape {x.shape}")
+    return float(x)
 
 
 def _finite_array(name: str, x) -> np.ndarray:
@@ -203,12 +207,13 @@ def circ_dist(a: float, b: float) -> float:
     return float(_circ_dist_array(_finite("phase", d), 0.0))
 
 
-def _wrap_array(x) -> np.ndarray:
-    """Representatives in [0, 1) of x (a new array; 0-d for a scalar).
-    Zero of either sign maps to +0.0."""
-    r = x - np.floor(x)
+def _wrap_array(x, out: np.ndarray | None = None) -> np.ndarray:
+    """Representatives in [0, 1) of x, in out (which may be x) or in a new
+    array (0-d for a scalar).  Zero of either sign maps to +0.0."""
+    r = np.asarray(np.subtract(x, np.floor(x), out=out))
     # floor rounding can land exactly on 1.0 for tiny negative inputs
-    return np.where(r >= 1.0, 0.0, r)
+    r[r >= 1.0] = 0.0
+    return r
 
 
 def _circ_dist_array(a, b) -> np.ndarray:
@@ -266,48 +271,6 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     return float(r) if r.ndim == 0 else r
 
 
-@lru_cache(maxsize=8)
-def _rotation_windows(T: int) -> np.ndarray:
-    """Windows (2, T + 1, T) of S[j] = sin(pi j/T) and C[j] = cos(pi j/T),
-    j < T, laid twice end to end (window r holds them rotated left by r);
-    each entry is a sine of at most pi/2, precise near the tables' zeros."""
-    j = np.arange(T)
-    table = np.sin(np.pi / T * np.stack([np.minimum(j, T - j), T / 2 - j]))
-    return np.lib.stride_tricks.sliding_window_view(np.tile(table, 2), T, axis=1)
-
-
-def _kernel_rows(T: int, x: np.ndarray, out: np.ndarray):
-    """Yield (i, out[:m]) per slice of len(out) finite shifted phases x[i:],
-    row l of out[:m] set to pea_kernel(T, k/T - x[i + l]).  With y = T (x -
-    floor(x)), a = rint(y) and e = y - a (exact; the wrap rounds only for
-    -1 < x < 0), a row is sin^2(pi e) / (T^2 d_j^2) for j = (k - a) mod T,
-    d_j = sin(pi (j - e)/T) = S[j] cos(pi e/T) - C[j] sin(pi e/T): per cell a
-    gather, two multiplies, a subtract, a square and a divide.  Where
-    (pi e)^2 is below the normal range (e = 0 included) the row is exactly 1
-    at k = a mod T and 0 elsewhere, the limit on _kernel_parts' mask."""
-    y = T * (x - np.floor(x))
-    a = np.rint(y)
-    e = y - a
-    start = (-a).astype(np.intp) % T
-    lattice = (np.pi * e) ** 2 < _TINY
-    e[lattice] = 0.5  # a stand-in whose denominators have no zero
-    num = np.where(lattice, 0.0, (np.sin(np.pi * e) / T) ** 2)[:, None]
-    cos, sin = np.cos(np.pi * e / T)[:, None], np.sin(np.pi * e / T)[:, None]
-    sin_table, cos_table = _rotation_windows(T)
-    for i in range(0, len(x), len(out)):
-        part = slice(i, i + len(out))
-        rows = out[: len(x) - i]
-        np.multiply(sin_table[start[part]], cos[part], out=rows)
-        rotated = cos_table[start[part]]
-        rotated *= sin[part]
-        rows -= rotated
-        rows *= rows
-        np.divide(num[part], rows, out=rows)
-        for k in np.flatnonzero(lattice[part]):
-            rows[k, (T - start[i + k]) % T] = 1.0
-        yield i, rows
-
-
 def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
     """Probability of measuring outcome s at true phase phi."""
     T = params.T
@@ -320,8 +283,8 @@ def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
 def pea_pmf(params: PeaParams, phi: float) -> DistTable:
     """Exact outcome table over all T outcomes at true phase phi."""
     T = params.T
-    _, probs = next(_kernel_rows(T, np.array([_finite("phi", phi)]), np.empty((1, T))))
-    return DistTable(params, probs[0])
+    # wrapped first: far outside [0, 1), k/T - phi would keep no fraction
+    return DistTable(params, pea_kernel(T, np.arange(T) / T - _wrap_array(_finite("phi", phi))))
 
 
 def upea_pdf(params: PeaParams, phi_tilde: float, phi: float) -> float:
@@ -357,3 +320,19 @@ def exact_mae_upea(params: PeaParams) -> float:
     T = params.T
     m = np.arange(1, T, 2, dtype=float)
     return float(0.25 - 2.0 / np.pi**2 * np.sum((1.0 - m / T) / m**2))
+
+
+def exact_msd_upea(params: PeaParams) -> float:
+    """Mean squared error E d^2 of the randomized estimator, which is
+    independent of the true phase.  Against the Fejer series of
+    exact_mae_upea, d^2 integrates term by term, since the integral of
+    d^2 cos(2 pi m d) over (-1/2, 1/2] is (-1)^m / (2 pi^2 m^2):
+
+        1/12 + (1/pi^2) sum_{m=1}^{T-1} (1 - m/T) (-1)^m / m^2.
+
+    With exact_mae_upea it gives the exact standard errors of a sample's
+    bias, sqrt(E d^2 / n), and MAE, sqrt((E d^2 - MAE^2) / n)."""
+    T = params.T
+    m = np.arange(1, T, dtype=float)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    return float(1.0 / 12.0 + np.sum(sign * (1.0 - m / T) / m**2) / np.pi**2)

@@ -52,6 +52,16 @@ def test_phi_from_m_edge_values() -> None:
         phi_from_m(-0.1)
 
 
+@pytest.mark.parametrize("bad", ["0.25", True, np.array(["0.25"]), [0.25], math.nan])
+def test_count_fraction_inputs_must_be_numbers(bad) -> None:
+    # phi_from_m("0.25") returned 1/6, phi_from_m(True) 0.5 and
+    # exact_bias_uqca_single("0.2", 16) 0.01875
+    with pytest.raises(ValueError, match="m must be"):
+        phi_from_m(bad)
+    with pytest.raises(ValueError, match="m must be"):
+        exact_bias_uqca_single(bad, 16)
+
+
 # ---------------------------------------------------------------------------
 # exact single-run bias law
 

@@ -5,6 +5,7 @@ formats, calibration plumbing, and exit codes."""
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,13 +24,26 @@ from upea.harness import (
     write_csv,
     write_metadata,
 )
-from upea.phase_math import ThetaMode
+from upea.phase_math import PeaParams, ThetaMode, exact_mae_upea, exact_msd_upea
 
 
 def _small(experiment: str, **kw) -> SweepConfig:
     base = dict(T=16, R=1, grid_points=3, n_samples=600, base_seed=9)
     base.update(kw)
     return SweepConfig(experiment, **base)
+
+
+@pytest.mark.parametrize("T", [16, 256])
+def test_single_run_sweep_rows_lie_within_4_exact_standard_errors(T: int) -> None:
+    # the error d of every R = 1 row has the phase-independent Fejer law,
+    # so its bias and MAE have exact standard errors
+    config = SweepConfig("upea-bias-mae", T=T, grid_points=16, n_samples=1 << 13, base_seed=5)
+    params = PeaParams.from_T(T)
+    msd, mae = exact_msd_upea(params), exact_mae_upea(params)
+    for e in run_sweep(config).entries:
+        n = e.n_samples
+        assert abs(e.bias) <= 4 * math.sqrt(msd / n)
+        assert abs(e.mae - mae) <= 4 * math.sqrt((msd - mae * mae) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -651,6 +651,30 @@ def test_entry_points_reject_a_run_count_other_than_params_r() -> None:
             fn(P3, row[:2])
 
 
+@pytest.mark.parametrize(
+    "bad", [np.array([["0.1", "0.2", "0.3"]]), np.array([[True, False, True]]), np.array([[0.1, 0.2, None]])]
+)
+def test_entry_points_reject_string_bool_and_object_estimates(bad) -> None:
+    # the strings ran as their values and the bools as 0 and 1
+    for fn in (mle_batch, mle_counting_batch):
+        with pytest.raises(ValueError, match="estimates must be finite and numeric"):
+            fn(P3, bad)
+    for fn in (mle_estimate, mle_estimate_counting):
+        with pytest.raises(ValueError, match="estimates must be finite and numeric"):
+            fn(P3, bad[0])
+    for fn in (log_likelihood, mixture_log_likelihood):
+        with pytest.raises(ValueError, match="estimates must be finite and numeric"):
+            fn(P3, bad[0], 0.2)
+
+
+@pytest.mark.parametrize("bad", ["0.2", True, [0.2], math.nan])
+def test_log_likelihoods_reject_a_bad_candidate(bad) -> None:
+    # log_likelihood(..., "0.2") returned a value
+    for fn in (log_likelihood, mixture_log_likelihood):
+        with pytest.raises(ValueError, match="phi_cand must be"):
+            fn(P3, [0.1, 0.2, 0.3], bad)
+
+
 def test_counting_maximum_at_half_stops_well_under_the_step_cap() -> None:
     # the maximum is the end 1/2, where L' is rounding noise: Newton steps
     # of about 1e-11 once wandered outside the narrowed bracket until the cap

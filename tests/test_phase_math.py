@@ -15,13 +15,13 @@ from upea.mle import LOG_ZERO, log_kernel
 from upea.phase_math import (
     BiasMaeEntry,
     _circ_dist_array,
-    _kernel_rows,
     _wrap_array,
     PeaParams,
     ThetaMode,
     circ_dist,
     exact_bias_mae_pea,
     exact_mae_upea,
+    exact_msd_upea,
     pea_kernel,
     pea_pmf,
     pea_pmf_at,
@@ -238,6 +238,39 @@ def test_exact_mae_upea_large_t_stays_small_in_memory() -> None:
     assert 0.0 < mae < exact_mae_upea(PeaParams.from_T(512))
 
 
+def _quadrature_of_the_density(params: PeaParams, g) -> float:
+    """The integral of g(d) upea_pdf(d | 0) over (-1/2, 1/2], by 24-point
+    Gauss-Legendre on each cell between the density's zeros k/T, where the
+    integrand is smooth (T >= 2)."""
+    T = params.T
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    total = 0.0
+    for k in range(-T // 2, T // 2):
+        lo, hi = k / T, (k + 1) / T
+        d = (hi - lo) / 2 * nodes + (hi + lo) / 2
+        pdf = np.array([upea_pdf(params, x, 0.0) for x in d])
+        total += (hi - lo) / 2 * float(np.dot(weights, g(d) * pdf))
+    return total
+
+
+@pytest.mark.parametrize("T", [2, 16, 256])
+def test_exact_msd_upea_matches_quadrature_of_the_density(T: int) -> None:
+    params = PeaParams.from_T(T)
+    assert _quadrature_of_the_density(params, np.ones_like) == pytest.approx(1.0, rel=1e-13)
+    msd = _quadrature_of_the_density(params, np.square)
+    assert exact_msd_upea(params) == pytest.approx(msd, rel=1e-12)
+    mae = _quadrature_of_the_density(params, np.abs)
+    assert exact_mae_upea(params) == pytest.approx(mae, rel=1e-12)
+    # |d| has a positive variance
+    assert exact_msd_upea(params) > exact_mae_upea(params) ** 2
+
+
+def test_exact_msd_upea_closed_forms_at_t_1_and_2() -> None:
+    # a uniform error on the circle, then the single term m = 1
+    assert exact_msd_upea(PeaParams(t=0)) == 1 / 12
+    assert exact_msd_upea(PeaParams(t=1)) == pytest.approx(1 / 12 - 1 / (2 * math.pi**2), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # dataclass validation
 
@@ -315,6 +348,19 @@ def test_phase_inputs_take_numpy_scalars_and_0d_arrays() -> None:
     # each argument is finite, but their difference overflows
     with pytest.raises(ValueError, match="phase must be finite"):
         circ_dist(1e308, -1e308)
+
+
+@pytest.mark.parametrize("bad", [[0.3], (0.3,), np.array([0.3]), np.zeros((1, 1))])
+def test_scalar_phase_inputs_reject_a_one_item_sequence(bad) -> None:
+    # wrap_phase([0.3]) raised NumPy's TypeError
+    with pytest.raises(ValueError, match="phase must be a scalar"):
+        wrap_phase(bad)
+    with pytest.raises(ValueError, match="phase must be a scalar"):
+        circ_dist(bad, 0.2)
+    with pytest.raises(ValueError, match="phi must be a scalar"):
+        pea_pmf_at(P16, 3, bad)
+    with pytest.raises(ValueError, match="phi must be a scalar"):
+        pea_pmf(P16, bad)
 
 
 @pytest.mark.parametrize("s", [1.5, 1.0, True])
@@ -479,7 +525,7 @@ def test_pointwise_laws_reject_a_non_finite_phase_by_name(bad: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# outcome rows by table rotation against the kernel
+# pea_pmf rows against the closed form sin^2(pi e) / (T^2 sin^2(pi (j - e)/T))
 
 ROW_T = [1, 2, 16, 256, 1 << 14, 1 << 16]
 # cells agree to 8 units of 2^-52, relative
@@ -499,11 +545,26 @@ def _dyadic_shifts(T: int) -> np.ndarray:
 
 
 def _rows(T: int, x) -> np.ndarray:
-    """_kernel_rows of all of x, in one slice."""
-    x = np.asarray(x, dtype=float)
-    (i, rows), *more = _kernel_rows(T, x, np.empty((x.size, T)))
-    assert i == 0 and not more
-    return rows
+    """The pea_pmf row of each shift in x."""
+    params = PeaParams.from_T(T)
+    return np.array([pea_pmf(params, v).probs for v in np.ravel(x)])
+
+
+def _closed_form_rows(T: int, x) -> np.ndarray:
+    """Rows of the outcome law in closed form: with y = T wrap(x), a =
+    rint(y) and e = y - a (exact for a power-of-two T), cell k holds
+    sin^2(pi e) / (T^2 sin^2(pi (j - e)/T)) for the j = k - a (mod T) with
+    |j - e| <= T/2, so each sine's argument is at most pi/2.  Where
+    (pi e)^2 is below the normal range the row is exactly 1 at k = a mod T."""
+    y = T * (np.asarray(x, dtype=float)[:, None] % 1.0)
+    a = np.rint(y)
+    e = y - a
+    j = (np.arange(T) - a) % T
+    j = np.where(j - e > T / 2, j - T, j)
+    lattice = (np.pi * e) ** 2 < np.finfo(float).tiny
+    e = np.where(lattice, 0.5, e)
+    rows = np.sin(np.pi * e) ** 2 / (T * np.sin(np.pi * (j - e) / T)) ** 2
+    return np.where(lattice, (j == 0).astype(float), rows)
 
 
 def _assert_rows_match(got: np.ndarray, want: np.ndarray) -> None:
@@ -515,10 +576,9 @@ def _assert_rows_match(got: np.ndarray, want: np.ndarray) -> None:
 @pytest.mark.parametrize("T", ROW_T)
 def test_kernel_rows_match_the_kernel_at_dyadic_shifts(T: int) -> None:
     x = _dyadic_shifts(T)
-    before = x.copy()
     got = _rows(T, x)
-    assert x.tobytes() == before.tobytes()
-    _assert_rows_match(got, pea_kernel(T, np.arange(T) / T - x[:, None]))
+    _assert_rows_match(got, _closed_form_rows(T, x))
+    assert np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-14)
     # lattice shifts give the lattice row exactly
     for row, k in zip(got[:4], np.array([0, 1, T // 2, T - 1]) % T):
         assert row[k] == 1.0 and np.count_nonzero(row) == 1
@@ -539,7 +599,19 @@ def test_kernel_rows_at_edge_shifts(T: int) -> None:
         assert row.tobytes() == want.tobytes()
     # wraps to 0.25: the lattice row at k = T/4 for T >= 4, a regular row below
     quarter = _rows(T, [2.0**50 + 0.25])
-    _assert_rows_match(quarter, pea_kernel(T, np.arange(T)[None, :] / T - 0.25))
+    _assert_rows_match(quarter, _closed_form_rows(T, [0.25]))
     assert abs(quarter.sum() - 1.0) <= 1e-12
-    for x in _LATTICE_EDGES + [2.0**50 + 0.25]:
-        assert abs(pea_pmf(PeaParams.from_T(T), x).probs.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("T", [2, 16, 256])
+def test_pmf_rows_match_a_40_digit_reference(T: int) -> None:
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    params = PeaParams.from_T(T)
+    # every cell within 2^-52 (absolute) of the 40-digit value
+    for phi in (0.3, 0.5 / T, 1 / T + 1e-12, 0.7 + 2.0**-40, 1 - 1e-9):
+        got = pea_pmf(params, phi).probs
+        for k in range(T):
+            d = mpmath.mpf(k) / T - mpmath.mpf(phi)
+            want = (mpmath.sin(T * mpmath.pi * d) / (T * mpmath.sin(mpmath.pi * d))) ** 2
+            assert abs(got[k] - float(want)) <= np.finfo(float).eps, (phi, k)

@@ -18,6 +18,8 @@ from upea.sampler import (
     run_batch,
     sample_pea,
     sample_upea,
+    _draw_theta,
+    _tail,
     sample_upea_block,
 )
 
@@ -107,8 +109,9 @@ def test_theta_modes_drawn_from_declared_support() -> None:
 
 
 def test_block_matches_convention_on_cdf_atoms() -> None:
-    """The block sampler's comparison count equals searchsorted side='right'
-    even when the uniform draw hits a CDF value exactly."""
+    """A comparison count over the CDF equals searchsorted side='right',
+    which the inverse-CDF oracle below uses, even when the uniform draw hits
+    a CDF value exactly."""
     probs = np.array([0.25, 0.25, 0.5])
     cdf = np.cumsum(probs)
     for u in (0.0, 0.25, 0.5, 0.4999999, 0.75, 1.0 - 1e-16):
@@ -135,15 +138,16 @@ def test_block_sampler_vector_phi() -> None:
 
 
 def test_block_sampler_memory_is_bounded_at_large_t() -> None:
-    # n x T pmf and cdf arrays would take 128 MiB each at T = n = 4096
+    # an n x T outcome table would take 32 GiB at T = 2^20, n = 4096; the
+    # rejection sampler keeps a few arrays of n entries
     tracemalloc.start()
     try:
-        s, _, _ = sample_upea_block(PeaParams.from_T(4096), 0.3, make_rng(5), 4096)
+        s, _, _ = sample_upea_block(PeaParams.from_T(1 << 20), 0.3, make_rng(5), 4096)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert s.shape == (4096,) and np.all((0 <= s) & (s < 4096))
-    assert peak <= 64 << 20
+    assert s.shape == (4096,) and np.all((0 <= s) & (s < 1 << 20))
+    assert peak <= 1 << 20
 
 
 def test_run_batch_shape_and_determinism() -> None:
@@ -198,44 +202,136 @@ def test_block_sampler_rejects_a_non_finite_phase(phi: float) -> None:
         sample_upea_block(P16, np.array([0.1, phi]), make_rng(1), 2)
 
 
-def _block_reference(params: PeaParams, phi, rng, n: int):
-    """sample_upea_block drawn row by row with out-of-place arrays."""
+def _inverse_cdf(params: PeaParams, phi, rng, n: int) -> np.ndarray:
+    """The oracle: outcomes by inverse CDF, theta drawn as the block sampler
+    draws it and then one uniform per trial inverted against the cumulated
+    pea_pmf row (searchsorted side='right', clamped to T - 1)."""
     T = params.T
-    theta = rng.random(n) if params.theta_mode.kind == "full" else np.full(n, params.theta_mode.value)
-    shifted = np.asarray(phi, dtype=float) + theta
+    theta = _draw_theta(params.theta_mode, T, rng, n)
+    x = np.broadcast_to(np.asarray(phi, dtype=float), (n,)) + theta
     u = rng.random(n)
-    grid = np.arange(T) / T
-    s = np.array([(np.cumsum(pea_kernel(T, grid - x)) <= v).sum() for x, v in zip(shifted, u)])
-    s = np.minimum(s, T - 1)
-    return s, theta, (s / T - theta) % 1.0
+    s = [np.searchsorted(np.cumsum(pea_pmf(params, v).probs), w, side="right") for v, w in zip(x, u)]
+    return np.minimum(s, T - 1), theta
 
 
-@pytest.mark.parametrize("T, n", [(2, 9), (16, 600), (4096, 5), (1 << 14, 3)])
-def test_block_sampler_with_reused_slice_buffers_matches_row_by_row_draws(T: int, n: int) -> None:
-    # (4096, 5): two rows per slice and a shorter last slice; 2^14: one row per slice
-    for mode in (ThetaMode.full(), ThetaMode.fixed(0.3)):
+# offsets from a lattice point k/T: exact, dyadic, decimal, subnormal and
+# below-ulp ones (the digest tool's), then the half-way points e = +-1/2
+LATTICE_OFFSETS = (0.0, 2.0**-40, -(2.0**-40), 1e-12, -1e-12, 1e-300, 5e-324, -1e-20)
+MODES = [ThetaMode.full(), ThetaMode.period(), ThetaMode.fixed(0.0)]
+
+
+def _phases(T: int, n: int) -> np.ndarray:
+    """n phases: lattice points k/T plus each offset, half-way points
+    (k +- 1/2)/T, and scattered phases in [-1.3, 2.7)."""
+    k = np.random.default_rng(T).integers(0, T, n) / T
+    half = np.resize([0.5 / T, -0.5 / T], n)
+    spread = np.linspace(-1.3, 2.7, n)
+    layouts = [k + np.resize(LATTICE_OFFSETS, n), k + half, spread]
+    return np.choose(np.arange(n) % 3, layouts)
+
+
+def _chi2_pvalue(T: int, x: np.ndarray, s: np.ndarray) -> float:
+    """Chi-squared p-value of outcomes s against their exact laws at the
+    shifted phases x.  Outcomes are binned by their offset j from a =
+    rint(T wrap(x)), for |j| <= 32 plus one bin for the rest; a trial's
+    expected share of bin j is its pea_pmf cell at k = a + j (mod T),
+    pea_kernel(T, k/T - wrap(x)).  Bins expecting fewer than 5 outcomes are
+    pooled.  An outcome of probability 0 gives p = 0."""
+    wrapped = x % 1.0
+    a = np.rint(T * wrapped)
+    j = (s - a) % T
+    j = np.where(j > T / 2, j - T, j)
+    J = min(32, T // 2)
+    js = np.arange(-J, J + 1)
+    js = js[(js > -T / 2) & (js <= T / 2)]
+    cells = pea_kernel(T, ((a[:, None] + js) % T) / T - wrapped[:, None])
+    prob = cells[np.arange(len(s))[:, None], (j[:, None] == js).argmax(axis=1)[:, None]][:, 0]
+    inside = np.abs(j) <= J
+    if not np.all(prob[inside] > 0.0):
+        return 0.0
+    expected = np.append(cells.sum(axis=0), max(len(s) - cells.sum(), 0.0))
+    observed = np.append([np.sum(j == v) for v in js], np.sum(~inside))
+    small = expected < 5
+    expected = np.append(expected[~small], expected[small].sum())
+    observed = np.append(observed[~small], observed[small].sum())
+    if expected[-1] < 5:  # too little left to pool into a bin of its own
+        expected[-2] += expected[-1]
+        observed[-2] += observed[-1]
+        expected, observed = expected[:-1], observed[:-1]
+    if len(expected) < 2:
+        return 1.0
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    return float(stats.chi2.sf(chi2, df=len(expected) - 1))
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+@pytest.mark.parametrize("T", [2, 16, 256, 1 << 16])
+def test_block_sampler_fits_the_outcome_law(T: int, mode: ThetaMode) -> None:
+    n = 20000
+    phi = _phases(T, n)
+    params = PeaParams.from_T(T, 1, mode)
+    s, theta, phi_tilde = sample_upea_block(params, phi, make_rng(T), n)
+    assert s.dtype.kind == "i" and np.all((0 <= s) & (s < T))
+    assert np.array_equal(phi_tilde, (s / T - theta) % 1.0)
+    assert _chi2_pvalue(T, phi + theta, s) > 1e-3
+
+
+@pytest.mark.parametrize("f", [0.02, 0.25, 0.5])
+@pytest.mark.parametrize("T", [4, 16, 256, 1 << 16])
+def test_rejection_draws_follow_the_law_past_both_atoms(T: int, f: float) -> None:
+    # _tail alone, at one offset f = |e| and many draws: the offsets j of
+    # the window -T/2 < j <= T/2 other than 0 and 1, weighted by
+    # P(j) = sin^2(pi f) / (T^2 sin^2(pi (j - f)/T)), renormalized
+    n = 200_000
+    j = _tail(T, np.full(n, f), make_rng(T))
+    window = np.arange(1 - T // 2, T // 2 + 1)
+    window = window[(window != 0) & (window != 1)]
+    assert np.all(np.isin(j, window))
+    law = 1.0 / np.sin(np.pi * (window - f) / T) ** 2
+    law /= law.sum()
+    near = np.abs(window) <= 32  # bins; the rest pooled into one
+    expected = np.append(law[near], law[~near].sum()) * n
+    observed = np.append([np.sum(j == v) for v in window[near]], np.sum(np.abs(j) > 32))
+    keep = expected >= 5
+    expected = np.append(expected[keep], expected[~keep].sum())
+    observed = np.append(observed[keep], observed[~keep].sum())
+    if expected[-1] == 0.0:
+        expected, observed = expected[:-1], observed[:-1]
+    chi2 = float(((observed - expected) ** 2 / expected).sum())
+    assert stats.chi2.sf(chi2, df=len(expected) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+def test_chi2_check_takes_the_inverse_cdf_oracle_and_rejects_a_shifted_law(mode: ThetaMode) -> None:
+    n, T = 20000, 16
+    phi = _phases(T, n)
+    params = PeaParams.from_T(T, 1, mode)
+    s, theta = _inverse_cdf(params, phi, make_rng(3), n)
+    assert _chi2_pvalue(T, phi + theta, s) > 1e-3
+    # draws made a quarter of an outcome away from the law checked
+    s, theta = _inverse_cdf(params, phi + 0.25 / T, make_rng(3), n)
+    assert _chi2_pvalue(T, phi + theta, s) < 1e-6
+
+
+@pytest.mark.parametrize("mode", MODES, ids=str)
+def test_block_sampler_at_t_1_returns_outcome_0(mode: ThetaMode) -> None:
+    params = PeaParams.from_T(1, 1, mode)
+    s, theta, phi_tilde = sample_upea_block(params, _phases(1, 300), make_rng(4), 300)
+    assert not s.any()
+    assert np.array_equal(phi_tilde, (-theta) % 1.0)
+
+
+@pytest.mark.parametrize("T", [1, 2, 16, 256, 1 << 16, 1 << 20])
+def test_block_sampler_is_a_pure_function_of_the_generator_state(T: int) -> None:
+    n = 5000
+    phi = _phases(T, n)
+    for mode in MODES:
         params = PeaParams.from_T(T, 1, mode)
-        phi = np.linspace(-1.3, 2.7, n)
-        got = sample_upea_block(params, phi, make_rng(8), n)
-        want = _block_reference(params, phi, make_rng(8), n)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        assert np.array_equal(got[2], want[2])
-
-
-@pytest.mark.parametrize("T", [1, 2, 16, 256, 1 << 14])
-def test_block_sampler_inverts_the_outcome_table_bit_for_bit(T: int) -> None:
-    # a fixed theta draws nothing, so the block's uniforms are the generator's
-    # first n draws; phases spread outside [0, 1) and near lattice points
-    n = 64 if T < 1 << 14 else 6
-    near = np.arange(n) / T + np.resize([0.0, 2.0**-40, -1e-12, 5e-324, -1e-20], n)
-    for theta, phi in ((0.3, np.linspace(-1.3, 2.7, n)), (0.0, near)):
-        params = PeaParams.from_T(T, 1, ThetaMode.fixed(theta))
-        s, _, _ = sample_upea_block(params, phi, make_rng(13), n)
-        u = make_rng(13).random(n)
-        want = [
-            np.searchsorted(np.cumsum(pea_pmf(params, x + theta).probs), v, side="right")
-            for x, v in zip(phi, u)
-        ]
-        assert s.tobytes() == np.minimum(want, T - 1).tobytes()
-
+        runs = []
+        for _ in range(2):
+            rng = make_rng(17)
+            draws = sample_upea_block(params, phi, rng, n)
+            runs.append(b"".join(a.tobytes() for a in draws) + np.float64(rng.random()).tobytes())
+        assert runs[0] == runs[1]
+        other = b"".join(a.tobytes() for a in sample_upea_block(params, phi, make_rng(18), n))
+        assert other != runs[0][: len(other)] or T == 1 and mode.kind == "fixed"

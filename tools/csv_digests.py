@@ -18,8 +18,8 @@ the CSVs of the benchmark's three workload configs (written out here, not
 imported), a calibrate_b record, the run_verify_circuit reports with and
 without corrupt_theta, sample_upea_block draws (the generator's next draw
 included) at each T in {1, 2, 16, 256, 1024} and theta mode, at
-T = 2^14 (64 trials, full mode, one row per CDF slice) and T = 2^16
-(8 trials, a 512 KiB row), at T in {16, 256} on phases spread over
+T = 2^14 (64 trials), 2^16 (8 trials) and 2^20 (4096 trials) in full mode,
+at T in {16, 256} on phases spread over
 [-1.3, 2.7) (full and fixed:0.3 modes) and on phases within tiny offsets
 of outcome lattice points k/T (fixed:0.0 mode), the outputs
 of mle_batch and mle_counting_batch on 2000 sampled rows at each T in
@@ -85,12 +85,9 @@ MLE_PINNED = (
 )
 SAMPLER_T = (1, 2, 16, 256, 1024)
 SAMPLER_N = 4096
-# a T above the sampler's slice size, so each slice holds one row
-SAMPLER_LARGE_T = 1 << 14
-SAMPLER_LARGE_N = 64
-# the largest T a sweep accepts, where one CDF row is 512 KiB
-SAMPLER_HUGE_T = 1 << 16
-SAMPLER_HUGE_N = 8
+# (T, trials) of the large-register draws, full mode; a trial's expected
+# cost does not depend on T
+SAMPLER_LARGE = ((1 << 14, 64), (1 << 16, 8), (1 << 20, 4096))
 # T of the vector-phase draws: phases outside [0, 1) and near the lattice
 SAMPLER_VECTOR_T = (16, 256)
 # offsets from a lattice point k/T: exact, dyadic, decimal, subnormal and
@@ -160,8 +157,7 @@ def _sampler_outputs(seed: int):
     modes = (full, upea.ThetaMode.period(), upea.ThetaMode.fixed(0.3))
     # (T, mode, phase layout label, phases, trials)
     shapes = [(T, mode, "", 0.2, SAMPLER_N) for T in SAMPLER_T for mode in modes]
-    shapes.append((SAMPLER_LARGE_T, full, "", 0.2, SAMPLER_LARGE_N))
-    shapes.append((SAMPLER_HUGE_T, full, "", 0.2, SAMPLER_HUGE_N))
+    shapes += [(T, full, "", 0.2, n) for T, n in SAMPLER_LARGE]
     for T in SAMPLER_VECTOR_T:
         outside = np.linspace(-1.3, 2.7, SAMPLER_N)
         shapes += [(T, mode, ".outside", outside, SAMPLER_N) for mode in (full, modes[2])]
