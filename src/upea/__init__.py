@@ -69,17 +69,11 @@ from .statevector import (
     MeasurementPmf,
     StateVector,
     analytic_counting_pmf,
-    apply_controlled_phase,
-    apply_h,
-    apply_rz,
-    apply_swap,
     basis_state,
     grover_operator,
     grover_pea_pmf,
-    inverse_qft,
     measurement_pmf,
     pea_circuit_pmf,
-    qft,
     zero_state,
 )
 
@@ -103,10 +97,6 @@ __all__ = [
     "SweepReport",
     "ThetaMode",
     "analytic_counting_pmf",
-    "apply_controlled_phase",
-    "apply_h",
-    "apply_rz",
-    "apply_swap",
     "basis_state",
     "calibrate_b",
     "circ_dist",
@@ -120,7 +110,6 @@ __all__ = [
     "exact_msd_upea",
     "grover_operator",
     "grover_pea_pmf",
-    "inverse_qft",
     "log_likelihood",
     "m_from_phi",
     "make_rng",
@@ -133,7 +122,6 @@ __all__ = [
     "pea_pmf",
     "pea_pmf_at",
     "phi_from_m",
-    "qft",
     "run_batch",
     "run_sweep",
     "run_verify_circuit",

@@ -90,14 +90,12 @@ class CountingInstance:
 
 @dataclass(frozen=True)
 class CountingEstimate:
-    """One counting trial: the folded phase estimate, its count fraction
-    m_tilde = sin^2(pi phi_hat), and optionally a bias-corrected fraction
-    (set by the caller; may leave [0, 1])."""
+    """One counting trial: the folded phase estimate and its count fraction
+    m_tilde = sin^2(pi phi_hat)."""
 
     m_tilde: float
     phi_hat: Phase
     R: int
-    m_corrected: float | None = None
 
     def __post_init__(self) -> None:
         if not (abs(self.m_tilde - m_from_phi(self.phi_hat)) <= 1e-12):

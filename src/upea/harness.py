@@ -120,6 +120,10 @@ class SweepConfig:
             raise ValueError(f"{self.experiment} is single-run; R must be 1")
         if self.experiment == "pea-bias-mae" and self.theta_mode.kind != "fixed":
             raise ValueError("pea-bias-mae requires a fixed theta mode (no random shift)")
+        if self.experiment in ("calibrate", "uqca-corrected") and self.theta_mode.kind == "fixed":
+            raise ValueError(
+                f"{self.experiment} needs a random shift; its slope is for the shifted estimate"
+            )
 
     def r_values(self) -> list[int]:
         if isinstance(self.R, tuple):
@@ -336,9 +340,6 @@ def write_metadata(report: SweepReport, path: str) -> None:
 
 
 def run_verify_circuit(
-    pea_max_t: int = 6,
-    grover_max_t: int = 5,
-    grover_max_n: int = 4,
     n_phi: int = 32,
     n_theta: int = 8,
     seed: int = 1,
@@ -348,21 +349,16 @@ def run_verify_circuit(
     each of which must stay below 1e-10.
 
     Each register size is one batched simulator call: the estimation
-    circuit over all n_phi x n_theta pairs at each t, the counting circuit
-    over every marked count M at each (t, n).  corrupt_theta runs the
-    estimation circuit at -theta (the Rz ladder's sign flipped), a negative
-    control that must make the check fail.  Every size and count must be an
-    integer >= 1: a check over no cases would pass without checking.  The
-    seed must be an integer too.  A NaN deviation fails its check.
+    circuit over all n_phi x n_theta pairs at each t in 1..6, the counting
+    circuit over every marked count M at each t in 1..5 and n in 1..4.
+    corrupt_theta runs the estimation circuit at -theta (the Rz ladder's
+    sign flipped), a negative control that must make the check fail.  Both
+    counts must be integers >= 1: a check over no cases would pass without
+    checking.  The seed must be an integer too.  A NaN deviation fails its
+    check.
     """
-    names = ("pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta")
-    sizes = (pea_max_t, grover_max_t, grover_max_n, n_phi, n_theta)
-    if min(map(_integer, names, sizes)) < 1:
-        raise ValueError("pea_max_t, grover_max_t, grover_max_n, n_phi and n_theta must be >= 1")
-    if pea_max_t > 6:
-        raise ValueError("PEA check supports t <= 6")
-    if grover_max_t > 5 or grover_max_n > 4:
-        raise ValueError("counting check supports t <= 5, n <= 4")
+    if min(_integer("n_phi", n_phi), _integer("n_theta", n_theta)) < 1:
+        raise ValueError("n_phi and n_theta must be >= 1")
     rng = make_rng(derive_seed(_integer("seed", seed), "verify-circuit"))
 
     def check(name: str, worst: float) -> dict:
@@ -371,7 +367,7 @@ def run_verify_circuit(
 
     # max over np.max, not the builtin: a NaN deviation must propagate
     worst = []
-    for t in range(1, pea_max_t + 1):
+    for t in range(1, 7):
         T = 1 << t
         phi = rng.random(n_phi)[:, None]
         theta = rng.random(n_theta)[None, :]
@@ -381,8 +377,8 @@ def run_verify_circuit(
     checks = [check("pea-circuit-vs-analytic", float(np.max(worst)))]
 
     worst = []
-    for t in range(1, grover_max_t + 1):
-        for n in range(1, grover_max_n + 1):
+    for t in range(1, 6):
+        for n in range(1, 5):
             N = 1 << n
             theta = float(rng.random())
             pmf = grover_pea_pmf(t, [CountingInstance(n=n, M=M) for M in range(N + 1)], theta).probs

@@ -177,11 +177,16 @@ def _finite(name: str, x) -> float:
 
 def _finite_array(name: str, x) -> np.ndarray:
     """x as a float array (0-d for a scalar), or a ValueError naming the
-    input when it is a str, bytes or bool, or an array of them or of
-    objects, or when any entry is not finite."""
-    if np.asarray(x).dtype.kind in "bUSO":
+    input when it is a str, bytes or bool, an array of them or of objects,
+    or a list or tuple holding a bool, or when any entry is not finite."""
+    a = np.asarray(x)
+    # NumPy reads [True, 0.3] as [1.0, 0.3], so a list is read item by item
+    if a.dtype.kind in "bUSO" or (
+        isinstance(x, (list, tuple))
+        and any(isinstance(v, (bool, np.bool_)) for v in np.array(x, dtype=object).flat)
+    ):
         raise ValueError(f"{name} must be finite and numeric, got {x!r}")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(a, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x

@@ -35,6 +35,8 @@ from .phase_math import (
     ThetaMode,
     _TINY,
     _circ_dist_array,
+    _finite,
+    _finite_array,
     _integer,
     _wrap_array,
     wrap_phase,
@@ -155,17 +157,18 @@ def sample_upea_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized block of n independent runs; returns (s, theta, phi_tilde)
     arrays.  phi may be a scalar or a length-n vector of per-trial true
-    phases; a non-finite phi + theta and an n that is not an integer >= 0
-    raise ValueError.  The draws follow the module docstring's stream order.
-    Beyond the outputs, which it allocates first, the block works in arrays
-    of at most _SLICE entries and in the trials past the atoms (at most 19 %
-    of them)."""
+    phases; a phi that is not finite and numeric and an n that is not an
+    integer >= 0 raise ValueError.  The draws follow the module docstring's
+    stream order.  Beyond the outputs, which it allocates first, the block
+    works in arrays of at most _SLICE entries and in the trials past the
+    atoms (at most 19 % of them)."""
     T = params.T
     n = _trials(n)
+    phi = _finite_array("phi", phi)
     phi_tilde = np.empty(n)
     s = np.empty(n, dtype=int)
     theta = _draw_theta(params.theta_mode, T, rng, n)
-    phi = np.broadcast_to(np.asarray(phi, dtype=float), theta.shape)
+    phi = np.broadcast_to(phi, theta.shape)
     rest = [
         _atoms(T, phi[i : i + _SLICE] + theta[i : i + _SLICE], rng, s[i : i + _SLICE], i)
         for i in range(0, n, _SLICE)
@@ -188,8 +191,6 @@ def _atoms(
     probabilities, and return (trial, f, a, sign(e)) of the trials past both
     atoms, trial counted from first, for _tail to draw.  Works in place on
     y, a fresh array."""
-    if not np.isfinite(y).all():
-        raise ValueError("phi + theta must be finite")
     # y = T wrap(phi + theta) and a = rint(y); then y becomes f = |y - a|
     a = np.floor(y)
     y -= a
@@ -299,13 +300,14 @@ def empirical_bias_mae(
     line segment, e.g. normalized counts).  Standard errors are sample
     standard deviations over sqrt(n); zero-variance samples report 0.
     """
-    est = np.asarray(estimates, dtype=float)
+    est = _finite_array("estimates", estimates)
     if est.size == 0:
         raise ValueError("estimates must be nonempty")
+    truth = _finite("ground_truth", ground_truth)
     if circular:
-        d = _circ_dist_array(est, wrap_phase(ground_truth))
+        d = _circ_dist_array(est, wrap_phase(truth))
     else:
-        d = est - float(ground_truth)
+        d = est - truth
     n = est.size
     bias = float(d.mean())
     mae = float(np.abs(d).mean())
@@ -316,4 +318,4 @@ def empirical_bias_mae(
         se_b = se_m = 0.0
     if abs(bias) > mae:  # rounding guard; mathematically |mean| <= mean(|.|)
         bias = float(np.copysign(mae, bias))
-    return BiasMaeEntry(float(ground_truth), bias, mae, se_b, se_m, n)
+    return BiasMaeEntry(truth, bias, mae, se_b, se_m, n)

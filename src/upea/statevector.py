@@ -36,12 +36,6 @@ __all__ = [
     "MeasurementPmf",
     "zero_state",
     "basis_state",
-    "apply_h",
-    "apply_rz",
-    "apply_controlled_phase",
-    "apply_swap",
-    "qft",
-    "inverse_qft",
     "measurement_pmf",
     "grover_operator",
     "pea_circuit_pmf",
@@ -150,9 +144,8 @@ def _apply_single(amps: np.ndarray, n: int, q: int, u00, u01, u10, u11) -> np.nd
     return out.reshape(amps.shape)
 
 
-# The gates and transforms below act on bare amplitude arrays of n qubits;
-# the circuits chain them and check the state once, at the end.  Each
-# public apply_*/qft wraps one of them between a qubit check and a norm check.
+# The gates and the inverse QFT below act on bare amplitude arrays of n
+# qubits; the circuits chain them and check the state once, at the end.
 
 
 def _h(amps: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -160,11 +153,13 @@ def _h(amps: np.ndarray, n: int, q: int) -> np.ndarray:
 
 
 def _rz(amps: np.ndarray, n: int, q: int, angle) -> np.ndarray:
+    """Rz(angle) = diag(e^{-i angle/2}, e^{+i angle/2})."""
     half = 0.5j * _per_state(angle, 2)
     return _apply_single(amps, n, q, np.exp(-half), 0.0, 0.0, np.exp(half))
 
 
 def _cphase(amps: np.ndarray, n: int, a: int, b: int, angle) -> np.ndarray:
+    """diag(1, 1, 1, e^{i angle}) on (a, b); symmetric in its two qubits."""
     amps = amps.copy()
     _bit_view(amps, n, a, b)[..., 1, :, 1, :] *= np.exp(1j * _per_state(angle, 3))
     return amps
@@ -174,18 +169,9 @@ def _swap(amps: np.ndarray, n: int, a: int, b: int) -> np.ndarray:
     return _bit_view(amps, n, a, b).swapaxes(-4, -2).reshape(amps.shape)
 
 
-def _qft(amps: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
-    k = len(qubits)
-    for j in reversed(range(k)):
-        amps = _h(amps, n, qubits[j])
-        for i in range(j):
-            amps = _cphase(amps, n, qubits[i], qubits[j], np.pi / (1 << (j - i)))
-    for j in range(k // 2):
-        amps = _swap(amps, n, qubits[j], qubits[k - 1 - j])
-    return amps
-
-
 def _inverse_qft(amps: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
+    """|x> -> T^{-1/2} sum_k e^{-2 pi i x k / T} |k> on the listed qubits,
+    the first listed one the least significant bit of x and k."""
     k = len(qubits)
     for j in range(k // 2):
         amps = _swap(amps, n, qubits[j], qubits[k - 1 - j])
@@ -194,49 +180,6 @@ def _inverse_qft(amps: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
             amps = _cphase(amps, n, qubits[i], qubits[j], -np.pi / (1 << (j - i)))
         amps = _h(amps, n, qubits[j])
     return amps
-
-
-def apply_h(state: StateVector, qubit: int) -> StateVector:
-    """Hadamard."""
-    _check_qubit(state, qubit)
-    return StateVector(state.num_qubits, _h(state.amplitudes, state.num_qubits, qubit))
-
-
-def apply_rz(state: StateVector, qubit: int, angle) -> StateVector:
-    """Rz(angle) = diag(e^{-i angle/2}, e^{+i angle/2}): relative phase
-    e^{i angle} on |1> against |0>.  angle is a scalar or one per state."""
-    _check_qubit(state, qubit)
-    return StateVector(state.num_qubits, _rz(state.amplitudes, state.num_qubits, qubit, angle))
-
-
-def apply_controlled_phase(state: StateVector, control: int, target: int, angle) -> StateVector:
-    """diag(1, 1, 1, e^{i angle}) on the (control, target) pair; symmetric in
-    its two qubits.  angle is a scalar or one per state."""
-    _check_qubit(state, control, target)
-    amps = _cphase(state.amplitudes, state.num_qubits, control, target, angle)
-    return StateVector(state.num_qubits, amps)
-
-
-def apply_swap(state: StateVector, a: int, b: int) -> StateVector:
-    """Exchange two qubits."""
-    _check_qubit(state, a, b)
-    return StateVector(state.num_qubits, _swap(state.amplitudes, state.num_qubits, a, b))
-
-
-def qft(state: StateVector, qubits) -> StateVector:
-    """QFT on the listed qubits: |s> -> T^{-1/2} sum_x e^{2 pi i s x / T} |x>,
-    where the first listed qubit is the least significant bit of s and x."""
-    qubits = list(qubits)
-    _check_qubit(state, *qubits)
-    return StateVector(state.num_qubits, _qft(state.amplitudes, state.num_qubits, qubits))
-
-
-def inverse_qft(state: StateVector, qubits) -> StateVector:
-    """Exact inverse of qft on the same qubit list (bit-reversal swaps first,
-    then the reversed rotation ladder with negated angles)."""
-    qubits = list(qubits)
-    _check_qubit(state, *qubits)
-    return StateVector(state.num_qubits, _inverse_qft(state.amplitudes, state.num_qubits, qubits))
 
 
 def measurement_pmf(state: StateVector, qubits) -> MeasurementPmf:

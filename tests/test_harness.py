@@ -119,6 +119,17 @@ def test_config_rejects_a_theta_mode_that_is_not_a_theta_mode() -> None:
         _small("upea-bias-mae", theta_mode="full")
 
 
+@pytest.mark.parametrize("experiment", ["calibrate", "uqca-corrected"])
+def test_config_rejects_a_fixed_theta_where_the_slope_needs_a_shift(experiment: str) -> None:
+    # calibrate ran as full mode, and uqca-corrected wrote rows corrected by
+    # the shifted estimator's slope: bias -0.033 at m = 0 under fixed:0.0
+    for value in (0.0, 0.3):
+        with pytest.raises(ValueError, match="needs a random shift"):
+            _small(experiment, theta_mode=ThetaMode.fixed(value))
+    # a shift over one period gives the shifted estimate the full mode's law
+    assert _small(experiment, theta_mode=ThetaMode.period()).theta_mode.kind == "period"
+
+
 def test_presets_cover_documented_figures() -> None:
     assert set(PRESETS) == {"fig3", "fig4", "fig5", "fig6", "fig7", "fig8"}
     assert all(c.T == 16 for c in PRESETS.values())
@@ -280,9 +291,7 @@ def test_calibration_record_rejected_by_experiments_that_ignore_it(cfg: SweepCon
 
 
 def test_verify_circuit_passes_with_small_caps() -> None:
-    rep = run_verify_circuit(
-        pea_max_t=3, grover_max_t=2, grover_max_n=2, n_phi=4, n_theta=2
-    )
+    rep = run_verify_circuit(n_phi=4, n_theta=2)
     assert rep["passed"]
     assert {c["name"] for c in rep["checks"]} == {
         "pea-circuit-vs-analytic",
@@ -292,32 +301,22 @@ def test_verify_circuit_passes_with_small_caps() -> None:
 
 
 def test_verify_circuit_negative_control() -> None:
-    rep = run_verify_circuit(
-        pea_max_t=3, grover_max_t=1, grover_max_n=1, n_phi=2, n_theta=2,
-        corrupt_theta=True,
-    )
+    rep = run_verify_circuit(n_phi=2, n_theta=2, corrupt_theta=True)
     assert not rep["passed"]
 
 
-def test_verify_circuit_rejects_dims_beyond_caps() -> None:
-    with pytest.raises(ValueError):
-        run_verify_circuit(pea_max_t=7)
-    with pytest.raises(ValueError):
-        run_verify_circuit(grover_max_n=5)
-
-
-@pytest.mark.parametrize("name", ["pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta"])
+@pytest.mark.parametrize("name", ["n_phi", "n_theta"])
 def test_verify_circuit_rejects_a_check_over_no_cases(name: str) -> None:
     # a zero count used to leave a loop empty and pass, even the negative control
-    sizes = dict(pea_max_t=1, grover_max_t=1, grover_max_n=1, n_phi=1, n_theta=1)
+    sizes = dict(n_phi=1, n_theta=1)
     with pytest.raises(ValueError, match=">= 1"):
         run_verify_circuit(**{**sizes, name: 0}, corrupt_theta=True)
 
 
-@pytest.mark.parametrize("name", ["pea_max_t", "grover_max_t", "grover_max_n", "n_phi", "n_theta", "seed"])
+@pytest.mark.parametrize("name", ["n_phi", "n_theta", "seed"])
 @pytest.mark.parametrize("value", [1.5, 2.0, True])
 def test_verify_circuit_rejects_a_non_integer_size_or_seed(name: str, value) -> None:
-    sizes = dict(pea_max_t=1, grover_max_t=1, grover_max_n=1, n_phi=1, n_theta=1)
+    sizes = dict(n_phi=1, n_theta=1)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run_verify_circuit(**{**sizes, name: value})
 
@@ -332,7 +331,7 @@ def test_verify_circuit_fails_on_a_nan_pmf_after_finite_ones(monkeypatch) -> Non
         return SimpleNamespace(probs=np.full_like(pmf.probs, np.nan) if t == 2 else pmf.probs)
 
     monkeypatch.setattr(harness, "pea_circuit_pmf", nan_at_t2)
-    rep = run_verify_circuit(pea_max_t=2, grover_max_t=1, grover_max_n=1, n_phi=2, n_theta=2)
+    rep = run_verify_circuit(n_phi=2, n_theta=2)
     pea = rep["checks"][0]
     assert pea["name"] == "pea-circuit-vs-analytic"
     assert np.isnan(pea["max_deviation"])
@@ -406,7 +405,8 @@ def test_cli_usage_errors_exit_1(capsys) -> None:
     assert cli.main(["pea-bias-mae", "--grid", "2", "--samples", "10"]) == 1
     assert cli.main(["mle-bias-mae", "--R", "x..y"]) == 1
     assert cli.main(["upea-bias-mae", "--preset", "fig5"]) == 1  # preset/command clash
-    capsys.readouterr()
+    assert cli.main(["calibrate", "--samples", "64", "--theta-mode", "fixed:0.3"]) == 1
+    assert "needs a random shift" in capsys.readouterr().err
 
 
 def test_cli_preset_with_overrides(capsys) -> None:

@@ -181,6 +181,22 @@ def test_empirical_bias_mae_single_sample_has_zero_stderr() -> None:
 
 
 @pytest.mark.parametrize(
+    "estimates, truth, circular, message",
+    [
+        (["0.1", "0.3"], 0.2, True, "estimates must be finite and numeric"),
+        ([True, 0.3], 0.2, True, "estimates must be finite and numeric"),
+        ([0.1, math.nan], 0.2, False, "estimates must be finite"),
+        ([0.1, 0.3], "0.2", False, "ground_truth must be finite and numeric"),
+        ([0.1, 0.3], math.inf, False, "ground_truth must be finite"),
+    ],
+)
+def test_empirical_bias_mae_rejects_a_bad_input(estimates, truth, circular, message) -> None:
+    # these once ran as floats, True as 1.0, or raised without naming the input
+    with pytest.raises(ValueError, match=message):
+        empirical_bias_mae(estimates, truth, circular=circular)
+
+
+@pytest.mark.parametrize(
     "n, message", [(2.5, "n must be an integer"), (True, "n must be an integer"), (-1, "n must be >= 0")]
 )
 def test_block_sampler_rejects_a_bad_trial_count(n, message: str) -> None:
@@ -200,6 +216,13 @@ def test_block_sampler_rejects_a_non_finite_phase(phi: float) -> None:
         sample_upea(PeaParams.from_T(16, 3), phi, make_rng(1))
     with pytest.raises(ValueError, match="finite"):
         sample_upea_block(P16, np.array([0.1, phi]), make_rng(1), 2)
+
+
+@pytest.mark.parametrize("phi", ["0.3", True, [True, 0.3], np.array(["0.1", "0.2"])])
+def test_block_sampler_rejects_a_non_numeric_phase(phi) -> None:
+    # "0.3" once sampled at 0.3, and True at 1.0
+    with pytest.raises(ValueError, match="phi must be finite and numeric"):
+        sample_upea_block(P16, phi, make_rng(1), 2)
 
 
 def _inverse_cdf(params: PeaParams, phi, rng, n: int) -> np.ndarray:

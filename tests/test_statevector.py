@@ -1,5 +1,6 @@
 """Tests for the gate-level simulator: single gates against their matrices,
-transform identities, and the estimation circuits against the analytic laws."""
+the inverse QFT against the inverse DFT matrix, and the estimation circuits
+against the analytic laws."""
 
 from __future__ import annotations
 
@@ -13,18 +14,17 @@ from upea.phase_math import pea_kernel
 from upea.statevector import (
     MeasurementPmf,
     StateVector,
+    _cphase,
+    _h,
+    _inverse_qft,
+    _rz,
+    _swap,
     analytic_counting_pmf,
-    apply_controlled_phase,
-    apply_h,
-    apply_rz,
-    apply_swap,
     basis_state,
     grover_operator,
     grover_pea_pmf,
-    inverse_qft,
     measurement_pmf,
     pea_circuit_pmf,
-    qft,
     zero_state,
 )
 
@@ -33,6 +33,11 @@ def _random_state(nq: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << nq) + 1j * rng.normal(size=1 << nq)
     return StateVector(nq, amps / np.linalg.norm(amps))
+
+
+def _gate(state: StateVector, gate, *args) -> StateVector:
+    """Apply a bare-array gate to a state; StateVector checks the result's norm."""
+    return StateVector(state.num_qubits, gate(state.amplitudes, state.num_qubits, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -54,16 +59,16 @@ def test_basis_state_indexing_is_little_endian() -> None:
 
 
 def test_h_matches_matrix_on_single_qubit() -> None:
-    got = apply_h(basis_state(1, 0), 0).amplitudes
+    got = _gate(basis_state(1, 0), _h, 0).amplitudes
     assert np.allclose(got, [1 / np.sqrt(2), 1 / np.sqrt(2)])
-    got = apply_h(basis_state(1, 1), 0).amplitudes
+    got = _gate(basis_state(1, 1), _h, 0).amplitudes
     assert np.allclose(got, [1 / np.sqrt(2), -1 / np.sqrt(2)])
 
 
 def test_rz_applies_relative_phase_on_one() -> None:
     alpha = 0.7
-    st0 = apply_rz(basis_state(1, 0), 0, alpha)
-    st1 = apply_rz(basis_state(1, 1), 0, alpha)
+    st0 = _gate(basis_state(1, 0), _rz, 0, alpha)
+    st1 = _gate(basis_state(1, 1), _rz, 0, alpha)
     # global phase convention: diag(e^{-ia/2}, e^{+ia/2})
     assert st0.amplitudes[0] == pytest.approx(np.exp(-0.5j * alpha))
     assert st1.amplitudes[1] == pytest.approx(np.exp(+0.5j * alpha))
@@ -72,7 +77,7 @@ def test_rz_applies_relative_phase_on_one() -> None:
 def test_controlled_phase_acts_only_on_both_ones() -> None:
     alpha = 1.1
     for idx in range(4):
-        got = apply_controlled_phase(basis_state(2, idx), 0, 1, alpha).amplitudes
+        got = _gate(basis_state(2, idx), _cphase, 0, 1, alpha).amplitudes
         expect = np.zeros(4, dtype=complex)
         expect[idx] = np.exp(1j * alpha) if idx == 3 else 1.0
         assert np.allclose(got, expect)
@@ -80,16 +85,16 @@ def test_controlled_phase_acts_only_on_both_ones() -> None:
 
 def test_controlled_phase_is_symmetric_in_its_qubits() -> None:
     st0 = _random_state(3, 11)
-    a = apply_controlled_phase(st0, 0, 2, 0.87).amplitudes
-    b = apply_controlled_phase(st0, 2, 0, 0.87).amplitudes
+    a = _gate(st0, _cphase, 0, 2, 0.87).amplitudes
+    b = _gate(st0, _cphase, 2, 0, 0.87).amplitudes
     assert np.allclose(a, b)
 
 
 def test_swap_exchanges_qubits() -> None:
-    got = apply_swap(basis_state(2, 1), 0, 1).amplitudes
+    got = _gate(basis_state(2, 1), _swap, 0, 1).amplitudes
     assert got[2] == pytest.approx(1.0)
     st0 = _random_state(4, 3)
-    twice = apply_swap(apply_swap(st0, 1, 3), 1, 3).amplitudes
+    twice = _gate(_gate(st0, _swap, 1, 3), _swap, 1, 3).amplitudes
     assert np.allclose(twice, st0.amplitudes)
 
 
@@ -98,24 +103,26 @@ def test_swap_exchanges_qubits() -> None:
 def test_gates_preserve_norm(q: int, seed: int) -> None:
     st0 = _random_state(4, seed)
     for out in (
-        apply_h(st0, q),
-        apply_rz(st0, q, 0.3),
-        apply_swap(st0, q, (q + 1) % 4),
-        apply_controlled_phase(st0, q, (q + 1) % 4, 0.9),
+        _gate(st0, _h, q),
+        _gate(st0, _rz, q, 0.3),
+        _gate(st0, _swap, q, (q + 1) % 4),
+        _gate(st0, _cphase, q, (q + 1) % 4, 0.9),
     ):
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gate_qubit_validation() -> None:
     st0 = zero_state(2)
-    with pytest.raises(ValueError):
-        apply_h(st0, 2)
-    with pytest.raises(ValueError):
-        apply_swap(st0, 1, 1)
-    with pytest.raises(ValueError):
-        apply_controlled_phase(st0, 0, 0, 0.5)
+    with pytest.raises(ValueError, match="out of range"):
+        measurement_pmf(st0, [2])
+    with pytest.raises(ValueError, match="distinct"):
+        measurement_pmf(st0, [1, 1])
     # a float index or qubit count once raised a bare TypeError
-    for build in (lambda: apply_h(st0, 1.0), lambda: zero_state(2.0), lambda: basis_state(2, 1.0)):
+    for build in (
+        lambda: measurement_pmf(st0, [1.0]),
+        lambda: zero_state(2.0),
+        lambda: basis_state(2, 1.0),
+    ):
         with pytest.raises(ValueError, match="must be an integer"):
             build()
     with pytest.raises(ValueError, match="must be an integer"):
@@ -126,34 +133,31 @@ def test_gate_qubit_validation() -> None:
 # transforms
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_qft_matches_dft_matrix(n: int) -> None:
+    # the inverse QFT against the inverse DFT matrix exp(-2 pi i x k / N)/sqrt(N)
     N = 1 << n
-    qubits = list(range(n))
-    for x in range(N):
-        got = qft(basis_state(n, x), qubits).amplitudes
-        expect = np.exp(2j * np.pi * x * np.arange(N) / N) / np.sqrt(N)
-        assert np.allclose(got, expect, atol=1e-12)
-
-
-def test_inverse_qft_round_trip() -> None:
-    st0 = _random_state(5, 21)
-    qubits = [0, 1, 2, 3, 4]
-    back = inverse_qft(qft(st0, qubits), qubits).amplitudes
-    assert np.allclose(back, st0.amplitudes, atol=1e-12)
+    x = np.arange(N)
+    inverse_dft = np.exp(-2j * np.pi * np.outer(x, x) / N) / np.sqrt(N)
+    # row x of a batch of basis states is the image of |x>
+    got = _gate(StateVector(n, np.eye(N)), _inverse_qft, list(range(n))).amplitudes
+    assert np.allclose(got, inverse_dft, atol=1e-12)
+    # on a superposition, which a circuit's register holds before it
+    st0 = _random_state(n, 21)
+    got = _gate(st0, _inverse_qft, list(range(n))).amplitudes
+    assert np.allclose(got, inverse_dft @ st0.amplitudes, atol=1e-12)
 
 
 def test_qft_on_register_subset_leaves_rest_alone() -> None:
-    # transform the low 2 qubits of |q2=1, q1q0=00>
-    st0 = basis_state(3, 4)
-    out = qft(st0, [0, 1]).amplitudes
+    # inverse-transform the low 2 qubits of |q2=1, q1q0=01>
+    out = _gate(basis_state(3, 5), _inverse_qft, [0, 1]).amplitudes
     expect = np.zeros(8, dtype=complex)
-    expect[4:8] = 0.5  # uniform over the transformed low register, q2 stays 1
+    expect[4:8] = np.exp(-0.5j * np.pi * np.arange(4)) / 2  # q2 stays 1
     assert np.allclose(out, expect)
 
 
 def test_measurement_pmf_marginalizes() -> None:
-    st0 = apply_h(zero_state(2), 0)
+    st0 = _gate(zero_state(2), _h, 0)
     pmf = measurement_pmf(st0, [0])
     assert np.allclose(pmf.probs, [0.5, 0.5])
     pmf = measurement_pmf(st0, [1])
@@ -299,10 +303,10 @@ def test_batched_gates_act_on_each_state() -> None:
     batch = StateVector(3, np.stack([s.amplitudes for s in states]))
     angles = np.array([0.3, -1.1])
     gates = [
-        lambda s, a: apply_h(s, 1),
-        lambda s, a: apply_rz(s, 2, a),
-        lambda s, a: apply_controlled_phase(s, 2, 0, a),
-        lambda s, a: apply_swap(s, 0, 2),
+        lambda s, a: _gate(s, _h, 1),
+        lambda s, a: _gate(s, _rz, 2, a),
+        lambda s, a: _gate(s, _cphase, 2, 0, a),
+        lambda s, a: _gate(s, _swap, 0, 2),
     ]
     for gate in gates:
         got = gate(batch, angles).amplitudes
