@@ -13,7 +13,6 @@ experiment harness with a CLI.
 
 from .counting import (
     CalibrationRecord,
-    CountingEstimate,
     CountingInstance,
     calibrate_b,
     correct_mle,
@@ -21,7 +20,7 @@ from .counting import (
     exact_bias_uqca_single,
     m_from_phi,
     phi_from_m,
-    sample_uqca,
+    sample_uqca_block,
 )
 from .harness import (
     EXPERIMENTS,
@@ -56,14 +55,10 @@ from .phase_math import (
 )
 from .sampler import (
     RNG_ALGORITHM,
-    PhaseSample,
-    SampleBatch,
     derive_seed,
     empirical_bias_mae,
     make_rng,
-    run_batch,
-    sample_pea,
-    sample_upea,
+    sample_upea_block,
 )
 from .statevector import (
     MeasurementPmf,
@@ -82,16 +77,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BiasMaeEntry",
     "CalibrationRecord",
-    "CountingEstimate",
     "CountingInstance",
     "EXPERIMENTS",
     "MeasurementPmf",
     "MleResult",
     "PRESETS",
     "PeaParams",
-    "PhaseSample",
     "RNG_ALGORITHM",
-    "SampleBatch",
     "StateVector",
     "SweepConfig",
     "SweepReport",
@@ -122,12 +114,10 @@ __all__ = [
     "pea_pmf",
     "pea_pmf_at",
     "phi_from_m",
-    "run_batch",
     "run_sweep",
     "run_verify_circuit",
-    "sample_pea",
-    "sample_upea",
-    "sample_uqca",
+    "sample_upea_block",
+    "sample_uqca_block",
     "upea_pdf",
     "wrap_phase",
     "write_csv",

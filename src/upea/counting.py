@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phase_math import PeaParams, Phase, ThetaMode, _finite, _integer
+from .phase_math import PeaParams, Phase, ThetaMode, _finite, _finite_array, _integer
 from .mle import mle_counting_batch
 from .sampler import (
     _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, _trials, derive_seed, make_rng, sample_upea_block
@@ -32,11 +32,9 @@ from .sampler import (
 
 __all__ = [
     "CountingInstance",
-    "CountingEstimate",
     "CalibrationRecord",
     "phi_from_m",
     "m_from_phi",
-    "sample_uqca",
     "sample_uqca_block",
     "exact_bias_uqca_single",
     "correct_single",
@@ -86,22 +84,6 @@ class CountingInstance:
     @property
     def phi(self) -> Phase:
         return phi_from_m(self.m)
-
-
-@dataclass(frozen=True)
-class CountingEstimate:
-    """One counting trial: the folded phase estimate and its count fraction
-    m_tilde = sin^2(pi phi_hat)."""
-
-    m_tilde: float
-    phi_hat: Phase
-    R: int
-
-    def __post_init__(self) -> None:
-        if not (abs(self.m_tilde - m_from_phi(self.phi_hat)) <= 1e-12):
-            raise ValueError("m_tilde must equal sin^2(pi phi_hat)")
-        if _integer("R", self.R) < 1:
-            raise ValueError("R must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -161,14 +143,6 @@ def m_from_phi(phi: float) -> float:
     return math.sin(math.pi * _finite("phi", phi)) ** 2
 
 
-def sample_uqca(params: PeaParams, m: float, rng: np.random.Generator) -> CountingEstimate:
-    """One counting trial: draw the eigenphase sign (one flip per trial,
-    shared by all R runs), estimate the phase R times, combine with the
-    mixture MLE (R = 1: fold), and map back to a count fraction."""
-    phi_hat, m_tilde = sample_uqca_block(params, m, rng, 1)
-    return CountingEstimate(float(m_tilde[0]), float(phi_hat[0]), params.R)
-
-
 def sample_uqca_block(
     params: PeaParams, m: float, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -198,18 +172,18 @@ def exact_bias_uqca_single(m: float, T: int) -> float:
 
 def correct_single(m_tilde, T: int):
     """Invert the exact single-run bias law, slope b = 1/(2T); output
-    deliberately unclamped.  T must be a power of two; T = 1 gives b = 1/2,
-    which raises."""
+    deliberately unclamped.  m_tilde must be finite and numeric and T a
+    power of two; T = 1 gives b = 1/2, which raises."""
     return correct_mle(m_tilde, 0.5 / PeaParams.from_T(T).T)
 
 
 def correct_mle(m_tilde, b: float):
-    """Invert the MLE bias law m -> m(1-2b) + b; b must be finite, and
-    b = 1/2 is degenerate."""
+    """Invert the MLE bias law m -> m(1-2b) + b; m_tilde and b must be
+    finite and numeric, and b = 1/2 is degenerate."""
     b = _finite("b", b)
     if b == 0.5:
         raise ValueError("b = 1/2 makes the bias law non-invertible")
-    return (np.asarray(m_tilde, dtype=float) - b) / (1.0 - 2.0 * b)
+    return (_finite_array("m_tilde", m_tilde) - b) / (1.0 - 2.0 * b)
 
 
 def calibrate_b(

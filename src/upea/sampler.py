@@ -14,24 +14,19 @@ the normal range (e = 0 included) the law is the point mass at j = 0.
 A block of n trials draws, in this order: the theta vector, n uniforms, and
 then rejection rounds, each of 2 * _PROPOSALS uniforms for each of up to
 _ROUND trials still pending.  Each round's shape depends only on the draws
-before it, so a block is a pure function of the generator's state.  The per-trial entry points
-(`sample_pea`, `sample_upea`, `run_batch`) draw blocks of one trial, so a
-stream of per-trial calls gives different (equally valid) samples from the
-same seed than one block of n.  Seeds are 64-bit integers fed to numpy's
-PCG64 generator; the algorithm name is exported as RNG_ALGORITHM for run
-metadata."""
+before it, so a block is a pure function of the generator's state.  Seeds
+are 64-bit integers fed to numpy's PCG64 generator; the algorithm name is
+exported as RNG_ALGORITHM for run metadata."""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .phase_math import (
     BiasMaeEntry,
     PeaParams,
-    Phase,
     ThetaMode,
     _TINY,
     _circ_dist_array,
@@ -45,14 +40,9 @@ from .phase_math import (
 __all__ = [
     "RNG_ALGORITHM",
     "RngSeed",
-    "PhaseSample",
-    "SampleBatch",
     "make_rng",
     "derive_seed",
-    "sample_pea",
-    "sample_upea",
     "sample_upea_block",
-    "run_batch",
     "empirical_bias_mae",
 ]
 
@@ -73,32 +63,6 @@ _CSC_EXCESS = 1.0 - 4.0 / np.pi**2
 # trials per chunk of a sweep cell or a calibration; each chunk draws from
 # its own generator, so this partition fixes every output for any worker count
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class PhaseSample:
-    """One randomized run: the raw outcome s, the shift theta that was
-    injected, and the estimate phi_tilde = wrap(s/T - theta)."""
-
-    s: int
-    theta: float
-    phi_tilde: Phase
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """R repeated runs at one true phase."""
-
-    params: PeaParams
-    samples: tuple[PhaseSample, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.samples) != self.params.R:
-            raise ValueError("batch length must equal params.R")
-
-    @property
-    def estimates(self) -> np.ndarray:
-        return np.array([x.phi_tilde for x in self.samples])
 
 
 def make_rng(seed: RngSeed) -> np.random.Generator:
@@ -138,33 +102,21 @@ def _draw_theta(mode: ThetaMode, T: int, rng: np.random.Generator, n: int) -> np
     return np.full(n, mode.value)
 
 
-def sample_pea(params: PeaParams, phi: float, rng: np.random.Generator) -> int:
-    """Draw one outcome s at phase phi, with no shift."""
-    unshifted = PeaParams(params.t, params.R, ThetaMode.fixed(0.0))
-    s, _, _ = sample_upea_block(unshifted, phi, rng, 1)
-    return int(s[0])
-
-
-def sample_upea(params: PeaParams, phi: float, rng: np.random.Generator) -> PhaseSample:
-    """Draw theta per params.theta_mode, run the estimator at phi + theta,
-    and return (s, theta, wrap(s/T - theta))."""
-    s, theta, phi_tilde = sample_upea_block(params, phi, rng, 1)
-    return PhaseSample(int(s[0]), float(theta[0]), float(phi_tilde[0]))
-
-
 def sample_upea_block(
     params: PeaParams, phi, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized block of n independent runs; returns (s, theta, phi_tilde)
-    arrays.  phi may be a scalar or a length-n vector of per-trial true
-    phases; a phi that is not finite and numeric and an n that is not an
-    integer >= 0 raise ValueError.  The draws follow the module docstring's
-    stream order.  Beyond the outputs, which it allocates first, the block
-    works in arrays of at most _SLICE entries and in the trials past the
-    atoms (at most 19 % of them)."""
+    arrays.  phi may be a scalar or a vector of 1 or n per-trial true
+    phases; a phi that is not finite and numeric or of another shape, and
+    an n that is not an integer >= 0, raise ValueError before any draw.  The
+    draws follow the module docstring's stream order.  Beyond the outputs,
+    which it allocates first, the block works in arrays of at most _SLICE
+    entries and in the trials past the atoms (at most 19 % of them)."""
     T = params.T
     n = _trials(n)
     phi = _finite_array("phi", phi)
+    if phi.ndim > 1 or phi.size not in (1, n):
+        raise ValueError(f"phi must be a scalar or hold 1 or n = {n} phases, got shape {phi.shape}")
     phi_tilde = np.empty(n)
     s = np.empty(n, dtype=int)
     theta = _draw_theta(params.theta_mode, T, rng, n)
@@ -283,11 +235,6 @@ def _tail(T: int, f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         j[part[hit]] = prop[first[hit], np.flatnonzero(hit)]
         left = np.concatenate((part[~hit], left[_ROUND:]))
     return j
-
-
-def run_batch(params: PeaParams, phi: float, rng: np.random.Generator) -> SampleBatch:
-    """R independent runs at one true phase (theta mode taken from params)."""
-    return SampleBatch(params, tuple(sample_upea(params, phi, rng) for _ in range(params.R)))
 
 
 def empirical_bias_mae(

@@ -101,9 +101,12 @@ def zero_state(num_qubits: int, batch: tuple[int, ...] = ()) -> StateVector:
 
 
 def basis_state(num_qubits: int, index: int, batch: tuple[int, ...] = ()) -> StateVector:
-    """|index>, once for each index of the batch shape."""
+    """|index>, once for each index of the batch shape; index must be an
+    integer in [0, 2^num_qubits)."""
     amps = np.zeros((*batch, 1 << _integer("num_qubits", num_qubits)), dtype=complex)
-    amps[..., _integer("index", index)] = 1.0
+    if not (0 <= _integer("index", index) < amps.shape[-1]):
+        raise ValueError(f"index must lie in [0, 2^{num_qubits}), got {index}")
+    amps[..., index] = 1.0
     return StateVector(num_qubits, amps)
 
 
@@ -300,7 +303,10 @@ def grover_pea_pmf(
 def analytic_counting_pmf(t: int, m, theta: float = 0.0) -> np.ndarray:
     """Reference law for the counting circuit: the equal +-phi mixture of the
     analytic outcome kernel, shifted by theta.  m is one marked fraction or
-    an array of them, giving an array of shape (*m.shape, 2^t)."""
+    an array of them, giving an array of shape (*m.shape, 2^t).  A t that
+    is not an integer >= 0 raises ValueError."""
+    if _integer("t", t) < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     T = 1 << t
     phi = np.reshape([phi_from_m(x) for x in np.ravel(m)], np.shape(m) + (1,))
     s = np.arange(T) / T

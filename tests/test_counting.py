@@ -14,7 +14,6 @@ from scipy import integrate
 
 from upea.counting import (
     CalibrationRecord,
-    CountingEstimate,
     CountingInstance,
     calibrate_b,
     correct_mle,
@@ -22,7 +21,6 @@ from upea.counting import (
     exact_bias_uqca_single,
     m_from_phi,
     phi_from_m,
-    sample_uqca,
     sample_uqca_block,
 )
 from upea.phase_math import PeaParams, pea_kernel
@@ -139,22 +137,9 @@ def test_sample_uqca_estimate_is_consistent() -> None:
     params = PeaParams.from_T(16, R=3)
     rng = make_rng(12)
     for m in (0.0, 0.3, 1.0):
-        est = sample_uqca(params, m, rng)
-        assert est.R == 3
-        assert 0.0 <= est.phi_hat <= 0.5
-        assert est.m_tilde == pytest.approx(
-            math.sin(math.pi * est.phi_hat) ** 2, abs=1e-12
-        )
-
-
-def test_sample_uqca_block_matches_scalar_distribution() -> None:
-    params = PeaParams.from_T(16, R=2)
-    _, block = sample_uqca_block(params, 0.3, make_rng(5), 4000)
-    rng = make_rng(6)
-    scalar = np.array([sample_uqca(params, 0.3, rng).m_tilde for _ in range(800)])
-    from scipy import stats
-
-    assert stats.ks_2samp(block, scalar).pvalue > 1e-3
+        phi_hat, m_tilde = sample_uqca_block(params, m, rng, 50)
+        assert np.all((0.0 <= phi_hat) & (phi_hat <= 0.5))
+        assert np.allclose(m_tilde, np.sin(np.pi * phi_hat) ** 2, rtol=0.0, atol=1e-12)
 
 
 def test_single_run_block_mean_matches_law() -> None:
@@ -230,26 +215,10 @@ def test_counting_instance_rejects_non_integer_sizes(kw: dict) -> None:
         CountingInstance(**kw)
 
 
-def test_counting_estimate_consistency_enforced() -> None:
-    CountingEstimate(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1)
-    with pytest.raises(ValueError):
-        CountingEstimate(m_tilde=0.9, phi_hat=0.2, R=1)
-
-
-@pytest.mark.parametrize(
-    "kw, message",
-    [
-        (dict(m_tilde=0.1, phi_hat=math.nan), "phi must be finite"),
-        (dict(m_tilde=0.1, phi_hat=math.inf), "phi must be finite"),
-        (dict(m_tilde=math.nan, phi_hat=0.2), "m_tilde must equal"),
-        (dict(m_tilde=m_from_phi(0.2), phi_hat=0.2, R=1.5), "R must be an integer"),
-        (dict(m_tilde=0.1, phi_hat="0.2"), "phi must be finite"),
-    ],
-)
-def test_counting_estimate_rejects_a_bad_value(kw: dict, message: str) -> None:
-    # a NaN once passed the consistency check, which compared against it
-    with pytest.raises(ValueError, match=message):
-        CountingEstimate(**{"R": 1, **kw})
+@pytest.mark.parametrize("phi", [math.nan, math.inf, "0.2"])
+def test_m_from_phi_rejects_a_bad_phase(phi) -> None:
+    with pytest.raises(ValueError, match="phi must be finite"):
+        m_from_phi(phi)
 
 
 @pytest.mark.parametrize(
@@ -309,6 +278,16 @@ def test_calibration_is_bit_identical_for_any_worker_count() -> None:
 def test_correct_mle_rejects_a_non_finite_slope(bad: float) -> None:
     with pytest.raises(ValueError, match="b must be finite"):
         correct_mle(0.3, bad)
+
+
+@pytest.mark.parametrize("bad", ["0.3", [True], math.nan, [0.2, math.inf]])
+def test_corrections_reject_a_bad_count_fraction(bad) -> None:
+    # correct_mle("0.3", 0.01) once returned 0.2959, [True] 1.0102, and a NaN
+    # m_tilde NaN
+    with pytest.raises(ValueError, match="m_tilde must be finite"):
+        correct_mle(bad, 0.01)
+    with pytest.raises(ValueError, match="m_tilde must be finite"):
+        correct_single(bad, 16)
 
 
 @pytest.mark.parametrize("T", [0, 3, 12, -4])

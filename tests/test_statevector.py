@@ -129,6 +129,13 @@ def test_gate_qubit_validation() -> None:
         StateVector(1.0, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("index", [-1, 4, 7])
+def test_basis_state_rejects_an_index_out_of_range(index: int) -> None:
+    # 7 once raised IndexError, and -1 quietly gave |11>
+    with pytest.raises(ValueError, match=r"index must lie in \[0, 2\^2\)"):
+        basis_state(2, index)
+
+
 # ---------------------------------------------------------------------------
 # transforms
 
@@ -240,6 +247,16 @@ def test_analytic_counting_pmf_is_half_half_mixture() -> None:
 def test_analytic_counting_pmf_wraps_a_far_theta(far: float) -> None:
     # each far theta is a whole number of turns, so it is theta 0
     assert np.array_equal(analytic_counting_pmf(4, 0.3, far), analytic_counting_pmf(4, 0.3, 0.0))
+
+
+@pytest.mark.parametrize(
+    "t, message", [(2.5, "t must be an integer"), (True, "t must be an integer"), (-1, "t must be >= 0")]
+)
+def test_analytic_counting_pmf_rejects_a_bad_t(t, message: str) -> None:
+    # 2.5 once raised NumPy's TypeError, True ran as t = 1, and -1 raised
+    # "negative shift count"
+    with pytest.raises(ValueError, match=message):
+        analytic_counting_pmf(t, 0.3)
 
 
 def test_measurement_pmf_validation() -> None:
