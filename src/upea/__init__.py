@@ -18,7 +18,6 @@ from .counting import (
     correct_mle,
     correct_single,
     exact_bias_uqca_single,
-    m_from_phi,
     phi_from_m,
     sample_uqca_block,
 )
@@ -34,8 +33,6 @@ from .harness import (
 )
 from .mle import (
     MleResult,
-    log_likelihood,
-    mixture_log_likelihood,
     mle_estimate,
     mle_estimate_counting,
 )
@@ -49,27 +46,19 @@ from .phase_math import (
     exact_msd_upea,
     pea_kernel,
     pea_pmf,
-    pea_pmf_at,
-    upea_pdf,
     wrap_phase,
 )
 from .sampler import (
     RNG_ALGORITHM,
     derive_seed,
-    empirical_bias_mae,
     make_rng,
     sample_upea_block,
 )
 from .statevector import (
     MeasurementPmf,
-    StateVector,
     analytic_counting_pmf,
-    basis_state,
-    grover_operator,
     grover_pea_pmf,
-    measurement_pmf,
     pea_circuit_pmf,
-    zero_state,
 )
 
 __version__ = "0.1.0"
@@ -84,43 +73,32 @@ __all__ = [
     "PRESETS",
     "PeaParams",
     "RNG_ALGORITHM",
-    "StateVector",
     "SweepConfig",
     "SweepReport",
     "ThetaMode",
     "analytic_counting_pmf",
-    "basis_state",
     "calibrate_b",
     "circ_dist",
     "correct_mle",
     "correct_single",
     "derive_seed",
-    "empirical_bias_mae",
     "exact_bias_mae_pea",
     "exact_bias_uqca_single",
     "exact_mae_upea",
     "exact_msd_upea",
-    "grover_operator",
     "grover_pea_pmf",
-    "log_likelihood",
-    "m_from_phi",
     "make_rng",
-    "measurement_pmf",
-    "mixture_log_likelihood",
     "mle_estimate",
     "mle_estimate_counting",
     "pea_circuit_pmf",
     "pea_kernel",
     "pea_pmf",
-    "pea_pmf_at",
     "phi_from_m",
     "run_sweep",
     "run_verify_circuit",
     "sample_upea_block",
     "sample_uqca_block",
-    "upea_pdf",
     "wrap_phase",
     "write_csv",
     "write_metadata",
-    "zero_state",
 ]

@@ -27,14 +27,14 @@ import numpy as np
 from .phase_math import PeaParams, Phase, ThetaMode, _finite, _finite_array, _integer
 from .mle import mle_counting_batch
 from .sampler import (
-    _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, _trials, derive_seed, make_rng, sample_upea_block
+    _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, _seed, _trials, derive_seed, make_rng,
+    sample_upea_block,
 )
 
 __all__ = [
     "CountingInstance",
     "CalibrationRecord",
     "phi_from_m",
-    "m_from_phi",
     "sample_uqca_block",
     "exact_bias_uqca_single",
     "correct_single",
@@ -99,8 +99,9 @@ class CalibrationRecord:
     rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        for name in ("T", "R", "n_samples", "seed"):
+        for name in ("T", "R", "n_samples"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _seed("seed", self.seed))
         for name in ("b", "stderr_b"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
         PeaParams.from_T(self.T)
@@ -135,12 +136,6 @@ def phi_from_m(m: float) -> Phase:
     if not (0.0 <= m <= 1.0):
         raise ValueError("m must lie in [0, 1]")
     return math.asin(math.sqrt(m)) / math.pi
-
-
-def m_from_phi(phi: float) -> float:
-    """sin^2(pi phi); inverse of phi_from_m on [0, 1/2].  phi must be
-    finite."""
-    return math.sin(math.pi * _finite("phi", phi)) ** 2
 
 
 def sample_uqca_block(
@@ -199,7 +194,7 @@ def calibrate_b(
         raise ValueError("n_samples must be >= 2")
     if _integer("workers", workers) < 1:
         raise ValueError("workers must be >= 1")
-    seed = _integer("seed", seed)
+    seed = _seed("seed", seed)
     params = PeaParams.from_T(T, R, ThetaMode.full())
     vals = np.empty(n_samples)
 

@@ -44,7 +44,7 @@ from .counting import (
 )
 from .mle import mle_batch
 from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, _integer, pea_kernel
-from .sampler import RNG_ALGORITHM, _chunks, derive_seed, make_rng, sample_upea_block
+from .sampler import RNG_ALGORITHM, _chunks, _seed, derive_seed, make_rng, sample_upea_block
 from .statevector import analytic_counting_pmf, grover_pea_pmf, pea_circuit_pmf
 
 __all__ = [
@@ -97,8 +97,9 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name in ("T", "grid_points", "n_samples", "base_seed"):
+        for name in ("T", "grid_points", "n_samples"):
             _integer(name, getattr(self, name))
+        _seed("base_seed", self.base_seed)
         if isinstance(self.R, (tuple, list)) and len(self.R) != 2:
             raise ValueError(f"R must be an integer or an inclusive (lo, hi) range, got {self.R!r}")
         for r in self.R if isinstance(self.R, tuple) else (self.R,):
@@ -354,12 +355,12 @@ def run_verify_circuit(
     corrupt_theta runs the estimation circuit at -theta (the Rz ladder's
     sign flipped), a negative control that must make the check fail.  Both
     counts must be integers >= 1: a check over no cases would pass without
-    checking.  The seed must be an integer too.  A NaN deviation fails its
-    check.
+    checking.  The seed must be an integer in [0, 2^64).  A NaN deviation
+    fails its check.
     """
     if min(_integer("n_phi", n_phi), _integer("n_theta", n_theta)) < 1:
         raise ValueError("n_phi and n_theta must be >= 1")
-    rng = make_rng(derive_seed(_integer("seed", seed), "verify-circuit"))
+    rng = make_rng(derive_seed(_seed("seed", seed), "verify-circuit"))
 
     def check(name: str, worst: float) -> dict:
         tol = _VERIFY_TOLERANCE

@@ -13,8 +13,8 @@ zeros at k/T).  The counting variant maximizes the even mixture
 over c in [0, 1/2], because the generating process draws the sign of the
 phase uniformly and K is even.
 
-Each objective is written once, as a broadcasting function that the public
-log-likelihoods and the maximizer call.  One maximizer, vectorized over rows
+Each objective is written once, as a broadcasting function (_plain_ll,
+_mixture_ll) that the maximizer calls.  One maximizer, vectorized over rows
 of estimates, serves both; the single-trial entry points run it on one row.
 The coarse scan runs over G = 4*T*R equispaced cells (4x oversampling of the
 likelihood's O(T*R) oscillations), each estimate snapped to the grid.  It
@@ -56,7 +56,6 @@ from .phase_math import (
     _TINY,
     PeaParams,
     Phase,
-    _finite,
     _finite_array,
     _kernel_parts,
     _reduce,
@@ -68,12 +67,10 @@ __all__ = [
     "LOG_ZERO",
     "MleResult",
     "log_kernel",
-    "log_likelihood",
     "mle_estimate",
     "mle_estimate_counting",
     "mle_batch",
     "mle_counting_batch",
-    "mixture_log_likelihood",
 ]
 
 # sentinel for log of an exact kernel zero: the maximizer only compares, so
@@ -160,16 +157,6 @@ def _mixture_ll(T: int, est: np.ndarray, c) -> np.ndarray:
     """Even mixture log likelihood sum_j log [K(est_j - c) + K(est_j + c)]/2,
     summed over the last axis of the broadcast of est and c."""
     return _log_mix(pea_kernel(T, est - c) + pea_kernel(T, est + c)).sum(axis=-1)
-
-
-def log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
-    """Sum of log kernel factors at the candidate phase."""
-    return float(_plain_ll(params.T, _nonempty(estimates).ravel(), _finite("phi_cand", phi_cand)))
-
-
-def mixture_log_likelihood(params: PeaParams, estimates, phi_cand: float) -> float:
-    """Counting-variant objective at one candidate."""
-    return float(_mixture_ll(params.T, _nonempty(estimates).ravel(), _finite("phi_cand", phi_cand)))
 
 
 def _runs(params: PeaParams, estimates) -> np.ndarray:

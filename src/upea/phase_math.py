@@ -34,9 +34,7 @@ __all__ = [
     "wrap_phase",
     "circ_dist",
     "pea_kernel",
-    "pea_pmf_at",
     "pea_pmf",
-    "upea_pdf",
     "exact_bias_mae_pea",
     "exact_mae_upea",
     "exact_msd_upea",
@@ -180,16 +178,23 @@ def _finite_array(name: str, x) -> np.ndarray:
     input when it is a str, bytes or bool, an array of them or of objects,
     or a list or tuple holding a bool, or when any entry is not finite."""
     a = np.asarray(x)
-    # NumPy reads [True, 0.3] as [1.0, 0.3], so a list is read item by item
-    if a.dtype.kind in "bUSO" or (
-        isinstance(x, (list, tuple))
-        and any(isinstance(v, (bool, np.bool_)) for v in np.array(x, dtype=object).flat)
-    ):
+    if not _is_numeric(x, a):
         raise ValueError(f"{name} must be finite and numeric, got {x!r}")
     x = np.asarray(a, dtype=float)
     if not np.isfinite(x).all():
         raise ValueError(f"{name} must be finite")
     return x
+
+
+def _is_numeric(x, a: np.ndarray) -> bool:
+    """False when x, read as the array a, is a str, bytes or bool, an array
+    of them or of objects, or a list or tuple holding a bool.  O(1) when x
+    is an array: a dtype-kind test."""
+    # NumPy reads [True, 0.3] as [1.0, 0.3], so a list is read item by item
+    return a.dtype.kind not in "bUSO" and not (
+        isinstance(x, (list, tuple))
+        and any(isinstance(v, (bool, np.bool_)) for v in np.array(x, dtype=object).flat)
+    )
 
 
 def _integer(name: str, x) -> int:
@@ -251,8 +256,14 @@ def _kernel_parts(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (it can exceed 1); the kernel's true value there is 1.0 to the last bit,
     so callers substitute the limit.  e == 0 is included; a subnormal f near
     a kernel zero is harmless (ratio ~ 0).  Each step runs in place on the
-    reduction's fresh arrays, so the results are fresh arrays too.
+    reduction's fresh arrays, so the results are fresh arrays too.  A T that
+    is not a power of two >= 1 and a delta that _is_numeric rejects raise
+    ValueError, in O(1) for an array delta.
     """
+    if _integer("T", T) < 1 or T & (T - 1):
+        raise ValueError(f"T must be a positive power of two, got {T!r}")
+    if not _is_numeric(delta, np.asarray(delta)):
+        raise ValueError(f"delta must be numeric, got {delta!r}")
     e, f = _reduce(T, delta)
     lattice = np.abs(e) < _TINY
     num = np.sin(np.multiply(f, np.pi, out=f), out=f)
@@ -267,7 +278,7 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     Evaluated exactly for any real delta through the argument reduction of
     _kernel_parts: the value is exactly 1 at integer delta and exactly 0 at
     the kernel zeros k/T (k not divisible by T).  Sums to 1 over the outcome
-    lattice.
+    lattice.  T must be a power of two >= 1 and delta numeric (ValueError).
     """
     num, den, lattice = _kernel_parts(T, delta)
     r = np.divide(num, den, out=num, where=~lattice)
@@ -276,30 +287,11 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     return float(r) if r.ndim == 0 else r
 
 
-def pea_pmf_at(params: PeaParams, s: int, phi: float) -> float:
-    """Probability of measuring outcome s at true phase phi."""
-    T = params.T
-    if not (0 <= _integer("s", s) < T):
-        raise ValueError(f"outcome s must lie in [0, {T})")
-    # wrapped first: far outside [0, 1), s/T - phi would keep no fraction
-    return float(pea_kernel(T, s / T - _wrap_array(_finite("phi", phi))))
-
-
 def pea_pmf(params: PeaParams, phi: float) -> DistTable:
     """Exact outcome table over all T outcomes at true phase phi."""
     T = params.T
     # wrapped first: far outside [0, 1), k/T - phi would keep no fraction
     return DistTable(params, pea_kernel(T, np.arange(T) / T - _wrap_array(_finite("phi", phi))))
-
-
-def upea_pdf(params: PeaParams, phi_tilde: float, phi: float) -> float:
-    """Density of the randomized estimate at phi_tilde given true phase phi;
-    equals T * pea_kernel(phi_tilde - phi) and integrates to 1 per period."""
-    T = params.T
-    # wrapped first: far outside [0, 1), phi_tilde - phi would keep no fraction
-    phi_tilde = _wrap_array(_finite("phi_tilde", phi_tilde))
-    phi = _wrap_array(_finite("phi", phi))
-    return T * float(pea_kernel(T, phi_tilde - phi))
 
 
 def exact_bias_mae_pea(params: PeaParams, phi: float) -> BiasMaeEntry:

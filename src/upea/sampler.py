@@ -24,18 +24,7 @@ import hashlib
 
 import numpy as np
 
-from .phase_math import (
-    BiasMaeEntry,
-    PeaParams,
-    ThetaMode,
-    _TINY,
-    _circ_dist_array,
-    _finite,
-    _finite_array,
-    _integer,
-    _wrap_array,
-    wrap_phase,
-)
+from .phase_math import _TINY, PeaParams, ThetaMode, _finite_array, _integer, _wrap_array
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -43,7 +32,6 @@ __all__ = [
     "make_rng",
     "derive_seed",
     "sample_upea_block",
-    "empirical_bias_mae",
 ]
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -65,18 +53,28 @@ _CSC_EXCESS = 1.0 - 4.0 / np.pi**2
 _CHUNK = 4096
 
 
+def _seed(name: str, x) -> RngSeed:
+    """x as an int, or a ValueError naming the input when it is not an
+    integer in [0, 2^64), the range of every seed."""
+    x = _integer(name, x)
+    if not (0 <= x < 1 << 64):
+        raise ValueError(f"{name} must lie in [0, 2^64), got {x}")
+    return x
+
+
 def make_rng(seed: RngSeed) -> np.random.Generator:
     """PCG64 generator for a 64-bit seed."""
-    return np.random.default_rng(np.random.SeedSequence(_integer("seed", seed)))
+    return np.random.default_rng(np.random.SeedSequence(_seed("seed", seed)))
 
 
 def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
-    """Strong child seed from a base seed and a path of labels/indices.
+    """Strong child seed from a base seed in [0, 2^64) and a path of
+    labels/indices.
 
     sha256 over the rendered path; collision-free for practical purposes and
     stable across platforms and processes.
     """
-    text = "|".join([str(_integer("base_seed", base_seed))] + [str(p) for p in path])
+    text = "|".join([str(_seed("base_seed", base_seed))] + [str(p) for p in path])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -235,34 +233,3 @@ def _tail(T: int, f: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         j[part[hit]] = prop[first[hit], np.flatnonzero(hit)]
         left = np.concatenate((part[~hit], left[_ROUND:]))
     return j
-
-
-def empirical_bias_mae(
-    estimates, ground_truth: float, circular: bool = True
-) -> BiasMaeEntry:
-    """Sample bias and MAE of a list of estimates against the truth.
-
-    circular=True measures signed circular distance (phase-valued
-    estimands); circular=False measures plain differences (estimands on a
-    line segment, e.g. normalized counts).  Standard errors are sample
-    standard deviations over sqrt(n); zero-variance samples report 0.
-    """
-    est = _finite_array("estimates", estimates)
-    if est.size == 0:
-        raise ValueError("estimates must be nonempty")
-    truth = _finite("ground_truth", ground_truth)
-    if circular:
-        d = _circ_dist_array(est, wrap_phase(truth))
-    else:
-        d = est - truth
-    n = est.size
-    bias = float(d.mean())
-    mae = float(np.abs(d).mean())
-    if n > 1:
-        se_b = float(d.std(ddof=1) / np.sqrt(n))
-        se_m = float(np.abs(d).std(ddof=1) / np.sqrt(n))
-    else:
-        se_b = se_m = 0.0
-    if abs(bias) > mae:  # rounding guard; mathematically |mean| <= mean(|.|)
-        bias = float(np.copysign(mae, bias))
-    return BiasMaeEntry(truth, bias, mae, se_b, se_m, n)

@@ -12,6 +12,11 @@ measured integer s; register qubits are 0..t-1 and any target/work qubits sit
 above them.  The inverse QFT includes its bit-reversal swaps, so the measured
 integer aligns with the analytic outcome index directly.
 
+A state is a bare complex amplitude array.  Each circuit builds its start
+state with np.zeros, chains the gates below and hands the result to
+_register_pmf, which checks each state's norm once and marginalizes over
+the register, the low t bits of the state index.
+
 States are batched: amplitudes have shape (*batch, 2^n), one state per index
 of the leading batch axes, and every gate acts on each state.  A gate angle
 is a scalar for the whole batch or one angle per state.  pea_circuit_pmf
@@ -32,55 +37,22 @@ from .counting import CountingInstance, phi_from_m
 from .phase_math import _finite, _finite_array, _integer, _wrap_array, pea_kernel
 
 __all__ = [
-    "StateVector",
     "MeasurementPmf",
-    "zero_state",
-    "basis_state",
-    "measurement_pmf",
-    "grover_operator",
     "pea_circuit_pmf",
     "grover_pea_pmf",
+    "analytic_counting_pmf",
 ]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Normalized pure states on num_qubits qubits (little-endian indexing).
-
-    amplitudes has shape (*batch, 2^num_qubits): one state for each index of
-    the leading batch axes, a single state when there are none.  Each
-    state's norm must lie within 1e-12 of 1; a non-finite norm fails."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if _integer("num_qubits", self.num_qubits) < 1:
-            raise ValueError("need at least one qubit")
-        if amps.shape[-1:] != (1 << self.num_qubits,):
-            raise ValueError("amplitude count must be 2^num_qubits")
-        parts = amps.view(float)  # real and imaginary parts, interleaved
-        norms = (parts * parts).sum(axis=-1)
-        good = abs(norms - 1.0) <= 1e-12  # False for a NaN norm
-        if not good.all():
-            bad = np.ravel(norms)[~np.ravel(good)]
-            raise ValueError(f"state norm {float(bad[0])!r} deviates from 1")
-
-    def probs(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-@dataclass(frozen=True)
 class MeasurementPmf:
-    """Marginal Born distributions over an ordered subset of qubits; index i
-    of the last axis of probs corresponds to the integer read from those
-    qubits in order (first listed qubit = least significant bit).  Leading
-    axes are the batch of the measured states.  Each distribution must sum
-    to within 1e-12 of 1; a non-finite sum fails."""
+    """Marginal Born distributions over the register qubits; index i of the
+    last axis of probs corresponds to the integer read from those qubits in
+    order (first listed qubit = least significant bit).  Leading axes are
+    the batch of the measured states.  Each distribution must sum to within
+    1e-12 of 1; a non-finite sum fails."""
 
     register_qubits: tuple[int, ...]
     probs: np.ndarray
@@ -93,31 +65,6 @@ class MeasurementPmf:
             raise ValueError("probs length must be 2^len(register_qubits)")
         if not (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all():  # NaN fails
             raise ValueError("probabilities must sum to 1")
-
-
-def zero_state(num_qubits: int, batch: tuple[int, ...] = ()) -> StateVector:
-    """|0...0>, once for each index of the batch shape."""
-    return basis_state(num_qubits, 0, batch)
-
-
-def basis_state(num_qubits: int, index: int, batch: tuple[int, ...] = ()) -> StateVector:
-    """|index>, once for each index of the batch shape; index must be an
-    integer in [0, 2^num_qubits)."""
-    amps = np.zeros((*batch, 1 << _integer("num_qubits", num_qubits)), dtype=complex)
-    if not (0 <= _integer("index", index) < amps.shape[-1]):
-        raise ValueError(f"index must lie in [0, 2^{num_qubits}), got {index}")
-    amps[..., index] = 1.0
-    return StateVector(num_qubits, amps)
-
-
-def _check_qubit(state: StateVector, *qubits: int) -> None:
-    seen = set()
-    for q in qubits:
-        if not (0 <= _integer("qubit index", q) < state.num_qubits):
-            raise ValueError(f"qubit index {q} out of range")
-        if q in seen:
-            raise ValueError("qubit indices must be distinct")
-        seen.add(q)
 
 
 def _per_state(angle, axes: int) -> np.ndarray:
@@ -185,27 +132,27 @@ def _inverse_qft(amps: np.ndarray, n: int, qubits: list[int]) -> np.ndarray:
     return amps
 
 
-def measurement_pmf(state: StateVector, qubits) -> MeasurementPmf:
-    """Marginal outcome distribution of each state over the listed qubits."""
-    qubits = list(qubits)
-    _check_qubit(state, *qubits)
-    n = state.num_qubits
-    probs = state.probs()
-    batch = probs.shape[:-1]
-    # one axis per qubit, highest first; the other qubits then the listed
-    # ones in reverse, so each row of `grid` is one outcome's addends
-    rest = [q for q in reversed(range(n)) if q not in qubits]
-    order = [len(batch) + n - 1 - q for q in rest + qubits[::-1]]
-    grid = probs.reshape(*batch, *(2,) * n).transpose(*range(len(batch)), *order)
-    grid = grid.reshape(*batch, 1 << len(rest), 1 << len(qubits))
+def _register_pmf(amps: np.ndarray, n: int, t: int) -> MeasurementPmf:
+    """Born distribution of each state over register qubits 0..t-1, the low
+    t bits of the state index.  Each state's norm must lie within 1e-12 of
+    1; a non-finite norm fails."""
+    amps = np.ascontiguousarray(amps, dtype=complex)
+    parts = amps.view(float)  # real and imaginary parts, interleaved
+    norms = (parts * parts).sum(axis=-1)
+    good = abs(norms - 1.0) <= 1e-12  # False for a NaN norm
+    if not good.all():
+        bad = np.ravel(norms)[~np.ravel(good)]
+        raise ValueError(f"state norm {float(bad[0])!r} deviates from 1")
+    # rows: the other qubits (high bits); columns: the register's outcome
+    grid = (np.abs(amps) ** 2).reshape(*amps.shape[:-1], 1 << (n - t), 1 << t)
     # summed in the order of the state index, one addend at a time
     marg = grid[..., 0, :].copy()
     for row in range(1, grid.shape[-2]):
         marg += grid[..., row, :]
-    return MeasurementPmf(tuple(qubits), marg)
+    return MeasurementPmf(tuple(range(t)), marg)
 
 
-def grover_operator(instance: CountingInstance) -> np.ndarray:
+def _grover_operator(instance: CountingInstance) -> np.ndarray:
     """Dense search iteration: reflect about the mean after flipping the sign
     of every marked item.  Real orthogonal (N x N)."""
     marked = np.zeros(instance.N, dtype=bool)
@@ -238,14 +185,15 @@ def pea_circuit_pmf(t: int, phi, theta=0.0) -> MeasurementPmf:
     phi, theta = np.broadcast_arrays(_finite_array("phi", phi), _finite_array("theta", theta))
     n = t + 1
     # register |0...0>, target eigenstate |1>
-    amps = basis_state(n, 1 << t, phi.shape).amplitudes
+    amps = np.zeros((*phi.shape, 1 << n), dtype=complex)
+    amps[..., 1 << t] = 1.0
     for k in range(t):
         amps = _h(amps, n, k)
     for k in range(t):
         amps = _cphase(amps, n, k, t, 2.0 * np.pi * (1 << k) * phi)
         amps = _rz(amps, n, k, 2.0 * np.pi * (1 << k) * theta)
     amps = _inverse_qft(amps, n, list(range(t)))
-    return measurement_pmf(StateVector(n, amps), range(t))
+    return _register_pmf(amps, n, t)
 
 
 def grover_pea_pmf(
@@ -279,11 +227,12 @@ def grover_pea_pmf(
     N = 1 << n
     nq = t + n
     # complex once here, not in each product
-    gmat = np.stack([grover_operator(inst) for inst in instances]).astype(complex)
+    gmat = np.stack([_grover_operator(inst) for inst in instances]).astype(complex)
     if single:
         gmat = gmat[0]
     batch = gmat.shape[:-2]
-    amps = zero_state(nq, batch).amplitudes
+    amps = np.zeros((*batch, 1 << nq), dtype=complex)
+    amps[..., 0] = 1.0
     for q in range(nq):  # uniform superposition on register and work qubits
         amps = _h(amps, nq, q)
     grid = amps.reshape(*batch, N, T)  # rows: work register (high bits); cols: s
@@ -297,7 +246,7 @@ def grover_pea_pmf(
     for k in range(t):
         amps = _rz(amps, nq, k, 2.0 * np.pi * (1 << k) * theta)
     amps = _inverse_qft(amps, nq, list(range(t)))
-    return measurement_pmf(StateVector(nq, amps), range(t))
+    return _register_pmf(amps, nq, t)
 
 
 def analytic_counting_pmf(t: int, m, theta: float = 0.0) -> np.ndarray:

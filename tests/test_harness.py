@@ -13,7 +13,7 @@ import pytest
 
 import upea.cli as cli
 import upea.harness as harness
-from upea.counting import calibrate_b
+from upea.counting import CalibrationRecord, calibrate_b
 from upea.harness import (
     CSV_HEADER,
     PRESETS,
@@ -319,6 +319,32 @@ def test_verify_circuit_rejects_a_non_integer_size_or_seed(name: str, value) -> 
     sizes = dict(n_phi=1, n_theta=1)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         run_verify_circuit(**{**sizes, name: value})
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_every_seed_entry_point_takes_both_ends_of_the_64_bit_range(seed: int) -> None:
+    assert run_sweep(_small("upea-bias-mae", grid_points=2, n_samples=8, base_seed=seed)).entries
+    assert calibrate_b(16, 2, 8, seed).seed == seed
+    assert run_verify_circuit(n_phi=1, n_theta=1, seed=seed)["passed"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_every_seed_entry_point_rejects_a_seed_outside_64_bits(seed: int, monkeypatch, capsys) -> None:
+    # a sweep at base_seed -1 or 2**70 and calibrate_b(16, 2, 8, -1) once ran
+    in_range = r"must lie in \[0, 2\^64\)"
+    with pytest.raises(ValueError, match="base_seed " + in_range):
+        _small("upea-bias-mae", base_seed=seed)
+    with pytest.raises(ValueError, match="seed " + in_range):
+        calibrate_b(16, 2, 8, seed)
+    with pytest.raises(ValueError, match="seed " + in_range):
+        run_verify_circuit(n_phi=1, n_theta=1, seed=seed)
+    with pytest.raises(ValueError, match="seed " + in_range):
+        CalibrationRecord(T=16, R=2, b=0.01, stderr_b=0.001, n_samples=8, seed=seed)
+    # the CLI exits 1 before any chunk draws
+    monkeypatch.setattr(harness, "make_rng", lambda seed: pytest.fail("a chunk ran"))
+    assert cli.main(["upea-bias-mae", "--seed", str(seed), "--samples", "8", "--grid", "2"]) == 1
+    assert cli.main(["verify-circuit", "--seed", str(seed)]) == 1
+    assert capsys.readouterr().err.count("seed must lie in [0, 2^64)") == 2
 
 
 def test_verify_circuit_fails_on_a_nan_pmf_after_finite_ones(monkeypatch) -> None:

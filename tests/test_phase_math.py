@@ -24,8 +24,6 @@ from upea.phase_math import (
     exact_msd_upea,
     pea_kernel,
     pea_pmf,
-    pea_pmf_at,
-    upea_pdf,
     wrap_phase,
 )
 
@@ -115,6 +113,36 @@ def test_kernel_exact_within_subnormal_of_lattice() -> None:
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "T, delta, message",
+    [
+        (0, 0.1, "T must be a positive power of two"),
+        (-4, 0.1, "T must be a positive power of two"),
+        (3, 0.1, "T must be a positive power of two"),
+        (16.0, 0.1, "T must be an integer"),
+        (True, 0.1, "T must be an integer"),
+        (16, "0.1", "delta must be numeric"),
+        (16, b"0.1", "delta must be numeric"),
+        (16, True, "delta must be numeric"),
+        (16, np.array([0.1, None], dtype=object), "delta must be numeric"),
+        (16, [True, 0.3], "delta must be numeric"),
+    ],
+)
+def test_kernels_reject_a_bad_T_or_delta(T, delta, message: str) -> None:
+    # these once returned NaN, 0.592, 0.762, a value for 16.0, 0.037 for the
+    # str and the bool; log_kernel(0, 0.1) returned -1e18
+    for kernel in (pea_kernel, log_kernel):
+        with pytest.raises(ValueError, match=message):
+            kernel(T, delta)
+
+
+def test_kernels_take_any_power_of_two_and_integer_types() -> None:
+    assert pea_kernel(1, 0.3) == 1.0 and log_kernel(1, 0.3) == 0.0
+    delta = np.array([0.1, 0.2])
+    assert np.array_equal(pea_kernel(np.int64(16), delta), pea_kernel(16, delta))
+    assert pea_kernel(16, 2) == 1.0 and pea_kernel(16, np.float32(0.25)) == 0.0
+
+
 @pytest.mark.parametrize("t", [0, 1, 2, 4, 6])
 @pytest.mark.parametrize("phi", [0.0, 0.1234, 0.5, 0.999, 1 / 3])
 def test_pmf_normalization(t: int, phi: float) -> None:
@@ -127,7 +155,7 @@ def test_pmf_normalization(t: int, phi: float) -> None:
 def test_pmf_pinned_value() -> None:
     # midpoint between two lattice outcomes; frozen high-precision evaluation
     # of (sin(16*pi*d)/(16*sin(pi*d)))^2 at d = 0.5/16
-    assert pea_pmf_at(P16, 4, 4.5 / 16) == pytest.approx(
+    assert pea_pmf(P16, 4.5 / 16).probs[4] == pytest.approx(
         0.40658933171803694, abs=1e-15
     )
 
@@ -144,32 +172,27 @@ def test_pmf_reflection_symmetry(phi: float, t: int) -> None:
         assert fwd[s] == pytest.approx(rev[(T - s) % T], abs=1e-12)
 
 
-def test_pmf_at_rejects_out_of_range_outcome() -> None:
-    with pytest.raises(ValueError):
-        pea_pmf_at(P16, 16, 0.3)
-    with pytest.raises(ValueError):
-        pea_pmf_at(P16, -1, 0.3)
-
-
 def test_upea_pdf_integrates_to_one() -> None:
-    # midpoint rule on a fine grid; the density is T * kernel
+    # midpoint rule on a fine grid; the density of phi_tilde is T * kernel
     n = 1 << 14
     x = (np.arange(n) + 0.5) / n
-    vals = np.array([upea_pdf(P16, float(v), 0.37) for v in x])
+    vals = P16.T * pea_kernel(P16.T, x - 0.37)
     assert abs(vals.mean() - 1.0) < 1e-6
 
 
 def test_upea_pdf_depends_only_on_difference() -> None:
-    assert upea_pdf(P16, 0.4, 0.1) == pytest.approx(upea_pdf(P16, 0.7, 0.4), abs=1e-12)
+    # the laws see the phase only through s/T - phi: a shift of phi by k/T
+    # rolls the outcome row by k
+    for k in (1, 5, 15):
+        rolled = np.roll(pea_pmf(P16, 0.1).probs, k)
+        assert np.allclose(pea_pmf(P16, 0.1 + k / 16).probs, rolled, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("far", [1e300, -1e300, 1e17])
 def test_pointwise_laws_wrap_a_far_phase(far: float) -> None:
     # each far phase is a whole number of turns, so it is phase 0
-    for s in range(16):
-        assert pea_pmf_at(P16, s, far) == pea_pmf_at(P16, s, 0.0)
-    assert upea_pdf(P16, 0.3, far) == upea_pdf(P16, 0.3, 0.0) < 0.05
-    assert upea_pdf(P16, far, 0.3) == upea_pdf(P16, 0.0, 0.3)
+    assert np.array_equal(pea_pmf(P16, far).probs, pea_pmf(P16, 0.0).probs)
+    assert pea_kernel(16, far) == pea_kernel(16, 0.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +262,8 @@ def test_exact_mae_upea_large_t_stays_small_in_memory() -> None:
 
 
 def _quadrature_of_the_density(params: PeaParams, g) -> float:
-    """The integral of g(d) upea_pdf(d | 0) over (-1/2, 1/2], by 24-point
+    """The integral of g(d) T K(d), the density of the randomized estimate's
+    error d, over (-1/2, 1/2], by 24-point
     Gauss-Legendre on each cell between the density's zeros k/T, where the
     integrand is smooth (T >= 2)."""
     T = params.T
@@ -248,7 +272,7 @@ def _quadrature_of_the_density(params: PeaParams, g) -> float:
     for k in range(-T // 2, T // 2):
         lo, hi = k / T, (k + 1) / T
         d = (hi - lo) / 2 * nodes + (hi + lo) / 2
-        pdf = np.array([upea_pdf(params, x, 0.0) for x in d])
+        pdf = T * pea_kernel(T, d)
         total += (hi - lo) / 2 * float(np.dot(weights, g(d) * pdf))
     return total
 
@@ -358,16 +382,7 @@ def test_scalar_phase_inputs_reject_a_one_item_sequence(bad) -> None:
     with pytest.raises(ValueError, match="phase must be a scalar"):
         circ_dist(bad, 0.2)
     with pytest.raises(ValueError, match="phi must be a scalar"):
-        pea_pmf_at(P16, 3, bad)
-    with pytest.raises(ValueError, match="phi must be a scalar"):
         pea_pmf(P16, bad)
-
-
-@pytest.mark.parametrize("s", [1.5, 1.0, True])
-def test_pmf_at_rejects_a_non_integer_outcome(s) -> None:
-    # s = 1.5 returned 0.968 for an outcome that does not exist
-    with pytest.raises(ValueError, match="s must be an integer"):
-        pea_pmf_at(PeaParams(t=4), s, 0.1)
 
 
 def test_theta_mode_and_params_reject_a_bad_mode() -> None:
@@ -516,12 +531,8 @@ def test_scalar_and_array_wraps_agree_bit_for_bit_with_a_positive_zero() -> None
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "0.3", True])
 def test_pointwise_laws_reject_a_non_finite_phase_by_name(bad: float) -> None:
-    with pytest.raises(ValueError, match="phi_tilde must be finite"):
-        upea_pdf(P16, bad, 0.1)
     with pytest.raises(ValueError, match="phi must be finite"):
-        upea_pdf(P16, 0.1, bad)
-    with pytest.raises(ValueError, match="phi must be finite"):
-        pea_pmf_at(P16, 3, bad)
+        pea_pmf(P16, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from upea.phase_math import PeaParams, ThetaMode, pea_kernel, pea_pmf
+from upea.harness import _entry
+from upea.phase_math import PeaParams, ThetaMode, _circ_dist_array, pea_kernel, pea_pmf
 from upea.sampler import (
     RNG_ALGORITHM,
     derive_seed,
-    empirical_bias_mae,
     make_rng,
     _draw_theta,
     _tail,
@@ -47,6 +47,22 @@ def test_seeds_must_be_integers(seed) -> None:
     with pytest.raises(ValueError, match="seed must be an integer"):
         make_rng(seed)
     with pytest.raises(ValueError, match="seed must be an integer"):
+        derive_seed(seed, "exp", 0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seeds_take_both_ends_of_the_64_bit_range(seed: int) -> None:
+    assert make_rng(seed).random() == make_rng(seed).random()
+    assert 0 <= derive_seed(seed, "exp", 0) < 2**64
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seeds_outside_the_64_bit_range_raise_naming_the_seed(seed: int) -> None:
+    # make_rng(-1) raised NumPy's "expected non-negative integer", while
+    # derive_seed(-1, ...) returned a seed
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        make_rng(seed)
+    with pytest.raises(ValueError, match=r"base_seed must lie in \[0, 2\^64\)"):
         derive_seed(seed, "exp", 0)
 
 
@@ -102,16 +118,24 @@ def test_block_sampler_memory_is_bounded_at_large_t() -> None:
     assert peak <= 1 << 20
 
 
+def _sample_entry(d, truth: float):
+    """The sweep's bias/MAE entry of one chunk of errors d, reduced through
+    the partial sums that harness._sweep takes of each chunk."""
+    d = np.asarray(d, dtype=float)
+    sums = (float(np.sum(d)), float(np.sum(d * d)), float(np.sum(np.abs(d))), d.size)
+    return _entry([sums], truth)
+
+
 def test_empirical_bias_mae_circular() -> None:
     # errors of +-0.1 across the wrap point
-    entry = empirical_bias_mae([0.05, 0.85], 0.95, circular=True)
+    entry = _sample_entry(_circ_dist_array(np.array([0.05, 0.85]), 0.95), 0.95)
     assert entry.bias == pytest.approx(0.0, abs=1e-15)
     assert entry.mae == pytest.approx(0.1, abs=1e-15)
     assert entry.n_samples == 2
 
 
 def test_empirical_bias_mae_plain() -> None:
-    entry = empirical_bias_mae([0.2, 0.4], 0.25, circular=False)
+    entry = _sample_entry(np.array([0.2, 0.4]) - 0.25, 0.25)
     assert entry.bias == pytest.approx(0.05, abs=1e-15)
     assert entry.mae == pytest.approx(0.1, abs=1e-15)
     # ddof=1 standard errors
@@ -120,24 +144,8 @@ def test_empirical_bias_mae_plain() -> None:
 
 
 def test_empirical_bias_mae_single_sample_has_zero_stderr() -> None:
-    entry = empirical_bias_mae([0.3], 0.2, circular=False)
+    entry = _sample_entry([0.3 - 0.2], 0.2)
     assert entry.stderr_bias == 0.0 and entry.stderr_mae == 0.0
-
-
-@pytest.mark.parametrize(
-    "estimates, truth, circular, message",
-    [
-        (["0.1", "0.3"], 0.2, True, "estimates must be finite and numeric"),
-        ([True, 0.3], 0.2, True, "estimates must be finite and numeric"),
-        ([0.1, math.nan], 0.2, False, "estimates must be finite"),
-        ([0.1, 0.3], "0.2", False, "ground_truth must be finite and numeric"),
-        ([0.1, 0.3], math.inf, False, "ground_truth must be finite"),
-    ],
-)
-def test_empirical_bias_mae_rejects_a_bad_input(estimates, truth, circular, message) -> None:
-    # these once ran as floats, True as 1.0, or raised without naming the input
-    with pytest.raises(ValueError, match=message):
-        empirical_bias_mae(estimates, truth, circular=circular)
 
 
 @pytest.mark.parametrize(
