@@ -24,11 +24,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .phase_math import PeaParams, Phase, ThetaMode, _finite, _finite_array, _integer
+from .phase_math import PeaParams, Phase, ThetaMode, _finite, _finite_array, _int_in
 from .mle import mle_counting_batch
 from .sampler import (
-    _CHUNK, RNG_ALGORITHM, RngSeed, _chunks, _seed, _trials, derive_seed, make_rng,
-    sample_upea_block,
+    _CHUNK, _MAX_SEED, RNG_ALGORITHM, RngSeed, _chunks, derive_seed, make_rng, sample_upea_block,
 )
 
 __all__ = [
@@ -45,33 +44,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CountingInstance:
-    """A counting problem: n work qubits, N = 2^n items, and either an
-    explicit marked set or just the marked count M (both route to one phi).
-    n and M must be integers."""
+    """A counting problem: n >= 1 work qubits, N = 2^n items, of which the
+    first M, 0 <= M <= N, are marked."""
 
     n: int
-    marked: frozenset[int] | None = None
-    M: int | None = None
+    M: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _integer("n", self.n))
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        N = self.N
-        if self.marked is not None:
-            marked = frozenset(_integer("marked item", x) for x in self.marked)
-            object.__setattr__(self, "marked", marked)
-            if any(not (0 <= x < N) for x in marked):
-                raise ValueError("marked items must lie in [0, N)")
-            if self.M is None:
-                object.__setattr__(self, "M", len(marked))
-            elif self.M != len(marked):
-                raise ValueError("M disagrees with |marked|")
-        elif self.M is None:
-            raise ValueError("provide a marked set or a marked count")
-        object.__setattr__(self, "M", _integer("M", self.M))
-        if not (0 <= self.M <= N):
-            raise ValueError("M must lie in [0, N]")
+        object.__setattr__(self, "n", _int_in("n", self.n, 1))
+        object.__setattr__(self, "M", _int_in("M", self.M, 0, self.N))
 
     @property
     def N(self) -> int:
@@ -99,16 +80,11 @@ class CalibrationRecord:
     rng_algorithm: str = RNG_ALGORITHM
 
     def __post_init__(self) -> None:
-        for name in ("T", "R", "n_samples"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "seed", _seed("seed", self.seed))
+        object.__setattr__(self, "T", PeaParams.from_T(self.T).T)
+        for name, lo, hi in (("R", 1, None), ("n_samples", 2, None), ("seed", 0, _MAX_SEED)):
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), lo, hi))
         for name in ("b", "stderr_b"):
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
-        PeaParams.from_T(self.T)
-        if self.R < 1:
-            raise ValueError(f"R must be >= 1, got {self.R}")
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if not (self.stderr_b > 0.0):
             raise ValueError("stderr_b must be positive")
 
@@ -129,13 +105,19 @@ class CalibrationRecord:
         )
 
 
+def _fraction(m) -> float:
+    """m as a float, or a ValueError naming it unless it is a finite number
+    in [0, 1]."""
+    m = _finite("m", m)
+    if not (0.0 <= m <= 1.0):
+        raise ValueError(f"m must lie in [0, 1], got {m!r}")
+    return m
+
+
 def phi_from_m(m: float) -> Phase:
     """Phase in [0, 1/2] whose squared sine of a half-turn equals m; m must
     be a number in [0, 1]."""
-    m = _finite("m", m)
-    if not (0.0 <= m <= 1.0):
-        raise ValueError("m must lie in [0, 1]")
-    return math.asin(math.sqrt(m)) / math.pi
+    return math.asin(math.sqrt(_fraction(m))) / math.pi
 
 
 def sample_uqca_block(
@@ -146,7 +128,7 @@ def sample_uqca_block(
     runs (see the sampler module), whose (n, R) view holds trial i's runs in
     row i, all at its signed phase.  An n that is not an integer >= 0
     raises ValueError."""
-    n = _trials(n)
+    n = _int_in("n", n, 0)
     R = params.R
     phi = phi_from_m(m)
     signed = np.where(rng.random(n) < 0.5, phi, -phi)
@@ -159,10 +141,7 @@ def sample_uqca_block(
 def exact_bias_uqca_single(m: float, T: int) -> float:
     """Exact single-run bias of m_tilde: (1-2m)/(2T), valid for every m and
     every power-of-two T; m must be a number in [0, 1]."""
-    m = _finite("m", m)
-    if not (0.0 <= m <= 1.0):
-        raise ValueError("m must lie in [0, 1]")
-    return (1.0 - 2.0 * m) / (2.0 * PeaParams.from_T(T).T)
+    return (1.0 - 2.0 * _fraction(m)) / (2.0 * PeaParams.from_T(T).T)
 
 
 def correct_single(m_tilde, T: int):
@@ -190,11 +169,9 @@ def calibrate_b(
     disjoint from any evaluation stream built on the same base seed.  Chunks
     run on a pool of workers threads and fill their own slots of one array,
     so the record is the same for any worker count."""
-    if _integer("n_samples", n_samples) < 2:
-        raise ValueError("n_samples must be >= 2")
-    if _integer("workers", workers) < 1:
-        raise ValueError("workers must be >= 1")
-    seed = _seed("seed", seed)
+    _int_in("n_samples", n_samples, 2)
+    _int_in("workers", workers, 1)
+    seed = _int_in("seed", seed, 0, _MAX_SEED)
     params = PeaParams.from_T(T, R, ThetaMode.full())
     vals = np.empty(n_samples)
 

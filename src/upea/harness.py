@@ -43,8 +43,8 @@ from .counting import (
     sample_uqca_block,
 )
 from .mle import mle_batch
-from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, _integer, pea_kernel
-from .sampler import RNG_ALGORITHM, _chunks, _seed, derive_seed, make_rng, sample_upea_block
+from .phase_math import BiasMaeEntry, PeaParams, ThetaMode, _circ_dist_array, _int_in, pea_kernel
+from .sampler import _MAX_SEED, RNG_ALGORITHM, _chunks, derive_seed, make_rng, sample_upea_block
 from .statevector import analytic_counting_pmf, grover_pea_pmf, pea_circuit_pmf
 
 __all__ = [
@@ -97,26 +97,18 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        for name in ("T", "grid_points", "n_samples"):
-            _integer(name, getattr(self, name))
-        _seed("base_seed", self.base_seed)
         if isinstance(self.R, (tuple, list)) and len(self.R) != 2:
             raise ValueError(f"R must be an integer or an inclusive (lo, hi) range, got {self.R!r}")
-        for r in self.R if isinstance(self.R, tuple) else (self.R,):
-            _integer("R", r)
-        PeaParams.from_T(self.T, theta_mode=self.theta_mode)
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        # an R range's low end is the params' R, and its high end is >= it
+        lo = self.R[0] if isinstance(self.R, tuple) else self.R
+        PeaParams.from_T(self.T, lo, self.theta_mode)
+        _int_in("grid_points", self.grid_points, 2)
+        _int_in("n_samples", self.n_samples, 1)
+        _int_in("base_seed", self.base_seed, 0, _MAX_SEED)
         if isinstance(self.R, tuple):
-            lo, hi = self.R
-            if not (1 <= lo <= hi):
-                raise ValueError("R range must satisfy 1 <= lo <= hi")
+            _int_in("R", self.R[1], lo)
             if self.experiment not in ("mae-vs-r", "qca-bias-mae", "uqca-corrected"):
                 raise ValueError(f"{self.experiment} takes a single R, not a range")
-        elif self.R < 1:
-            raise ValueError("R must be >= 1")
         if self.experiment in ("pea-bias-mae", "upea-bias-mae") and self.R != 1:
             raise ValueError(f"{self.experiment} is single-run; R must be 1")
         if self.experiment == "pea-bias-mae" and self.theta_mode.kind != "fixed":
@@ -288,8 +280,7 @@ def run_sweep(
     """Execute one experiment; the report depends only on the config (and the
     supplied calibration record), never on the worker count.  A calibration
     record is accepted only by a single-R uqca-corrected sweep."""
-    if _integer("workers", workers) < 1:
-        raise ValueError("workers must be >= 1")
+    _int_in("workers", workers, 1)
     if calibration is not None and (
         config.experiment != "uqca-corrected" or isinstance(config.R, tuple)
     ):
@@ -358,9 +349,9 @@ def run_verify_circuit(
     checking.  The seed must be an integer in [0, 2^64).  A NaN deviation
     fails its check.
     """
-    if min(_integer("n_phi", n_phi), _integer("n_theta", n_theta)) < 1:
-        raise ValueError("n_phi and n_theta must be >= 1")
-    rng = make_rng(derive_seed(_seed("seed", seed), "verify-circuit"))
+    _int_in("n_phi", n_phi, 1)
+    _int_in("n_theta", n_theta, 1)
+    rng = make_rng(derive_seed(_int_in("seed", seed, 0, _MAX_SEED), "verify-circuit"))
 
     def check(name: str, worst: float) -> dict:
         tol = _VERIFY_TOLERANCE

@@ -107,7 +107,9 @@ class MleResult:
 
 def log_kernel(T: int, delta) -> np.ndarray | float:
     """log of pea_kernel with exact zeros mapped to the LOG_ZERO sentinel,
-    computed in place on the fresh arrays of _kernel_parts."""
+    computed in place on the fresh arrays of _kernel_parts.  It checks T and
+    delta as pea_kernel does, and likewise lets a NaN or infinite delta
+    through, to a NaN value."""
     num, den, lattice = _kernel_parts(T, delta)
     np.abs(num, out=num)
     np.abs(den, out=den)
@@ -139,14 +141,6 @@ def _log_mix(k_sum: np.ndarray) -> np.ndarray:
     return mix
 
 
-def _nonempty(estimates) -> np.ndarray:
-    """estimates as a float array of finite numbers, at least one."""
-    est = _finite_array("estimates", estimates)
-    if est.size == 0:
-        raise ValueError("estimates must be nonempty")
-    return est
-
-
 def _plain_ll(T: int, est: np.ndarray, c) -> np.ndarray:
     """Plain log likelihood sum_j log K(est_j - c), summed over the last
     axis of the broadcast of est and c."""
@@ -159,11 +153,14 @@ def _mixture_ll(T: int, est: np.ndarray, c) -> np.ndarray:
     return _log_mix(pea_kernel(T, est - c) + pea_kernel(T, est + c)).sum(axis=-1)
 
 
-def _runs(params: PeaParams, estimates) -> np.ndarray:
-    """estimates as a float array, once its entries are checked to be
-    finite numbers and its rows (if it has two axes) to hold params.R runs
-    each."""
+def _runs(params: PeaParams, estimates, one_row: bool = False) -> np.ndarray:
+    """estimates as a float array, reshaped to one row when one_row is set,
+    once its entries are checked to be finite numbers and its rows (if it
+    has two axes) to hold params.R runs each; params.R being >= 1, an empty
+    row fails that check."""
     est = _finite_array("estimates", estimates)
+    if one_row:
+        est = est.reshape(1, -1)
     if est.ndim == 2 and est.shape[1] != params.R:
         raise ValueError(
             f"estimates hold R = {est.shape[1]} runs per row but params.R = {params.R}"
@@ -173,7 +170,7 @@ def _runs(params: PeaParams, estimates) -> np.ndarray:
 
 def _one_row(params: PeaParams, estimates, counting: bool) -> MleResult:
     """Run the batch maximizer on a single row of estimates."""
-    est = _runs(params, _nonempty(estimates).reshape(1, -1))
+    est = _runs(params, estimates, one_row=True)
     x, fx, grid_points, iters = _maximize(params.T, est, counting)
     return MleResult(float(x[0]), float(fx[0]), grid_points, int(iters[0]))
 

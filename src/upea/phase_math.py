@@ -29,7 +29,7 @@ __all__ = [
     "Phase",
     "ThetaMode",
     "PeaParams",
-    "DistTable",
+    "MeasurementPmf",
     "BiasMaeEntry",
     "wrap_phase",
     "circ_dist",
@@ -47,6 +47,12 @@ Phase = float
 # pi*e into the subnormal range where sin loses relative precision
 _TINY = float(np.finfo(float).tiny)
 
+# largest register size t.  The shifted outcome T wrap(phi + theta) and the
+# error T d carry 53 - t bits below the point, so a larger t resolves
+# float64's rounding rather than the estimator's law: a KS test of T d over
+# 2^22 sampled trials passes up to t = 41 and fails from t = 44 on
+_MAX_T = 40
+
 
 @dataclass(frozen=True)
 class ThetaMode:
@@ -61,7 +67,7 @@ class ThetaMode:
             raise ValueError(f"unknown theta mode kind: {self.kind!r}")
         object.__setattr__(self, "value", _finite("theta value", self.value))
         if self.kind == "fixed" and not (0.0 <= self.value < 1.0):
-            raise ValueError("fixed theta must lie in [0, 1)")
+            raise ValueError(f"theta value must lie in [0, 1) for a fixed mode, got {self.value!r}")
 
     @classmethod
     def full(cls) -> "ThetaMode":
@@ -96,7 +102,8 @@ class PeaParams:
 
     t is the number of register qubits, T = 2^t the number of outcomes,
     R the number of repetitions combined by the likelihood estimator.
-    t = 0 (single-outcome register) is allowed as the degenerate case.
+    t lies in [0, _MAX_T]; t = 0 (single-outcome register) is allowed as
+    the degenerate case.
     """
 
     t: int
@@ -104,10 +111,8 @@ class PeaParams:
     theta_mode: ThetaMode = field(default_factory=ThetaMode.full)
 
     def __post_init__(self) -> None:
-        if _integer("t", self.t) < 0:
-            raise ValueError("t must be >= 0")
-        if _integer("R", self.R) < 1:
-            raise ValueError("R must be >= 1")
+        _int_in("t", self.t, 0, _MAX_T)
+        _int_in("R", self.R, 1)
         if not isinstance(self.theta_mode, ThetaMode):
             raise ValueError(f"theta_mode must be a ThetaMode, got {self.theta_mode!r}")
 
@@ -117,29 +122,27 @@ class PeaParams:
 
     @classmethod
     def from_T(cls, T: int, R: int = 1, theta_mode: ThetaMode | None = None) -> "PeaParams":
-        """Build from the outcome count T, which must be a power of two."""
-        T = _integer("T", T)
-        if T < 1 or (T & (T - 1)) != 0:
-            raise ValueError("T must be a positive power of two")
+        """Build from the outcome count T, a power of two in [1, 2^_MAX_T]."""
+        T = _power_of_two(T, 1 << _MAX_T)
         return cls(T.bit_length() - 1, R, ThetaMode.full() if theta_mode is None else theta_mode)
 
 
 @dataclass(frozen=True)
-class DistTable:
-    """Exact outcome pmf over s = 0..T-1 at a fixed true phase."""
+class MeasurementPmf:
+    """Outcome distributions over a register: index s of the last axis of
+    probs is the integer the register reads, and leading axes are a batch.
+    Each distribution must sum to within 1e-12 of 1 and every entry must
+    lie in [-1e-15, 1 + 1e-12]; a NaN fails both."""
 
-    params: PeaParams
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "probs", p)
-        if p.shape != (self.params.T,):
-            raise ValueError("probs must have length T")
+        if not (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all():  # NaN fails
+            raise ValueError("probs must sum to 1 along the last axis")
         if not np.all((p >= -1e-15) & (p <= 1 + 1e-12)):
-            raise ValueError("probabilities out of [0, 1] or not finite")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("probabilities do not sum to 1")
+            raise ValueError("probs must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -197,12 +200,26 @@ def _is_numeric(x, a: np.ndarray) -> bool:
     )
 
 
-def _integer(name: str, x) -> int:
+def _int_in(name: str, x, lo: int, hi: int | None = None) -> int:
     """x as an int, or a ValueError naming the input when it is not an
-    integer type (a whole float and a bool included)."""
+    integer type (a whole float and a bool included) or lies outside
+    [lo, hi] (no upper end when hi is None)."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if x < lo or (hi is not None and x > hi):
+        bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+        raise ValueError(f"{name} must {bound}, got {x}")
+    return x
+
+
+def _power_of_two(T, hi: int | None = None) -> int:
+    """T as an int, or a ValueError naming T unless it is an integer in
+    [1, hi] and a power of two."""
+    T = _int_in("T", T, 1, hi)
+    if T & (T - 1):
+        raise ValueError(f"T must be a positive power of two, got {T}")
+    return T
 
 
 def wrap_phase(x: float) -> Phase:
@@ -258,10 +275,10 @@ def _kernel_parts(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a kernel zero is harmless (ratio ~ 0).  Each step runs in place on the
     reduction's fresh arrays, so the results are fresh arrays too.  A T that
     is not a power of two >= 1 and a delta that _is_numeric rejects raise
-    ValueError, in O(1) for an array delta.
+    ValueError, in O(1) for an array delta; a NaN or infinite delta is not
+    checked, and gives NaN.
     """
-    if _integer("T", T) < 1 or T & (T - 1):
-        raise ValueError(f"T must be a positive power of two, got {T!r}")
+    _power_of_two(T)
     if not _is_numeric(delta, np.asarray(delta)):
         raise ValueError(f"delta must be numeric, got {delta!r}")
     e, f = _reduce(T, delta)
@@ -279,6 +296,9 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     _kernel_parts: the value is exactly 1 at integer delta and exactly 0 at
     the kernel zeros k/T (k not divisible by T).  Sums to 1 over the outcome
     lattice.  T must be a power of two >= 1 and delta numeric (ValueError).
+    A NaN or infinite delta is let through, to a NaN value (with NumPy's
+    RuntimeWarning for an infinite one): the check would cost a pass over
+    every array the likelihood scores.
     """
     num, den, lattice = _kernel_parts(T, delta)
     r = np.divide(num, den, out=num, where=~lattice)
@@ -287,11 +307,11 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     return float(r) if r.ndim == 0 else r
 
 
-def pea_pmf(params: PeaParams, phi: float) -> DistTable:
-    """Exact outcome table over all T outcomes at true phase phi."""
+def pea_pmf(params: PeaParams, phi: float) -> MeasurementPmf:
+    """Exact outcome distribution over all T outcomes at true phase phi."""
     T = params.T
     # wrapped first: far outside [0, 1), k/T - phi would keep no fraction
-    return DistTable(params, pea_kernel(T, np.arange(T) / T - _wrap_array(_finite("phi", phi))))
+    return MeasurementPmf(pea_kernel(T, np.arange(T) / T - _wrap_array(_finite("phi", phi))))
 
 
 def exact_bias_mae_pea(params: PeaParams, phi: float) -> BiasMaeEntry:

@@ -24,7 +24,7 @@ import hashlib
 
 import numpy as np
 
-from .phase_math import _TINY, PeaParams, ThetaMode, _finite_array, _integer, _wrap_array
+from .phase_math import _TINY, PeaParams, ThetaMode, _finite_array, _int_in, _wrap_array
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -36,8 +36,9 @@ __all__ = [
 
 RNG_ALGORITHM = "numpy-pcg64"
 
-# 64-bit unsigned seed
+# 64-bit unsigned seed, in [0, _MAX_SEED]
 RngSeed = int
+_MAX_SEED = (1 << 64) - 1
 
 # trials per slice of sample_upea_block's atom stage
 _SLICE = 1 << 12
@@ -53,18 +54,9 @@ _CSC_EXCESS = 1.0 - 4.0 / np.pi**2
 _CHUNK = 4096
 
 
-def _seed(name: str, x) -> RngSeed:
-    """x as an int, or a ValueError naming the input when it is not an
-    integer in [0, 2^64), the range of every seed."""
-    x = _integer(name, x)
-    if not (0 <= x < 1 << 64):
-        raise ValueError(f"{name} must lie in [0, 2^64), got {x}")
-    return x
-
-
 def make_rng(seed: RngSeed) -> np.random.Generator:
     """PCG64 generator for a 64-bit seed."""
-    return np.random.default_rng(np.random.SeedSequence(_seed("seed", seed)))
+    return np.random.default_rng(np.random.SeedSequence(_int_in("seed", seed, 0, _MAX_SEED)))
 
 
 def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
@@ -74,7 +66,7 @@ def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
     sha256 over the rendered path; collision-free for practical purposes and
     stable across platforms and processes.
     """
-    text = "|".join([str(_seed("base_seed", base_seed))] + [str(p) for p in path])
+    text = "|".join([str(_int_in("base_seed", base_seed, 0, _MAX_SEED))] + [str(p) for p in path])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -82,14 +74,6 @@ def derive_seed(base_seed: RngSeed, *path) -> RngSeed:
 def _chunks(n: int) -> list[tuple[int, int]]:
     """(chunk_index, size) partition of n trials into _CHUNK-sized chunks."""
     return [(i, min(_CHUNK, n - start)) for i, start in enumerate(range(0, n, _CHUNK))]
-
-
-def _trials(n: int) -> int:
-    """n as an int, or a ValueError when it is not an integer >= 0."""
-    n = _integer("n", n)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return n
 
 
 def _draw_theta(mode: ThetaMode, T: int, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -111,7 +95,7 @@ def sample_upea_block(
     which it allocates first, the block works in arrays of at most _SLICE
     entries and in the trials past the atoms (at most 19 % of them)."""
     T = params.T
-    n = _trials(n)
+    n = _int_in("n", n, 0)
     phi = _finite_array("phi", phi)
     if phi.ndim > 1 or phi.size not in (1, n):
         raise ValueError(f"phi must be a scalar or hold 1 or n = {n} phases, got shape {phi.shape}")

@@ -29,42 +29,19 @@ axis shares the Python work, not the circuit.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .counting import CountingInstance, phi_from_m
-from .phase_math import _finite, _finite_array, _integer, _wrap_array, pea_kernel
+from .phase_math import MeasurementPmf, _finite, _finite_array, _int_in, _wrap_array, pea_kernel
 
 __all__ = [
-    "MeasurementPmf",
     "pea_circuit_pmf",
     "grover_pea_pmf",
     "analytic_counting_pmf",
 ]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class MeasurementPmf:
-    """Marginal Born distributions over the register qubits; index i of the
-    last axis of probs corresponds to the integer read from those qubits in
-    order (first listed qubit = least significant bit).  Leading axes are
-    the batch of the measured states.  Each distribution must sum to within
-    1e-12 of 1; a non-finite sum fails."""
-
-    register_qubits: tuple[int, ...]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "register_qubits", tuple(self.register_qubits))
-        if p.shape[-1:] != (1 << len(self.register_qubits),):
-            raise ValueError("probs length must be 2^len(register_qubits)")
-        if not (np.abs(p.sum(axis=-1) - 1.0) <= 1e-12).all():  # NaN fails
-            raise ValueError("probabilities must sum to 1")
 
 
 def _per_state(angle, axes: int) -> np.ndarray:
@@ -149,18 +126,13 @@ def _register_pmf(amps: np.ndarray, n: int, t: int) -> MeasurementPmf:
     marg = grid[..., 0, :].copy()
     for row in range(1, grid.shape[-2]):
         marg += grid[..., row, :]
-    return MeasurementPmf(tuple(range(t)), marg)
+    return MeasurementPmf(marg)
 
 
 def _grover_operator(instance: CountingInstance) -> np.ndarray:
     """Dense search iteration: reflect about the mean after flipping the sign
-    of every marked item.  Real orthogonal (N x N)."""
-    marked = np.zeros(instance.N, dtype=bool)
-    if instance.marked is None:
-        marked[: instance.M] = True
-    else:
-        marked[sorted(instance.marked)] = True
-    oracle = np.where(marked, -1.0, 1.0)
+    of the marked items, the first M.  Real orthogonal (N x N)."""
+    oracle = np.where(np.arange(instance.N) < instance.M, -1.0, 1.0)
     diffusion = 2.0 / instance.N - np.eye(instance.N)
     return diffusion * oracle[None, :]
 
@@ -179,9 +151,7 @@ def pea_circuit_pmf(t: int, phi, theta=0.0) -> MeasurementPmf:
     (*batch, 2^t), and (2^t,) for two scalars.  A non-integer t, t outside
     [1, 12] and a non-finite phase raise ValueError.
     """
-    t = _integer("t", t)
-    if not (1 <= t <= 12):
-        raise ValueError("t must lie in [1, 12]")
+    t = _int_in("t", t, 1, 12)
     phi, theta = np.broadcast_arrays(_finite_array("phi", phi), _finite_array("theta", theta))
     n = t + 1
     # register |0...0>, target eigenstate |1>
@@ -210,18 +180,14 @@ def grover_pea_pmf(
     instance.  A non-integer t, t outside [1, 8], n > 6, mixed n and a
     non-finite theta raise ValueError.
     """
-    t = _integer("t", t)
-    if not (1 <= t <= 8):
-        raise ValueError("t must lie in [1, 8]")
+    t = _int_in("t", t, 1, 8)
     single = isinstance(instance, CountingInstance)
     instances = [instance] if single else list(instance)
     if not instances:
         raise ValueError("need at least one instance")
-    n = instances[0].n
+    n = _int_in("n", instances[0].n, 1, 6)
     if any(inst.n != n for inst in instances):
         raise ValueError("batched instances must share one n")
-    if n > 6:
-        raise ValueError("n must be <= 6")
     theta = _finite_array("theta", theta)
     T = 1 << t
     N = 1 << n
@@ -253,11 +219,10 @@ def analytic_counting_pmf(t: int, m, theta: float = 0.0) -> np.ndarray:
     """Reference law for the counting circuit: the equal +-phi mixture of the
     analytic outcome kernel, shifted by theta.  m is one marked fraction or
     an array of them, giving an array of shape (*m.shape, 2^t).  A t that
-    is not an integer >= 0 raises ValueError."""
-    if _integer("t", t) < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    T = 1 << t
-    phi = np.reshape([phi_from_m(x) for x in np.ravel(m)], np.shape(m) + (1,))
+    is not an integer >= 0 and an m that is not numeric or lies outside
+    [0, 1] raise ValueError."""
+    T = 1 << _int_in("t", t, 0)
+    phi = np.reshape([phi_from_m(x) for x in np.ravel(_finite_array("m", m))], np.shape(m) + (1,))
     s = np.arange(T) / T
     # wrapped first: far outside [0, 1), s - theta would keep no fraction
     theta = _wrap_array(_finite("theta", theta))

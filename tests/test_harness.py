@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 import upea.cli as cli
 import upea.harness as harness
@@ -24,7 +27,8 @@ from upea.harness import (
     write_csv,
     write_metadata,
 )
-from upea.phase_math import PeaParams, ThetaMode, exact_mae_upea, exact_msd_upea
+from upea.phase_math import _MAX_T, PeaParams, ThetaMode, exact_mae_upea, exact_msd_upea
+from upea.sampler import make_rng
 
 
 def _small(experiment: str, **kw) -> SweepConfig:
@@ -44,6 +48,45 @@ def test_single_run_sweep_rows_lie_within_4_exact_standard_errors(T: int) -> Non
         n = e.n_samples
         assert abs(e.bias) <= 4 * math.sqrt(msd / n)
         assert abs(e.mae - mae) <= 4 * math.sqrt((msd - mae * mae) / n)
+
+
+def _sinc2_cdf(x: np.ndarray) -> np.ndarray:
+    """CDF of the density sin^2(pi x) / (pi x)^2, the law of T d at large T
+    (relative error about (pi x / T)^2)."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, 0.5)
+    nz = x != 0.0
+    xs = x[nz]
+    out[nz] += special.sici(2 * np.pi * xs)[0] / np.pi - np.sin(np.pi * xs) ** 2 / (np.pi**2 * xs)
+    return out
+
+
+def test_a_sweep_at_the_largest_register_draws_the_law() -> None:
+    # T d carries 53 - t bits below the point.  At T = 2^64 this sweep once
+    # reported MAEs of 0.12 (the law: about 2e-20) with a RuntimeWarning, from
+    # T = 2^53 MAEs of 0, and a KS test of T d already rejects the law at
+    # t = 44 over 2^22 draws
+    T = 1 << _MAX_T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries = run_sweep(SweepConfig("upea-bias-mae", T=T, grid_points=2, n_samples=4096)).entries
+        x = T * harness._phase_errors(PeaParams(_MAX_T), 0.3, make_rng(11), 1 << 16)
+    assert all(0.0 < e.mae < 1e-6 and abs(e.bias) <= 4 * e.stderr_bias for e in entries)
+    assert stats.kstest(x, _sinc2_cdf).pvalue > 1e-3
+
+
+def test_a_register_past_the_largest_raises_naming_the_limit() -> None:
+    with pytest.raises(ValueError, match=re.escape(f"t must lie in [0, {_MAX_T}], got {_MAX_T + 1}")):
+        PeaParams(_MAX_T + 1)
+    past = 1 << (_MAX_T + 1)
+    for build in (
+        PeaParams.from_T,
+        lambda T: _small("upea-bias-mae", T=T),
+        lambda T: CalibrationRecord(T=T, R=2, b=0.01, stderr_b=0.001, n_samples=8, seed=1),
+        lambda T: calibrate_b(T, 2, 8, 1),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"T must lie in [1, {1 << _MAX_T}], got {past}")):
+            build(past)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +352,7 @@ def test_verify_circuit_negative_control() -> None:
 def test_verify_circuit_rejects_a_check_over_no_cases(name: str) -> None:
     # a zero count used to leave a loop empty and pass, even the negative control
     sizes = dict(n_phi=1, n_theta=1)
-    with pytest.raises(ValueError, match=">= 1"):
+    with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
         run_verify_circuit(**{**sizes, name: 0}, corrupt_theta=True)
 
 
@@ -331,7 +374,7 @@ def test_every_seed_entry_point_takes_both_ends_of_the_64_bit_range(seed: int) -
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_every_seed_entry_point_rejects_a_seed_outside_64_bits(seed: int, monkeypatch, capsys) -> None:
     # a sweep at base_seed -1 or 2**70 and calibrate_b(16, 2, 8, -1) once ran
-    in_range = r"must lie in \[0, 2\^64\)"
+    in_range = re.escape(f"must lie in [0, {2**64 - 1}], got {seed}")
     with pytest.raises(ValueError, match="base_seed " + in_range):
         _small("upea-bias-mae", base_seed=seed)
     with pytest.raises(ValueError, match="seed " + in_range):
@@ -344,7 +387,7 @@ def test_every_seed_entry_point_rejects_a_seed_outside_64_bits(seed: int, monkey
     monkeypatch.setattr(harness, "make_rng", lambda seed: pytest.fail("a chunk ran"))
     assert cli.main(["upea-bias-mae", "--seed", str(seed), "--samples", "8", "--grid", "2"]) == 1
     assert cli.main(["verify-circuit", "--seed", str(seed)]) == 1
-    assert capsys.readouterr().err.count("seed must lie in [0, 2^64)") == 2
+    assert capsys.readouterr().err.count(f"seed must lie in [0, {2**64 - 1}]") == 2
 
 
 def test_verify_circuit_fails_on_a_nan_pmf_after_finite_ones(monkeypatch) -> None:

@@ -44,6 +44,15 @@ def test_every_package_name_is_listed_by_the_module_that_defines_it() -> None:
         assert name in _all_of(trees[homes[0]]), f"{homes[0]}.__all__ omits {name}"
 
 
+def test_every_public_callable_has_a_contract_row() -> None:
+    # tests/test_contract.py feeds each row's arguments their bad values, so
+    # a new public name cannot skip the input contract
+    from test_contract import CONTRACT
+
+    missing = {name for name in upea.__all__ if callable(getattr(upea, name))} - set(CONTRACT)
+    assert not missing, f"no contract row for {sorted(missing)}"
+
+
 def _used(tree: ast.AST) -> set[str]:
     """Every name the module loads, string annotations included."""
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}

@@ -116,8 +116,8 @@ def test_kernel_exact_within_subnormal_of_lattice() -> None:
 @pytest.mark.parametrize(
     "T, delta, message",
     [
-        (0, 0.1, "T must be a positive power of two"),
-        (-4, 0.1, "T must be a positive power of two"),
+        (0, 0.1, "T must be >= 1"),
+        (-4, 0.1, "T must be >= 1"),
         (3, 0.1, "T must be a positive power of two"),
         (16.0, 0.1, "T must be an integer"),
         (True, 0.1, "T must be an integer"),

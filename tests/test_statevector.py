@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upea.counting import CountingInstance
-from upea.phase_math import pea_kernel
+from upea.phase_math import MeasurementPmf, pea_kernel
 from upea.statevector import (
-    MeasurementPmf,
     _cphase,
     _grover_operator,
     _h,
@@ -147,7 +146,6 @@ def test_measurement_pmf_marginalizes() -> None:
     st0 = _gate(_basis(2, 0), _h, 0)
     pmf = _register_pmf(st0, 2, 1)
     assert np.allclose(pmf.probs, [0.5, 0.5])
-    assert pmf.register_qubits == (0,)
     pmf = _register_pmf(_gate(st0, _swap, 0, 1), 2, 1)  # the superposed qubit is now 1
     assert np.allclose(pmf.probs, [1.0, 0.0])
     assert abs(pmf.probs.sum() - 1.0) < 1e-12
@@ -157,14 +155,17 @@ def test_measurement_pmf_marginalizes() -> None:
 # search operator
 
 
-@pytest.mark.parametrize("n,marked", [(2, {0}), (3, {1, 5}), (3, set())])
-def test_grover_operator_is_orthogonal(n: int, marked: set) -> None:
-    g = _grover_operator(CountingInstance(n=n, marked=frozenset(marked)))
+@pytest.mark.parametrize("n,marked", [(2, range(1)), (3, range(2)), (3, range(0))])
+def test_grover_operator_is_orthogonal(n: int, marked: range) -> None:
+    # the marked items are the first M: their columns of the diffusion flip sign
+    g = _grover_operator(CountingInstance(n=n, M=len(marked)))
     assert np.allclose(g @ g.T, np.eye(1 << n), atol=1e-12)
+    flip = np.where(np.isin(np.arange(1 << n), marked), -1.0, 1.0)
+    assert np.array_equal(g, (2.0 / (1 << n) - np.eye(1 << n)) * flip)
 
 
 def test_grover_operator_eigenphase_matches_count_fraction() -> None:
-    inst = CountingInstance(n=3, marked={0, 2, 6})
+    inst = CountingInstance(n=3, M=3)
     g = _grover_operator(inst)
     eig = np.angle(np.linalg.eigvals(g)) / (2 * np.pi)
     phi = inst.phi
@@ -242,7 +243,7 @@ def test_analytic_counting_pmf_rejects_a_bad_t(t, message: str) -> None:
 
 def test_measurement_pmf_validation() -> None:
     with pytest.raises(ValueError):
-        MeasurementPmf(register_qubits=(0,), probs=np.array([0.7, 0.7]))
+        MeasurementPmf(probs=np.array([0.7, 0.7]))
 
 
 @pytest.mark.parametrize("qubits", [[0], [0, 1], [0, 1, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]])
@@ -255,7 +256,7 @@ def test_measurement_pmf_matches_an_index_oracle(qubits: list) -> None:
     idx = np.arange(32)
     out = sum(((idx >> q) & 1) << pos for pos, q in enumerate(qubits))
     got = _register_pmf(states, 5, t)
-    assert got.probs.shape == (3, 1 << t) and got.register_qubits == tuple(qubits)
+    assert got.probs.shape == (3, 1 << t)
     for amps, row in zip(states, got.probs):
         expect = np.bincount(out, weights=np.abs(amps) ** 2, minlength=1 << t)
         assert row.tobytes() == expect.tobytes()
@@ -325,7 +326,7 @@ def test_batch_holding_one_unnormalized_state_raises() -> None:
         _register_pmf(amps, 2, 1)
     probs = np.array([[1.0, 0.0], [0.6, 0.6]])
     with pytest.raises(ValueError, match="sum to 1"):
-        MeasurementPmf((0,), probs)
+        MeasurementPmf(probs)
 
 
 def test_grover_batch_with_mixed_n_raises() -> None:
@@ -363,7 +364,7 @@ def test_state_and_pmf_checks_fail_a_nan() -> None:
     with pytest.raises(ValueError, match="norm"):
         _register_pmf(np.array([np.nan, 0.0]), 1, 1)
     with pytest.raises(ValueError, match="sum to 1"):
-        MeasurementPmf((0,), np.array([np.nan, 1.0]))
+        MeasurementPmf(np.array([np.nan, 1.0]))
 
 
 @pytest.mark.parametrize("t", [2.5, 3.0, True])
