@@ -41,17 +41,21 @@ __all__ = [
     "correct_mle",
 ]
 
+# largest work-register size n: the largest at which m = 1/N is still a
+# normal float, 2^-1022; from n = 1075 on, 1/N rounds to 0
+_MAX_N = 1022
+
 
 @dataclass(frozen=True)
 class CountingInstance:
-    """A counting problem: n >= 1 work qubits, N = 2^n items, of which the
-    first M, 0 <= M <= N, are marked."""
+    """A counting problem: n work qubits, 1 <= n <= _MAX_N, N = 2^n items,
+    of which the first M, 0 <= M <= N, are marked."""
 
     n: int
     M: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _int_in("n", self.n, 1))
+        object.__setattr__(self, "n", _int_in("n", self.n, 1, _MAX_N))
         object.__setattr__(self, "M", _int_in("M", self.M, 0, self.N))
 
     @property

@@ -101,6 +101,9 @@ class SweepConfig:
             raise ValueError(f"R must be an integer or an inclusive (lo, hi) range, got {self.R!r}")
         # an R range's low end is the params' R, and its high end is >= it
         lo = self.R[0] if isinstance(self.R, tuple) else self.R
+        # from_T reads None as the full mode, which to_json cannot write
+        if not isinstance(self.theta_mode, ThetaMode):
+            raise ValueError(f"theta_mode must be a ThetaMode, got {self.theta_mode!r}")
         PeaParams.from_T(self.T, lo, self.theta_mode)
         _int_in("grid_points", self.grid_points, 2)
         _int_in("n_samples", self.n_samples, 1)

@@ -16,38 +16,57 @@ phase uniformly and K is even.
 Each objective is written once, as a broadcasting function (_plain_ll,
 _mixture_ll) that the maximizer calls.  One maximizer, vectorized over rows
 of estimates, serves both; the single-trial entry points run it on one row.
-The coarse scan runs over G = 4*T*R equispaced cells (4x oversampling of the
+The scan's fine grid has G = 4*T*R equispaced cells (4x oversampling of the
 likelihood's O(T*R) oscillations), each estimate snapped to the grid.  It
 reads a table of exact upper bounds, UB[d] >= max K over
 [(d - 1)/G, (d + 1)/G] (K at the grid points, or where the tangents of the
 concave log K meet beside each lobe's grid maximum, rounded up), so each
-cell's sum bounds the likelihood everywhere in the cell.  K is even, so the
-table is built on half the circle and mirrored, and each run's terms over
-all cells are one row of a window view of the table laid end to end.  The
-exact score f0 at a row's best-bounded cell rules out every cell whose bound
-is below f0 minus rounding, never the global maximizer's.  The cells left
-and their neighbours are scored exactly once; each that no neighbour beats
-is a refinement start, whose neighbours bracket a local maximum.  A kept
-cell that a neighbour beats is not refined, though a narrow peak inside it
-may score higher, so this is no proof of the global maximum.  Refinement is
-one safeguarded loop per start (rtsafe, Numerical Recipes 9.4), the
-package's only root finder.  From the cell centre, each step evaluates dL/dc
-once, narrows the bracket on its sign and takes the guarded Newton point, or
-the bracket's midpoint.  A start stops once its accepted step or its bracket
+fine cell's sum of R table terms (the fine bound) bounds the likelihood
+everywhere in the cell.  K is even, so the table is built on half the
+circle and mirrored.
+
+The scan has two levels (branch and bound).  Level 0 bounds coarse cells
+of w fine cells each: a coarse cell's term for one run is the largest table
+term of the fine cells it covers, read from one strided window view of the
+table's sliding maxima laid end to end.  Floating-point addition is
+monotone, so a coarse sum, added in run order from 0.0 as the fine sums
+are, is at least every fine bound in its cell; the mixture's terms take a
+log of a sum, so its coarse table is also rounded up by _LOG_MARGIN.
+Level 1 gathers fine bounds, the sums of the one-level scan (w = 1) to the
+bit, inside the coarse cells that can still reach the best: each row's best
+coarse cell, then the cells that reach its best fine bound (they hold the
+row's fine maximum, so its first cell is the one-level argmax), then the
+cells that reach f0 minus rounding, f0 the exact score at that argmax.  The
+fine cells whose bound is at least f0 minus rounding, the shortlist, are
+those the one-level scan keeps, and never exclude the global maximizer's.  w is a fixed
+function of (T, R) (_width): R, a 4T-cell coarse grid, where that was
+measured faster, else 1, a one-level scan of the fine bounds.
+MleResult.grid_points counts the fine candidate cells at every w.
+
+The shortlist and its neighbours are scored exactly once; each that no
+neighbour beats is a refinement start, whose neighbours bracket a local
+maximum.  A kept cell that a neighbour beats is not refined, though a
+narrow peak inside it may score higher, so this is no proof of the global
+maximum.  Refinement is one safeguarded loop per start (rtsafe, Numerical
+Recipes 9.4), the package's only root finder, run on fixed-size slices of
+a call's starts.  From the cell centre, each step evaluates dL/dc once,
+narrows the bracket on its sign and takes the guarded Newton point, or the
+bracket's midpoint.  A start stops once its accepted step or its bracket
 is below 1e-12, or at a step cap fixed by G alone; one whose point scores
-below its cell's exact score by more than rounding takes the cell centre.  A
-mixture start whose bracket touches an end of [0, 1/2] takes that end
+below its cell's exact score by more than rounding takes the cell centre.
+A mixture start whose bracket touches an end of [0, 1/2] takes that end
 exactly wherever it scores within rounding of the refined point, so a
 maximum at an end never stops a few ulps short of it.  Each row takes its
 best start, an exact tie the smaller phase, and reports the loop steps in
-which any of its starts was live.  Every step acts on each start alone, so a
-row's result never depends on its batch.
+which any of its starts was live.  Every step acts on each start alone, so
+a row's result never depends on its batch, its scan block or its slice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,7 +75,9 @@ from .phase_math import (
     _TINY,
     PeaParams,
     Phase,
+    _finite,
     _finite_array,
+    _int_in,
     _kernel_parts,
     _reduce,
     _wrap_array,
@@ -99,8 +120,10 @@ class MleResult:
     refine_iterations: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.log_likelihood):
-            raise ValueError("log_likelihood must be finite")
+        for name in ("phi_hat", "log_likelihood"):
+            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+        for name in ("grid_points", "refine_iterations"):
+            object.__setattr__(self, name, _int_in(name, getattr(self, name), 0))
         if not (0.0 <= self.phi_hat < 1.0):
             raise ValueError("phi_hat must lie in [0, 1)")
 
@@ -213,11 +236,32 @@ def mle_counting_batch(params: PeaParams, estimates: np.ndarray) -> np.ndarray:
 # values and tangent points, of the scan's logs and R-term sums and of the
 # snap, and far below the table's own slack, which is O(1) nats per cell
 _TABLE_MARGIN = 2.0**-20
+# relative round-up of the mixture's coarse table, whose terms take a log of
+# a sum: it moves each coarse term up by about 2^-31 nats, far above the
+# log's few-ulp error (an ulp is at most 2^-43 below 1024 nats)
+_LOG_MARGIN = 2.0**-30
 # scores per row block of the coarse scan, whose buffers every block reuses:
 # block-sized temporaries, freed and faulted in again, cost a varying amount.
-# The exact scores of a block's kept cells run in slices of _SCORE_BLOCK terms
+# The exact scores of a block's kept cells, and the refinement of a call's
+# starts, run in slices of _SCORE_BLOCK terms
 _SCAN_BLOCK = 1 << 17
 _SCORE_BLOCK = 1 << 14
+
+
+def _tol(T: int, R: int, v: np.ndarray) -> np.ndarray:
+    """Rounding allowance of the scores v of rows of R runs."""
+    return _ROUNDING * (T * R + np.abs(v))
+
+
+def _width(T: int, R: int) -> int:
+    """Fine cells per coarse cell of the scan over G = 4TR fine cells: R, so
+    that the coarse grid has 4T cells, where T >= 8, R >= 3 and TR >= 96,
+    else 1 (one level).  Timed against the dense fine scan on 1024 rows of
+    shifted runs, two levels were even or faster from R = 6 at T = 16, from
+    R = 3 at T = 32 to 256 and at R = 16 for T = 8, and slower at R = 2 and
+    at T <= 4, where the gather of the kept fine cells costs more than the
+    dense scan it saves."""
+    return R if T >= 8 and R >= 3 and T * R >= 96 else 1
 
 
 def _bound_table(T: int, G: int) -> np.ndarray:
@@ -248,38 +292,142 @@ def _bound_table(T: int, G: int) -> np.ndarray:
     top = np.exp(g0 + s0 * (g1 - g0 - s1) / (s0 - s1))
     # cell [p - 1 + j, p + j] lies in the entries p - 1 + j and p + j
     np.maximum.at(ub, np.abs(p[:, None, None] + np.array([[-1, 0], [0, 1]])), top[:, :, None])
-    return np.concatenate([ub, ub[-2:0:-1]]) * (1.0 + _TABLE_MARGIN)
+    ub = np.concatenate([ub, ub[-2:0:-1]])
+    ub *= 1.0 + _TABLE_MARGIN
+    return ub
 
 
-def _starts(bound: np.ndarray, score, tol, ends: bool):
-    """Refinement starts of one scan block: (row, cell, exact score) of the
-    grid-local maxima that the bound cannot rule out, sorted by row, then
-    cell.  bound (n, m) bounds the likelihood everywhere in each cell.
+def _coarse_window(tab: np.ndarray, w: int, m: int, counting: bool) -> np.ndarray:
+    """Level-0 terms as one strided window view: over the coarse cells
+    k = 0..m-1, row (-i - w // 2) % G holds the largest of the w entries
+    tab[(k w - w // 2 + o - i) % G], o = 0..w-1, for a snapped index i.
+    Coarse cell k covers the fine cells k w - w // 2 through
+    k w - w // 2 + w - 1, so that entry is at least the table term of every
+    fine cell it covers.  The view reads top[(row + k w) % G], top[d] the
+    largest of tab[d..d+w-1] (circularly), from one array of top laid end
+    to end.  At w = 1 row -i % G holds tab[(k - i) % G], which is the fine
+    scan's term.  With counting set and w > 1, top is rounded up by
+    _LOG_MARGIN, since the mixture's terms take the log of a sum of two
+    entries."""
+    G = tab.size
+    span = (m - 1) * w + 1
+    # tab laid end to end; top by doubling its span in place, in ascending
+    # slices so that each slice reads entries no earlier slice has written
+    top = np.concatenate([tab, tab[: span + w - 2]])
+    width = 1
+    while width < w:
+        s = min(width, w - width)
+        for a in range(0, top.size - s, _SCAN_BLOCK):
+            b = min(a + _SCAN_BLOCK, top.size - s)
+            np.maximum(top[a:b], top[a + s : b + s], out=top[a:b])
+        width += s
+    if counting and w > 1:
+        top *= 1.0 + _LOG_MARGIN
+    return sliding_window_view(top[: G + span - 1], span)[:, ::w]
 
-    The exact score f0 at each row's best-bounded cell gives the shortlist
-    S, every cell whose bound is at least f0 minus rounding, which holds the
-    global maximizer's cell.  S and its neighbours, the set U, are scored
-    exactly once.  A start is a cell of U that no neighbour beats, outer
-    neighbours of U's edge cells included.  A cell beaten from outside U is
-    dropped, not climbed: the climb would end at a local maximum whose cell
-    and neighbours lie outside S, which scores below f0.  Neighbours wrap
-    around the circle, or, with ends=True, are clipped to the candidate
-    range.  Cells are flat keys row * m + cell, and score maps keys to
-    exact values."""
-    n, m = bound.shape
-    f0 = score(np.arange(n) * m + np.argmax(bound, axis=1))
-    short = bound >= (f0 - tol(f0))[:, None]
-    near = short.copy()
-    near[:, 1:] |= short[:, :-1]
-    near[:, :-1] |= short[:, 1:]
-    if not ends:
-        near[:, 0] |= short[:, -1]
-        near[:, -1] |= short[:, 0]
-    key = np.flatnonzero(near)
-    fk = score(key)
+
+def _neighbours(key: np.ndarray, m: int, ends: bool) -> np.ndarray:
+    """The two neighbours (p, 2) of flat keys row * m + cell: around the
+    circle, or, with ends=True, clipped to the candidate range."""
     r, k = np.divmod(key, m)
     k = k[:, None] + np.array([-1, 1])
-    nb = r[:, None] * m + (np.clip(k, 0, m - 1) if ends else k % m)
+    return r[:, None] * m + (np.clip(k, 0, m - 1) if ends else k % m)
+
+
+def _shortlist(bound: np.ndarray, fine, score, tol, m: int, ends: bool) -> np.ndarray:
+    """Sorted flat keys row * m + cell of one scan block's shortlist S and
+    its neighbours (_neighbours), the set U, among the m fine candidate
+    cells of each row.  S is every fine cell whose bound is at least f0
+    minus rounding, f0 the exact score at the row's first best-bounded fine
+    cell, and holds the global maximizer's cell.  bound (n, m0) holds the
+    coarse bounds, each at least the fine bound of every fine cell its
+    coarse cell covers.  fine(rows, k) gives the keys and bounds, (p, w)
+    each, of the fine cells of coarse cells k of rows, the bound -inf off
+    the candidate range; fine is None when the coarse cells are the fine
+    cells (w = 1), and bound then holds the fine bounds.
+
+    Fine bounds are gathered in three passes: each row's best coarse cell,
+    with best fine bound b1; every other coarse cell whose bound reaches
+    b1, which holds every fine cell at the row's fine maximum, so its
+    first such cell and f0 are the one-level scan's; and every coarse cell
+    left whose bound reaches f0 minus rounding.  The last two gather in
+    slices of 2n coarse cells, twice the first pass (rows of shifted runs
+    reach b1 in about one more cell each); past its first slice, the second
+    keeps only each cell's best bound and first key there, and its cells
+    join the third."""
+    n = len(bound)
+    rows = np.arange(n)
+    k1 = np.argmax(bound, axis=1)
+    if fine is None:
+        f0 = score(rows * m + k1)
+        short = bound >= (f0 - tol(f0))[:, None]
+        near = short.copy()
+        near[:, 1:] |= short[:, :-1]
+        near[:, :-1] |= short[:, 1:]
+        if not ends:
+            near[:, 0] |= short[:, -1]
+            near[:, -1] |= short[:, 0]
+        return np.flatnonzero(near)
+
+    def gather(r: np.ndarray, k: np.ndarray):
+        step = 2 * n
+        for a in range(0, r.size, step):
+            yield r[a : a + step], *fine(r[a : a + step], k[a : a + step])
+
+    # ties at the maximum take the first key, as argmax does
+    none = np.iinfo(np.int64).max
+
+    def best(key: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        top = v.max(axis=1)
+        return top, np.where(v == top[:, None], key, none).min(axis=1)
+
+    key1, v1 = fine(rows, k1)
+    b1, first = best(key1, v1)
+    reach = bound >= b1[:, None]
+    reach[rows, k1] = False
+    r2, k2 = np.nonzero(reach)
+    # the first slice's bounds are kept for the shortlist; a cell past it
+    # keeps its best bound and first key there, and is gathered again below
+    kept = [(rows, key1, v1)]
+    cells = []
+    for r, key, v in gather(r2, k2):
+        if len(kept) == 1:
+            kept.append((r, key, v))
+        cells.append((r, *best(key, v)))
+    top = b1.copy()
+    if cells:
+        r, t, k = (np.concatenate(a) for a in zip(*cells))
+        np.maximum.at(top, r, t)
+        first[b1 < top] = none
+        at = t == top[r]
+        np.minimum.at(first, r[at], k[at])
+    f0 = score(first)
+    cut = f0 - tol(f0)
+    reach = bound >= cut[:, None]
+    reach[rows, k1] = False
+    reach[r2[: 2 * n], k2[: 2 * n]] = False
+    short = [key[v >= cut[r, None]] for r, key, v in kept]
+    short += [key[v >= cut[r, None]] for r, key, v in gather(*np.nonzero(reach))]
+    short = np.concatenate(short)
+    # sorted runs, which a stable sort merges
+    key = np.concatenate([short, _neighbours(short, m, ends).ravel()])
+    key.sort(kind="stable")
+    return key[np.r_[True, key[1:] != key[:-1]]]
+
+
+def _starts(key: np.ndarray, m: int, score, ends: bool):
+    """Refinement starts of one scan block: (row, cell, exact score) of the
+    grid-local maxima that the bound cannot rule out, sorted by row, then
+    cell.  key holds the sorted flat keys row * m + cell of the shortlist
+    and its neighbours, the set U (_shortlist).
+
+    U is scored exactly once.  A start is a cell of U that no neighbour
+    beats, outer neighbours of U's edge cells included.  A cell beaten from
+    outside U is dropped, not climbed: the climb would end at a local
+    maximum whose cell and neighbours lie outside the shortlist, which
+    scores below f0.  score maps keys to exact values."""
+    fk = score(key)
+    nb = _neighbours(key, m, ends)
     # the keys of U come sorted, so each neighbour's score is a bisection away
     at = np.minimum(np.searchsorted(key, nb), key.size - 1)
     scored = key[at] == nb
@@ -289,6 +437,87 @@ def _starts(bound: np.ndarray, score, tol, ends: bool):
     f_nb[~scored] = score(nb[~scored])
     keep = fk >= f_nb.max(axis=1)
     return key[keep] // m, key[keep] % m, fk[keep]
+
+
+def _scan(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Refinement starts of every row of est (n, R), n, R >= 2, wrapped into
+    [0, 1): (row, fine cell, exact score), sorted by row, then cell, on the
+    G = 4TR fine cells.  Rows run in blocks: a level-0 scan of the coarse
+    bounds (_coarse_window), the shortlist's fine bounds (_shortlist), then
+    _starts."""
+    n, R = est.shape
+    G = 4 * T * R
+    w = _width(T, R)
+    G0 = G // w
+    # candidate cells: the whole circle, or [0, 1/2] with both ends
+    m, m0 = (G // 2 + 1, G0 // 2 + 1) if counting else (G, G0)
+    ll_of = _mixture_ll if counting else _plain_ll
+    # the mixture sums kernel bounds before the log; the plain scan reads logs
+    tab = _bound_table(T, G)
+    if not counting:
+        np.log(tab, out=tab)
+    win = _coarse_window(tab, w, m0, counting)
+    # the fine bounds read the table itself, and only at w > 1
+    tab = tab if w > 1 else None
+    h = w // 2
+    offs = np.arange(w) - h
+
+    tol = partial(_tol, T, R)
+    starts = []
+    step = max(1, _SCORE_BLOCK // R)
+    # a row's level-1 gather holds about 4w fine cells, its kept coarse
+    # cells' worth, besides its m0 coarse bounds
+    block = max(1, _SCAN_BLOCK // (m0 + 4 * (w - 1)))
+    bufs = np.empty((2, block, m0))
+    for s in range(0, n, block):
+        e = est[s : s + block]
+        i = np.rint(e * G).astype(np.int64) % G
+        bound, term = bufs[:, : len(e)]
+        bound.fill(0.0)
+        for j in range(R):
+            # plain fancy indexing: np.take(win, ..., out=) would first copy
+            # the whole strided view.  Its result is one block-sized
+            # temporary at a time, which malloc reuses for the next term;
+            # two alive at once were trimmed and faulted in again
+            if counting:
+                term[...] = win[(-i[:, j] - h) % G]
+                term += win[(i[:, j] - h) % G]
+                bound += _log_mix(term)
+            else:
+                bound += win[(-i[:, j] - h) % G]
+
+        def fine(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # each run's table terms, summed in run order from 0.0 as the
+            # one-level scan sums them.  With c in [0, G) every index below
+            # lies in [-G, G), where tab[x] is tab[x % G]
+            c = k[:, None] * w + offs
+            if counting:
+                off = (c < 0) | (c >= m)
+                c = np.clip(c, 0, m - 1)
+                c_wrap = c - G
+            else:
+                c %= G
+            v = np.zeros(c.shape)
+            for ij in i[rows].T:
+                ij = ij[:, None]
+                if counting:
+                    v += _log_mix(tab[c - ij] + tab[c_wrap + ij])
+                else:
+                    v += tab[c - ij]
+            if counting:
+                v[off] = -np.inf
+            return rows[:, None] * m + c, v
+
+        def score(key: np.ndarray) -> np.ndarray:
+            return np.concatenate([
+                ll_of(T, e[k // m], (k % m)[:, None] / G)
+                for k in np.split(key, range(step, key.size, step))
+            ])
+
+        near = _shortlist(bound, fine if w > 1 else None, score, tol, m, counting)
+        r, k, fk = _starts(near, m, score, counting)
+        starts.append((r + s, k, fk))
+    return tuple(np.concatenate(a) for a in zip(*starts))
 
 
 def _dlog_kernel(T: int, delta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -410,73 +639,41 @@ def _maximize(
     if T == 1:
         raise ValueError("T = 1 gives a flat likelihood; the MLE needs T >= 2 when R >= 2")
     G = 4 * T * R
-    # candidate cells: the whole circle, or [0, 1/2] with both ends
     ncand = G // 2 + 1 if counting else G
     if not n:
         return np.empty(0), np.empty(0), ncand, np.zeros(0, dtype=np.int64)
-    # the mixture sums kernel bounds before the log; the plain scan reads logs
-    tab = _bound_table(T, G) if counting else np.log(_bound_table(T, G))
-    # row j of the window view is tab[(j + k) % G] over the cells k, so,
-    # the table being even, row -i % G is tab[(i - k) % G]
-    win = sliding_window_view(np.concatenate([tab, tab[: ncand - 1]]), ncand)
-    del tab
-
-    def tol(v: np.ndarray) -> np.ndarray:
-        return _ROUNDING * (T * R + np.abs(v))
-
-    starts = []
-    step = max(1, _SCORE_BLOCK // R)
-    block = max(1, _SCAN_BLOCK // ncand)
-    bufs = np.empty((2, block, ncand))
-    for s in range(0, n, block):
-        e = est[s : s + block]
-        bound, term = bufs[:, : len(e)]
-        bound.fill(0.0)
-        for j in range(R):
-            i = np.rint(e[:, j] * G).astype(np.int64) % G
-            # plain fancy indexing: np.take(win, ..., out=) would first copy
-            # the whole strided view.  Its result is one block-sized
-            # temporary at a time, which malloc reuses for the next term;
-            # two alive at once were trimmed and faulted in again
-            if counting:
-                term[...] = win[-i % G]
-                term += win[i]
-                bound += _log_mix(term)
-            else:
-                bound += win[-i % G]
-
-        def score(key: np.ndarray) -> np.ndarray:
-            return np.concatenate([
-                ll_of(T, e[k // ncand], (k % ncand)[:, None] / G)
-                for k in np.split(key, range(step, key.size, step))
-            ])
-
-        r, k, fk = _starts(bound, score, tol, ends=counting)
-        starts.append((r + s, k, fk))
+    tol = partial(_tol, T, R)
     # rows (ascending), cells and exact scores of every start
-    row, best, best_f = (np.concatenate(a) for a in zip(*starts))
-    lo, hi = (best - 1.0) / G, (best + 1.0) / G
-    if counting:
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
-    # the step cap depends on G alone, so no row depends on its batch
+    row, best, best_f = _scan(T, est, counting)
+    # the step cap depends on G alone, and each step acts on each start
+    # alone, so no row depends on its batch or on its refinement slice
     cap = _NEWTON_STEPS + math.ceil(math.log2(2.0 / (G * _REFINE_TOL)))
-    x, iters = _refine(T, est, row, best / G, lo, hi, counting, cap)
-    x = np.clip(x, 0.0, 0.5) if counting else x
-    fx = f(est[row], x)
-    # the start's exact score is the floor
-    low = fx < best_f - tol(best_f)
-    x[low], fx[low] = best[low] / G, best_f[low]
-    if counting:
-        # the mixture is even about both ends, so each is a stationary point:
-        # a start whose bracket touches one takes it wherever it scores
-        # within rounding, not a point a few ulps short of it
-        for end, touch in ((0.0, lo == 0.0), (0.5, hi == 0.5)):
-            at = np.flatnonzero(touch & (x != end))
-            f_end = f(est[row[at]], np.full(at.size, end))
-            snap = f_end >= fx[at] - tol(fx[at])
-            x[at[snap]], fx[at[snap]] = end, f_end[snap]
-    else:
-        x = _wrap_array(x)
+    out = []
+    step = max(1, _SCORE_BLOCK // R)
+    for s in range(0, row.size, step):
+        rs, bs, fs = row[s : s + step], best[s : s + step], best_f[s : s + step]
+        lo, hi = (bs - 1.0) / G, (bs + 1.0) / G
+        if counting:
+            lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 0.5)
+        x, iters = _refine(T, est, rs, bs / G, lo, hi, counting, cap)
+        x = np.clip(x, 0.0, 0.5) if counting else x
+        fx = f(est[rs], x)
+        # the start's exact score is the floor
+        low = fx < fs - tol(fs)
+        x[low], fx[low] = bs[low] / G, fs[low]
+        if counting:
+            # the mixture is even about both ends, so each is a stationary
+            # point: a start whose bracket touches one takes it wherever it
+            # scores within rounding, not a point a few ulps short of it
+            for end, touch in ((0.0, lo == 0.0), (0.5, hi == 0.5)):
+                at = np.flatnonzero(touch & (x != end))
+                f_end = f(est[rs[at]], np.full(at.size, end))
+                snap = f_end >= fx[at] - tol(fx[at])
+                x[at[snap]], fx[at[snap]] = end, f_end[snap]
+        else:
+            x = _wrap_array(x)
+        out.append((x, fx, iters))
+    x, fx, iters = (np.concatenate(a) for a in zip(*out))
     # each row takes its best start, an exact tie the smaller phase, and the
     # step count of its longest-running start
     first = np.searchsorted(row, np.arange(n))

@@ -158,8 +158,12 @@ class BiasMaeEntry:
     n_samples: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.bias) and math.isfinite(self.mae)):
-            raise ValueError("bias and mae must be finite")
+        for name in ("ground_truth", "bias", "mae", "stderr_bias", "stderr_mae"):
+            x = getattr(self, name)
+            if x is not None or not name.startswith("stderr"):
+                object.__setattr__(self, name, _finite(name, x))
+        if self.n_samples is not None:
+            object.__setattr__(self, "n_samples", _int_in("n_samples", self.n_samples, 1))
         if not (self.mae >= 0.0):
             raise ValueError("mae must be nonnegative")
         if abs(self.bias) > self.mae + 1e-12:

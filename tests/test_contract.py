@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import upea
+from upea.counting import _MAX_N
 from upea.harness import csv_text
 from upea.mle import log_kernel, mle_batch
 from upea.phase_math import _MAX_T
@@ -83,12 +84,26 @@ CONTRACT: dict = {
     "MeasurementPmf": (upea.MeasurementPmf, dict(probs=[0.25, 0.75]), {
         "probs": [[0.7, 0.7], [math.nan, 1.0], [1.5, -0.5], [[0.5, 0.5], [0.2, 0.2]]],
     }),
-    "BiasMaeEntry": (upea.BiasMaeEntry, dict(ground_truth=0.1, bias=0.01, mae=0.02), {}),
+    "BiasMaeEntry": (upea.BiasMaeEntry, dict(ground_truth=0.1, bias=0.01, mae=0.02,
+                                             stderr_bias=0.001, stderr_mae=0.001,
+                                             n_samples=8), {
+        "ground_truth": phase(),
+        "bias": phase(),
+        "mae": phase() + [-0.1],
+        "stderr_bias": phase(),
+        "stderr_mae": phase(),
+        "n_samples": size(1),
+    }),
     "MleResult": (upea.MleResult, dict(phi_hat=0.1, log_likelihood=-1.0, grid_points=4,
-                                       refine_iterations=1), {}),
+                                       refine_iterations=1), {
+        "phi_hat": phase() + [-0.1, 1.0],
+        "log_likelihood": phase(),
+        "grid_points": size(0),
+        "refine_iterations": size(0),
+    }),
     "SweepReport": (upea.SweepReport, dict(config=_config(), entries=(), metadata={}), {}),
     "CountingInstance": (upea.CountingInstance, dict(n=2, M=1), {
-        "n": size(1),
+        "n": size(1, _MAX_N),
         "M": size(0, 4),
     }),
     "CalibrationRecord": (upea.CalibrationRecord, dict(T=16, R=3, b=0.01, stderr_b=0.001,
@@ -107,7 +122,7 @@ CONTRACT: dict = {
         "R": size(1),
         "grid_points": size(2),
         "n_samples": size(1),
-        "theta_mode": ["full"],
+        "theta_mode": ["full", None],
         "base_seed": seed(),
     }),
     "wrap_phase": (upea.wrap_phase, dict(x=0.3), {"x": (phase(), "phase")}),
@@ -200,10 +215,6 @@ CONTRACT: dict = {
 _RECORD = "a field of a result record that the library fills from checked values"
 _BUILT = "an object of a type the library builds and checks where it is built"
 UNPROBED: dict[tuple[str, str], str] = {
-    **{("BiasMaeEntry", f): _RECORD for f in (
-        "ground_truth", "bias", "mae", "stderr_bias", "stderr_mae", "n_samples")},
-    **{("MleResult", f): _RECORD for f in (
-        "phi_hat", "log_likelihood", "grid_points", "refine_iterations")},
     **{("SweepReport", f): _RECORD for f in ("config", "entries", "metadata")},
     **{(name, "params"): _BUILT for name in (
         "pea_pmf", "exact_bias_mae_pea", "exact_mae_upea", "exact_msd_upea",

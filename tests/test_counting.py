@@ -194,8 +194,16 @@ def test_counting_instance_validation() -> None:
         CountingInstance(n=2, M=-1)  # out of range
     with pytest.raises(ValueError, match=r"M must lie in \[0, 4\], got 5"):
         CountingInstance(n=2, M=5)  # more marked than states
-    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+    with pytest.raises(ValueError, match=r"n must lie in \[1, 1022\], got 0"):
         CountingInstance(n=0, M=0)
+
+
+def test_counting_instance_takes_n_while_one_marked_item_is_a_normal_fraction() -> None:
+    # m = 1/N = 2^-1022 is the smallest normal float; at n = 10^5 m read 0.0
+    inst = CountingInstance(n=1022, M=1)
+    assert inst.m == 2.0**-1022 and inst.phi > 0.0
+    with pytest.raises(ValueError, match=r"n must lie in \[1, 1022\], got 1023"):
+        CountingInstance(n=1023, M=1)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Tests for the grid-plus-refinement likelihood maximizers.
 
 The brute-force oracle is an independent maximizer: a dense likelihood scan
-followed by scipy bounded scalar optimization inside the best cell.
+followed by scipy bounded scalar optimization inside the best cell.  The
+dense single-level bound scan is the oracle for the two-level scan's starts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import optimize
 
 from upea.mle import (
@@ -26,7 +28,7 @@ from upea.mle import (
 )
 import upea.mle as mle_mod
 from upea.mle import _dlog_kernel, _maximize, _mixture_ll, _plain_ll
-from upea.phase_math import PeaParams, circ_dist, pea_kernel, wrap_phase
+from upea.phase_math import PeaParams, _wrap_array, circ_dist, pea_kernel, wrap_phase
 from upea.sampler import derive_seed, make_rng, sample_upea_block
 
 P3 = PeaParams.from_T(16, R=3)
@@ -556,7 +558,7 @@ def _golden_reference(T: int, G: int, mat: np.ndarray, counting: bool, best, bes
 @pytest.mark.parametrize("counting", [False, True])
 @pytest.mark.parametrize("T, R", [(2, 3), (4, 2), (16, 3), (16, 16), (256, 4)])
 def test_newton_first_refinement_matches_a_golden_section_reference(
-    monkeypatch, T: int, R: int, counting: bool
+    T: int, R: int, counting: bool
 ) -> None:
     rng = make_rng(derive_seed(404, T, R))
     params = PeaParams.from_T(T, R)
@@ -567,20 +569,8 @@ def test_newton_first_refinement_matches_a_golden_section_reference(
     for j in range(R):
         _, _, mat[: len(phi), j] = sample_upea_block(params, phi, rng, len(phi))
     mat[len(phi):] = rng.random((n - len(phi), R))
-    starts, scanned = [], [0]
-    orig = mle_mod._starts
-
-    def spy(bound, *args, **kw):
-        # each scan block's starts, with its rows offset into the batch
-        r, k, fk = orig(bound, *args, **kw)
-        starts.append((r + scanned[0], k, fk))
-        scanned[0] += len(bound)
-        return r, k, fk
-
-    monkeypatch.setattr(mle_mod, "_starts", spy)
     x, fx, cells, _ = _maximize(T, mat, counting)
-    monkeypatch.undo()
-    row, best, best_f = (np.concatenate([s[i] for s in starts]) for i in range(3))
+    row, best, best_f = mle_mod._scan(T, _wrap_array(mat), counting)
     G = 2 * (cells - 1) if counting else cells
     x_ref, f_ref = _golden_reference(T, G, mat[row], counting, best, best_f)
     ll = _mix_ll if counting else _ll
@@ -647,6 +637,23 @@ def test_scan_at_t_2_16_stays_under_a_192_mib_traced_peak(batch) -> None:
         tracemalloc.stop()
     assert x.shape == (4,) and np.all((0.0 <= x) & (x < 1.0))
     assert peak <= 192 << 20
+
+
+@pytest.mark.parametrize("counting", [False, True])
+def test_a_4096_row_call_stays_under_a_10_mib_traced_peak(counting: bool) -> None:
+    # uniform rows keep the most cells and starts; the scan's level-1
+    # gathers and the refinement run in bounded slices, so the peak (6 to
+    # 7.5 MiB) does not grow with the call's starts (14 MiB when one pass
+    # refined them all)
+    est = make_rng(93).random((4096, 16))
+    _maximize(16, est, counting)
+    tracemalloc.start()
+    try:
+        _maximize(16, est, counting)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 << 20
 
 
 def test_entry_points_reject_a_run_count_other_than_params_r() -> None:
@@ -817,3 +824,129 @@ def test_mle_rows_reach_a_dense_grid_oracle(T: int, R: int, counting: bool) -> N
     for row, x in zip(mat, got):
         want = _dense_oracle_score(params, row, counting)
         assert ll(params, row, float(x)) >= want - mle_mod._ROUNDING * (T * R + abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the two-level scan against the dense single-level scan
+
+
+def _dense_bound(T: int, est: np.ndarray, counting: bool) -> np.ndarray:
+    """Oracle: every row's bound on all of its fine candidate cells (G = 4TR
+    of them, or G/2 + 1 on [0, 1/2]), each run's term read from one window
+    view of the bound table laid end to end and summed in run order."""
+    n, R = est.shape
+    G = 4 * T * R
+    m = G // 2 + 1 if counting else G
+    tab = mle_mod._bound_table(T, G)
+    tab = tab if counting else np.log(tab)
+    # row j of the view is tab[(j + k) % G] over the cells k
+    win = sliding_window_view(np.concatenate([tab, tab[: m - 1]]), m)
+    bound = np.zeros((n, m))
+    for j in range(R):
+        i = np.rint(est[:, j] * G).astype(np.int64) % G
+        bound += mle_mod._log_mix(win[-i % G] + win[i]) if counting else win[-i % G]
+    return bound
+
+
+def _dense_starts(T: int, est: np.ndarray, counting: bool) -> tuple:
+    """Oracle: the single-level scan's refinement starts (row, cell, exact
+    score).  f0 is the exact score at each row's first best-bounded cell;
+    the shortlist is every cell whose bound reaches f0 minus rounding; the
+    shortlist and its neighbours are scored, and a start is one of them
+    that no neighbour beats."""
+    n, R = est.shape
+    G = 4 * T * R
+    bound = _dense_bound(T, est, counting)
+    m = bound.shape[1]
+    ll = _mixture_ll if counting else _plain_ll
+
+    def score(key: np.ndarray) -> np.ndarray:
+        return ll(T, est[key // m], (key % m)[:, None] / G)
+
+    def neighbours(key: np.ndarray) -> np.ndarray:
+        r, k = np.divmod(key, m)
+        k = k[:, None] + np.array([-1, 1])
+        return r[:, None] * m + (np.clip(k, 0, m - 1) if counting else k % m)
+
+    f0 = score(np.arange(n) * m + np.argmax(bound, axis=1))
+    short = bound >= (f0 - mle_mod._ROUNDING * (T * R + np.abs(f0)))[:, None]
+    near = short.copy()
+    near[:, 1:] |= short[:, :-1]
+    near[:, :-1] |= short[:, 1:]
+    if not counting:
+        near[:, 0] |= short[:, -1]
+        near[:, -1] |= short[:, 0]
+    key = np.flatnonzero(near)
+    fk, nb = score(key), neighbours(key)
+    keep = fk >= score(nb.ravel()).reshape(nb.shape).max(axis=1)
+    return key[keep] // m, key[keep] % m, fk[keep]
+
+
+def _scan_rows(T: int, R: int, n: int, seed: int) -> np.ndarray:
+    """n rows of R runs, wrapped into [0, 1): the first half R shifted runs
+    at one random phase each (the rows a sweep makes), the rest uniform."""
+    params = PeaParams.from_T(T, R)
+    rng = make_rng(seed)
+    mat = rng.random((n, R))
+    for j in range(R):
+        _, _, mat[: n // 2, j] = sample_upea_block(params, rng.random(n // 2), rng, n // 2)
+    return _wrap_array(mat)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("counting", [False, True])
+@pytest.mark.parametrize("T", [2, 4, 16, 256])
+def test_two_level_starts_match_the_dense_scan_bit_for_bit(
+    monkeypatch, T: int, counting: bool, forced: bool
+) -> None:
+    # forced: two levels (w = R) at every (T, R), not only where they pay
+    if forced:
+        monkeypatch.setattr(mle_mod, "_width", lambda T, R: R)
+    for R in (2, 3, 7, 8, 16):
+        est = _scan_rows(T, R, 16 if T == 256 else 40, derive_seed(606, T, R))
+        got = mle_mod._scan(T, est, counting)
+        want = _dense_starts(T, est, counting)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("counting", [False, True])
+@pytest.mark.parametrize("T, R", [(8, 16), (16, 7), (16, 16), (256, 3), (4, 6)])
+def test_every_coarse_bound_is_at_least_each_fine_bound_it_covers(
+    monkeypatch, T: int, R: int, counting: bool
+) -> None:
+    # every coarse cell of every row: its fine cells are each candidate cell
+    # once, with the dense scan's bound to the bit, and none above its bound
+    monkeypatch.setattr(mle_mod, "_width", lambda T, R: R)
+    est = _scan_rows(T, R, 24, derive_seed(607, T, R))
+    dense = _dense_bound(T, est, counting).ravel()
+    seen: list = []
+    orig = mle_mod._shortlist
+
+    def spy(bound, fine, *args):
+        n, m0 = bound.shape
+        rows, k = np.repeat(np.arange(n), m0), np.tile(np.arange(m0), n)
+        key, v = fine(rows, k)
+        on = v > -np.inf
+        assert np.array_equal(np.sort(key[on]), np.arange(dense.size))
+        assert np.array_equal(v[on], dense[key[on]])
+        assert np.all(v <= bound[rows, k][:, None])
+        seen.append(n)
+        return orig(bound, fine, *args)
+
+    monkeypatch.setattr(mle_mod, "_shortlist", spy)
+    mle_mod._scan(T, est, counting)
+    assert seen == [len(est)]
+
+
+@pytest.mark.parametrize("counting", [False, True])
+def test_no_row_depends_on_its_scan_block_or_refinement_slice(monkeypatch, counting: bool) -> None:
+    # blocks of one row and slices of a few starts give the same bits
+    est = _scan_rows(16, 8, 200, 608)
+    want = _maximize(16, est, counting)
+    monkeypatch.setattr(mle_mod, "_SCAN_BLOCK", 1)
+    monkeypatch.setattr(mle_mod, "_SCORE_BLOCK", 24)
+    got = _maximize(16, est, counting)
+    assert got[2] == want[2]
+    for i in (0, 1, 3):
+        assert np.array_equal(got[i], want[i])
