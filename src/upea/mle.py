@@ -456,9 +456,13 @@ def _scan(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarr
     tab = _bound_table(T, G)
     if not counting:
         np.log(tab, out=tab)
-    win = _coarse_window(tab, w, m0, counting)
-    # the fine bounds read the table itself, and only at w > 1
-    tab = tab if w > 1 else None
+    if w > 1:
+        tab = np.concatenate([tab, tab[: w - 1]])
+    win = _coarse_window(tab[:G], w, m0, counting)
+    # the fine bounds (only at w > 1) read a coarse cell's w fine terms for
+    # one run as one row of this view: row d is tab[d..d+w-1], circularly
+    fine_win = sliding_window_view(tab, w) if w > 1 else None
+    del tab
     h = w // 2
     offs = np.arange(w) - h
 
@@ -487,26 +491,19 @@ def _scan(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarr
                 bound += win[(-i[:, j] - h) % G]
 
         def fine(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # each run's table terms, summed in run order from 0.0 as the
-            # one-level scan sums them.  With c in [0, G) every index below
-            # lies in [-G, G), where tab[x] is tab[x % G]
+            # each run's terms tab[(c -+ i) % G] over the fine cells c of
+            # cell k, summed in run order from 0.0 as the one-level scan sums
+            # them
             c = k[:, None] * w + offs
-            if counting:
-                off = (c < 0) | (c >= m)
-                c = np.clip(c, 0, m - 1)
-                c_wrap = c - G
-            else:
-                c %= G
             v = np.zeros(c.shape)
             for ij in i[rows].T:
-                ij = ij[:, None]
                 if counting:
-                    v += _log_mix(tab[c - ij] + tab[c_wrap + ij])
+                    v += _log_mix(fine_win[(c[:, 0] - ij) % G] + fine_win[(c[:, 0] + ij) % G])
                 else:
-                    v += tab[c - ij]
+                    v += fine_win[(c[:, 0] - ij) % G]
             if counting:
-                v[off] = -np.inf
-            return rows[:, None] * m + c, v
+                v[(c < 0) | (c >= m)] = -np.inf
+            return rows[:, None] * m + c % G, v
 
         def score(key: np.ndarray) -> np.ndarray:
             return np.concatenate([
