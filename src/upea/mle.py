@@ -491,9 +491,10 @@ def _scan(T: int, est: np.ndarray, counting: bool) -> tuple[np.ndarray, np.ndarr
                 bound += win[(-i[:, j] - h) % G]
 
         def fine(rows: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # each run's terms tab[(c -+ i) % G] over the fine cells c of
-            # cell k, summed in run order from 0.0 as the one-level scan sums
-            # them
+            # each run's table terms over the fine cells c of cell k,
+            # tab[(c - i) % G] (and the mixture's tab[(c + i) % G]), summed
+            # in run order from 0.0 as the one-level scan sums them; a cell
+            # off [0, 1/2] takes bound -inf
             c = k[:, None] * w + offs
             v = np.zeros(c.shape)
             for ij in i[rows].T:
