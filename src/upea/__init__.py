@@ -38,6 +38,7 @@ from .mle import (
 )
 from .phase_math import (
     BiasMaeEntry,
+    MeasurementPmf,
     PeaParams,
     ThetaMode,
     circ_dist,
@@ -55,7 +56,6 @@ from .sampler import (
     sample_upea_block,
 )
 from .statevector import (
-    MeasurementPmf,
     analytic_counting_pmf,
     grover_pea_pmf,
     pea_circuit_pmf,

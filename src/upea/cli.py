@@ -1,8 +1,8 @@
-"""Command-line front end: one subcommand per experiment.
+"""Command-line front end: a subcommand per sweep, plus calibrate and verify-circuit.
 
 Sweep subcommands print CSV to stdout, or write it to --out together with a
 .meta.json sidecar (config, RNG algorithm, wall time, calibration records).
-calibrate emits a calibration record as JSON; verify-circuit emits a check
+calibrate emits calibrate_b's record as JSON; verify-circuit emits a check
 report and signals failure through its exit code.
 
 Exit codes: 0 success, 1 usage error, 2 verify-circuit check failure,
@@ -17,7 +17,7 @@ import sys
 from dataclasses import fields, replace
 from functools import partial
 
-from .counting import CalibrationRecord
+from .counting import CalibrationRecord, calibrate_b
 from .harness import (
     EXPERIMENTS,
     PRESETS,
@@ -54,14 +54,23 @@ def _parse_r(text: str) -> int | tuple[int, int]:
         raise _UsageError(f"--R expects an integer or lo..hi range, got {text!r}")
 
 
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    # each flag sets the SweepConfig field named by its dest; a flag left out
-    # leaves no attribute, so the field keeps its default or preset value
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    # each flag sets the SweepConfig field (or calibrate_b argument) named by
+    # its dest; a flag left out leaves no attribute, so the value is the
+    # field's default, the preset's or the one calibrate's parser sets
     flag = partial(p.add_argument, default=argparse.SUPPRESS)
     flag("--T", dest="T", type=int, help="register dimension, a power of two")
     flag("--R", dest="R", type=_parse_r, help="repetitions: integer, or lo..hi for range sweeps")
+    flag("--samples", dest="n_samples", type=int, help="trials (per grid cell in a sweep)")
+    flag("--seed", dest="base_seed", type=int, help="base seed (default 1)")
+    flag("--out", dest="output_path", help="output path (stdout if omitted)")
+    p.add_argument("--workers", type=int, default=1, help="threads, which do not change the output")
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    _add_run_flags(p)
+    flag = partial(p.add_argument, default=argparse.SUPPRESS)
     flag("--grid", dest="grid_points", type=int, help="number of grid points")
-    flag("--samples", dest="n_samples", type=int, help="trials per grid cell")
     flag(
         "--theta-mode",
         dest="theta_mode",
@@ -69,13 +78,8 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
         metavar="{full|period|fixed:<x>}",
         help="reference-shift distribution",
     )
-    flag("--seed", dest="base_seed", type=int, help="base seed (default 1)")
-    flag("--out", dest="output_path", help="CSV output path (stdout if omitted)")
     p.add_argument("--preset", choices=sorted(PRESETS), help="start from a named preset")
     p.add_argument("--calibration", help="calibration record JSON to apply")
-    p.add_argument(
-        "--workers", type=int, default=1, help="sweep threads; output is the same for any count"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name in EXPERIMENTS:
         _add_sweep_flags(sub.add_parser(name, help=f"run the {name} sweep"))
+    c = sub.add_parser("calibrate", help="measure the counting bias slope b for (T, R)")
+    _add_run_flags(c)
+    c.set_defaults(T=16, R=1, n_samples=1 << 16, base_seed=1, output_path=None)
     v = sub.add_parser("verify-circuit", help="check circuits against analytic laws")
     v.add_argument("--seed", type=int, help="base seed (default 1)")
     v.add_argument("--out", help="report JSON path (stdout if omitted)")
@@ -133,14 +140,14 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             return 0
 
+        if args.command == "calibrate":
+            record = calibrate_b(args.T, args.R, args.n_samples, args.base_seed, args.workers)
+            _emit(record.to_json() + "\n", args.output_path)
+            return 0
+
         config = _build_config(args.command, args)
         calibration = _load_calibration(args.calibration) if args.calibration else None
         report = run_sweep(config, calibration=calibration, workers=args.workers)
-
-        if args.command == "calibrate":
-            record = report.metadata["calibration_record"]
-            _emit(json.dumps(record, indent=2) + "\n", config.output_path)
-            return 0
 
         if config.output_path is None:
             sys.stdout.write(csv_text(report.entries))

@@ -91,6 +91,8 @@ class CalibrationRecord:
             object.__setattr__(self, name, _finite(name, getattr(self, name)))
         if not (self.stderr_b > 0.0):
             raise ValueError("stderr_b must be positive")
+        if self.rng_algorithm != RNG_ALGORITHM:
+            raise ValueError(f"rng_algorithm must be {RNG_ALGORITHM!r}, got {self.rng_algorithm!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

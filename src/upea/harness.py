@@ -22,6 +22,7 @@ workers, or repeated runs.
 CSV rows have the fixed schema
 ground_truth,bias,stderr_bias,mae,stderr_mae,n_samples.  Bias and MAE are
 circular in the phase domain and plain differences in the count domain.
+The JSON sidecar's calibration_records lists every calibration record applied.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ EXPERIMENTS = (
     "mae-vs-r",
     "qca-bias-mae",
     "uqca-corrected",
-    "calibrate",
 )
 
 _AUTO_CAL_SAMPLES = 1 << 16
@@ -116,10 +116,8 @@ class SweepConfig:
             raise ValueError(f"{self.experiment} is single-run; R must be 1")
         if self.experiment == "pea-bias-mae" and self.theta_mode.kind != "fixed":
             raise ValueError("pea-bias-mae requires a fixed theta mode (no random shift)")
-        if self.experiment in ("calibrate", "uqca-corrected") and self.theta_mode.kind == "fixed":
-            raise ValueError(
-                f"{self.experiment} needs a random shift; its slope is for the shifted estimate"
-            )
+        if self.experiment == "uqca-corrected" and self.theta_mode.kind == "fixed":
+            raise ValueError("uqca-corrected needs a random shift: its slope assumes one")
 
     def r_values(self) -> list[int]:
         if isinstance(self.R, tuple):
@@ -289,22 +287,13 @@ def run_sweep(
     ):
         raise ValueError("a calibration record applies to exactly one corrected (T, R) sweep")
     start = time.perf_counter()
-    if config.experiment == "calibrate":
-        rec = calibrate_b(config.T, config.R, config.n_samples, config.base_seed, workers)
-        entries, records = [], [rec]
-    else:
-        b_for, records = _slopes(config, workers, calibration)
-        entries = _sweep(config, workers, b_for)
-    metadata: dict = {
+    b_for, records = _slopes(config, workers, calibration)
+    entries = _sweep(config, workers, b_for)
+    metadata = {
         "rng_algorithm": RNG_ALGORITHM,
         "wall_time": time.perf_counter() - start,
+        "calibration_records": [asdict(r) for r in records],
     }
-    # singular key for the common one-record case; a multi-R corrected sweep
-    # carries one record per R and gets the plural list instead
-    if len(records) == 1:
-        metadata["calibration_record"] = json.loads(records[0].to_json())
-    elif records:
-        metadata["calibration_records"] = [json.loads(r.to_json()) for r in records]
     return SweepReport(config, tuple(entries), metadata)
 
 

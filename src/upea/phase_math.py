@@ -60,7 +60,7 @@ class ThetaMode:
     register period [0, 1/T), or a fixed deterministic value."""
 
     kind: str  # "full" | "period" | "fixed"
-    value: float = 0.0  # used only by kind="fixed"
+    value: float = 0.0  # the fixed shift; 0.0 for the other kinds, whose text omits it
 
     def __post_init__(self) -> None:
         if self.kind not in ("full", "period", "fixed"):
@@ -68,6 +68,8 @@ class ThetaMode:
         object.__setattr__(self, "value", _finite("theta value", self.value))
         if self.kind == "fixed" and not (0.0 <= self.value < 1.0):
             raise ValueError(f"theta value must lie in [0, 1) for a fixed mode, got {self.value!r}")
+        if self.kind != "fixed" and self.value != 0.0:
+            raise ValueError(f"theta value must be 0.0 for kind {self.kind!r}, got {self.value!r}")
 
     @classmethod
     def full(cls) -> "ThetaMode":

@@ -67,8 +67,9 @@ def _report() -> upea.SweepReport:
 # name -> (callable, good keyword arguments, {argument: bad values, or
 # (bad values, name in the message)})
 CONTRACT: dict = {
+    # a kind other than fixed takes no value, so with value 0.3 it is bad
     "ThetaMode": (upea.ThetaMode, dict(kind="fixed", value=0.3), {
-        "kind": (["nope", 1], "kind"),
+        "kind": (["nope", 1, "full", "period"], "kind"),
         "value": (phase() + [-0.1, 1.0], "theta value"),
     }),
     "PeaParams": (upea.PeaParams, dict(t=2, R=3), {
@@ -114,10 +115,11 @@ CONTRACT: dict = {
         "stderr_b": phase() + [0.0, -0.1],
         "n_samples": size(2),
         "seed": seed(),
+        "rng_algorithm": ["mt19937", "", 1],
     }),
     "SweepConfig": (upea.SweepConfig, dict(experiment="upea-bias-mae", T=4, grid_points=2,
                                            n_samples=8), {
-        "experiment": (["nope", "verify-circuit"], "experiment"),
+        "experiment": (["nope", "verify-circuit", "calibrate"], "experiment"),
         "T": power_of_two(T_MAX),
         "R": size(1),
         "grid_points": size(2),
@@ -230,7 +232,6 @@ UNPROBED: dict[tuple[str, str], str] = {
     ("write_csv", "path"): "a file path, handed to open()",
     ("write_metadata", "path"): "a file path, handed to open()",
     ("SweepConfig", "output_path"): "a file path, which the CLI hands to open()",
-    ("CalibrationRecord", "rng_algorithm"): "a label copied into run metadata",
     ("run_verify_circuit", "corrupt_theta"): "a switch for the negative control",
     ("derive_seed", "path"): "labels, each rendered with str()",
 }

@@ -106,6 +106,8 @@ def test_config_json_round_trip() -> None:
 def test_config_rejects_bad_combinations() -> None:
     with pytest.raises(ValueError):
         _small("nonsense")
+    with pytest.raises(ValueError, match="unknown experiment 'calibrate'"):
+        _small("calibrate")  # a calibrate_b call, not a sweep
     with pytest.raises(ValueError):
         _small("upea-bias-mae", T=12)  # not a power of two
     with pytest.raises(ValueError):
@@ -162,15 +164,27 @@ def test_config_rejects_a_theta_mode_that_is_not_a_theta_mode() -> None:
         _small("upea-bias-mae", theta_mode="full")
 
 
-@pytest.mark.parametrize("experiment", ["calibrate", "uqca-corrected"])
-def test_config_rejects_a_fixed_theta_where_the_slope_needs_a_shift(experiment: str) -> None:
-    # calibrate ran as full mode, and uqca-corrected wrote rows corrected by
-    # the shifted estimator's slope: bias -0.033 at m = 0 under fixed:0.0
+def test_config_rejects_a_fixed_theta_where_the_slope_needs_a_shift() -> None:
+    # uqca-corrected wrote rows corrected by the shifted estimator's slope:
+    # bias -0.033 at m = 0 under fixed:0.0
     for value in (0.0, 0.3):
         with pytest.raises(ValueError, match="needs a random shift"):
-            _small(experiment, theta_mode=ThetaMode.fixed(value))
+            _small("uqca-corrected", theta_mode=ThetaMode.fixed(value))
     # a shift over one period gives the shifted estimate the full mode's law
-    assert _small(experiment, theta_mode=ThetaMode.period()).theta_mode.kind == "period"
+    assert _small("uqca-corrected", theta_mode=ThetaMode.period()).theta_mode.kind == "period"
+
+
+@pytest.mark.parametrize("kind", ["full", "period", "fixed"])
+def test_every_theta_mode_kind_round_trips_through_text_and_config_json(kind: str) -> None:
+    # ThetaMode("period", 5.0) once built, printed as "period" and read back
+    # as ThetaMode("period", 0.0), so its config did not round-trip
+    mode = ThetaMode(kind, 0.25 if kind == "fixed" else 0.0)
+    cfg = _small("upea-bias-mae", theta_mode=mode)
+    assert ThetaMode.parse(str(mode)) == mode
+    assert SweepConfig.from_json(cfg.to_json()) == cfg
+    if kind != "fixed":
+        with pytest.raises(ValueError, match=f"theta value must be 0.0 for kind '{kind}', got 5.0"):
+            ThetaMode(kind, 5.0)
 
 
 def test_presets_cover_documented_figures() -> None:
@@ -249,15 +263,8 @@ def test_write_csv_and_metadata(tmp_path) -> None:
     assert meta["config"]["experiment"] == "uqca-corrected"
     assert meta["rng_algorithm"] == "numpy-pcg64"
     assert meta["wall_time"] > 0
-    rec = meta["calibration_record"]
+    [rec] = meta["calibration_records"]
     assert rec["T"] == 16 and rec["R"] == 2
-
-
-def test_calibrate_experiment_produces_record_only() -> None:
-    rep = run_sweep(_small("calibrate", R=2, n_samples=512))
-    assert rep.entries == ()
-    rec = rep.metadata["calibration_record"]
-    assert rec["n_samples"] == 512 and rec["seed"] == 9
 
 
 def test_supplied_calibration_must_match() -> None:
@@ -267,13 +274,13 @@ def test_supplied_calibration_must_match() -> None:
         run_sweep(cfg, calibration=rec)
     ok = _small("uqca-corrected", R=2, n_samples=200)
     rep = run_sweep(ok, calibration=rec)
-    assert rep.metadata["calibration_record"]["b"] == rec.b
+    assert [r["b"] for r in rep.metadata["calibration_records"]] == [rec.b]
 
 
 def test_single_run_correction_uses_exact_constant() -> None:
     rep = run_sweep(_small("uqca-corrected", R=1, n_samples=400))
     # exact analytic correction: no calibration record needed or emitted
-    assert "calibration_record" not in rep.metadata
+    assert rep.metadata["calibration_records"] == []
 
 
 def test_multi_r_corrected_sweep_lists_one_record_per_r() -> None:
@@ -288,7 +295,7 @@ def test_single_run_corrected_sweep_checks_a_supplied_record() -> None:
         run_sweep(cfg, calibration=calibrate_b(16, 3, 256, 1))
     rec = calibrate_b(16, 1, 256, 1)
     rep = run_sweep(cfg, calibration=rec)
-    assert rep.metadata["calibration_record"]["b"] == rec.b
+    assert [r["b"] for r in rep.metadata["calibration_records"]] == [rec.b]
     # the record's b replaces the exact single-run constant
     assert csv_text(rep.entries) != csv_text(run_sweep(cfg).entries)
 
@@ -319,7 +326,6 @@ def test_calibration_record_rejected_for_r_ranges() -> None:
         _small("mle-bias-mae", R=2, n_samples=200),
         _small("mae-vs-r", R=(1, 2), n_samples=200),
         _small("qca-bias-mae", R=2, n_samples=200),
-        _small("calibrate", R=2, n_samples=200),
     ],
     ids=lambda cfg: cfg.experiment,
 )
@@ -439,11 +445,38 @@ def test_cli_writes_files(tmp_path, capsys) -> None:
     assert capsys.readouterr().out == ""  # CSV went to the file, not stdout
 
 
-def test_cli_calibrate_emits_record_json(capsys) -> None:
-    code = cli.main(["calibrate", "--T", "16", "--R", "2", "--samples", "256", "--seed", "3"])
-    assert code == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["T"] == 16 and rec["R"] == 2 and rec["n_samples"] == 256
+@pytest.mark.parametrize(
+    "argv, args",
+    [
+        ([], (16, 1, 1 << 16, 1, 1)),
+        (["--T", "16", "--R", "3", "--samples", "4096", "--seed", "5", "--workers", "2"],
+         (16, 3, 4096, 5, 2)),
+        (["--R", "2", "--samples", "256", "--seed", "3"], (16, 2, 256, 3, 1)),
+    ],
+)
+def test_cli_calibrate_writes_the_calibrate_b_record_byte_for_byte(
+    argv, args, tmp_path, capsys
+) -> None:
+    want = calibrate_b(*args).to_json() + "\n"
+    assert cli.main(["calibrate", *argv]) == 0
+    assert capsys.readouterr().out == want
+    out = tmp_path / "cal.json"
+    assert cli.main(["calibrate", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == want
+
+
+def test_cli_calibrate_takes_only_the_flags_calibrate_b_reads(capsys) -> None:
+    # as a sweep, calibrate took --theta-mode period and ignored it, failed
+    # --grid 1 on a field it never read, and refused every preset and record
+    for flag, value in (("--grid", "3"), ("--theta-mode", "period"), ("--preset", "fig7"),
+                        ("--calibration", "cal.json")):
+        assert cli.main(["calibrate", "--samples", "64", flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["calibrate", "--help"])
+    offered = set(re.findall(r"(?<![\w-])--[\w-]+", capsys.readouterr().out))
+    assert offered == {"--help", "--T", "--R", "--samples", "--seed", "--out", "--workers"}
 
 
 def test_cli_calibration_flag_round_trip(tmp_path, capsys) -> None:
@@ -474,7 +507,7 @@ def test_cli_usage_errors_exit_1(capsys) -> None:
     assert cli.main(["pea-bias-mae", "--grid", "2", "--samples", "10"]) == 1
     assert cli.main(["mle-bias-mae", "--R", "x..y"]) == 1
     assert cli.main(["upea-bias-mae", "--preset", "fig5"]) == 1  # preset/command clash
-    assert cli.main(["calibrate", "--samples", "64", "--theta-mode", "fixed:0.3"]) == 1
+    assert cli.main(["uqca-corrected", "--grid", "2", "--theta-mode", "fixed:0.3"]) == 1
     assert "needs a random shift" in capsys.readouterr().err
 
 
@@ -608,3 +641,20 @@ def test_cli_rejects_a_malformed_calibration_file_when_it_loads(tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert "bad calibration record" in err and "T must be a positive power of two" in err
+
+
+def test_a_calibration_record_of_another_generator_is_refused(tmp_path, capsys) -> None:
+    # the library draws only from numpy-pcg64, yet a record naming mt19937
+    # once loaded and corrected a sweep
+    raw = json.loads(calibrate_b(16, 2, 256, 3).to_json())
+    text = json.dumps({**raw, "rng_algorithm": "mt19937"})
+    with pytest.raises(ValueError, match="rng_algorithm must be 'numpy-pcg64', got 'mt19937'"):
+        CalibrationRecord.from_json(text)
+    cal = tmp_path / "cal.json"
+    cal.write_text(text)
+    code = cli.main(
+        ["uqca-corrected", "--R", "2", "--grid", "2", "--samples", "100",
+         "--calibration", str(cal)]
+    )
+    assert code == 1
+    assert "bad calibration record" in capsys.readouterr().err

@@ -44,6 +44,17 @@ def test_every_package_name_is_listed_by_the_module_that_defines_it() -> None:
         assert name in _all_of(trees[homes[0]]), f"{homes[0]}.__all__ omits {name}"
 
 
+def test_the_package_imports_each_name_from_the_module_that_defines_it() -> None:
+    # MeasurementPmf was once imported from statevector, which only
+    # re-imports it from phase_math
+    trees = _module_trees()
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                home = trees[node.module]
+                assert alias.name in _defined(home), f"{node.module} does not define {alias.name}"
+
+
 def test_every_public_callable_has_a_contract_row() -> None:
     # tests/test_contract.py feeds each row's arguments their bad values, so
     # a new public name cannot skip the input contract

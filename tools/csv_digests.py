@@ -22,12 +22,13 @@ T = 2^14 (64 trials), 2^16 (8 trials) and 2^20 (4096 trials) in full mode,
 at T in {16, 256} on phases spread over
 [-1.3, 2.7) (full and fixed:0.3 modes) and on phases within tiny offsets
 of outcome lattice points k/T (fixed:0.0 mode), the outputs
-of mle_batch and mle_counting_batch on 2000 sampled rows at each T in
-{2, 4, 16, 64, 256} and R in {2, 3, 5, 16}, the MleResult fields of
-mle_estimate and mle_estimate_counting on the first 50 of those rows
-(refine_iterations on a line of its own, so a change to the step count
-shows apart from the estimates), and
-both batch maximizers on 2000 rows of shifted runs at phase 0 (count
+of mle_batch and mle_counting_batch, one call each on 2000 sampled rows, at
+each T in {2, 4, 16, 64, 256} and R in {2, 3, 5, 16} (no row depends on
+its batch, so these lines also check that on full-size calls), the
+MleResult fields of mle_estimate and mle_estimate_counting on the first 50
+of those rows (refine_iterations on a line of its own, so a change to the
+step count shows apart from the estimates), and both batch maximizers, one
+call each, on 2000 rows of shifted runs at phase 0 (count
 fraction m = 0) for each (T, R) in {(2, 3), (4, 2)}, where the likelihood
 peaks are flattest and many counting maxima sit on an interval end, and
 the MleResult fields of both single-trial maximizers on three pinned rows
@@ -68,7 +69,6 @@ SEEDS = (1, 2, 3, 11, 12)
 MLE_T = (2, 4, 16, 64, 256)
 MLE_R = (2, 3, 5, 16)
 MLE_ROWS = 2000
-MLE_SLICE = 250  # rows per maximizer call, to bound the n x G scan matrices
 MLE_SINGLE_ROWS = 50  # rows also run one at a time through the single-trial entry points
 # flat-peak (T, R) shapes whose rows are drawn at phase 0
 MLE_FLAT = ((2, 3), (4, 2))
@@ -188,8 +188,7 @@ def _mle_outputs(seed: int):
                 _, _, near[:, j] = sample_upea_block(params, phi, rng, half)
             rows = np.concatenate([near, rng.random((MLE_ROWS - half, R))])
             for name, fn in (("mle_batch", mle_batch), ("mle_counting_batch", mle_counting_batch)):
-                parts = [fn(params, rows[i : i + MLE_SLICE]) for i in range(0, MLE_ROWS, MLE_SLICE)]
-                yield f"{name}.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
+                yield f"{name}.T{T}.R{R}", fn(params, rows).tobytes()
             for name, fn in SINGLE:
                 yield from _single_results(f"{name}.T{T}.R{R}", fn, params, rows[:MLE_SINGLE_ROWS])
 
@@ -221,8 +220,7 @@ def _mle_flat_outputs(seed: int):
         params = upea.PeaParams.from_T(T, R)
         rows = flat_rows(seed, T, R)
         for name, fn in (("mle_batch", mle_batch), ("mle_counting_batch", mle_counting_batch)):
-            parts = [fn(params, rows[i : i + MLE_SLICE]) for i in range(0, MLE_ROWS, MLE_SLICE)]
-            yield f"{name}.flat.T{T}.R{R}", b"".join(p.tobytes() for p in parts)
+            yield f"{name}.flat.T{T}.R{R}", fn(params, rows).tobytes()
 
 
 def _mle_pinned_outputs(seed: int):
