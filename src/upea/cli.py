@@ -22,6 +22,7 @@ from .harness import (
     EXPERIMENTS,
     PRESETS,
     SweepConfig,
+    _write_text,
     csv_text,
     run_sweep,
     run_verify_circuit,
@@ -107,11 +108,10 @@ def _build_config(name: str, args: argparse.Namespace) -> SweepConfig:
 
 
 def _load_calibration(path: str) -> CalibrationRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return CalibrationRecord.from_json(text)
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            return CalibrationRecord.from_json(fh.read())
+    except ValueError as exc:
         raise _UsageError(f"bad calibration record {path!r}: {exc}")
 
 
@@ -119,8 +119,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_text(out, text)
 
 
 def main(argv: list[str] | None = None) -> int:

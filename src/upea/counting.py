@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -99,16 +99,16 @@ class CalibrationRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "CalibrationRecord":
-        raw = json.loads(text)
-        return cls(
-            T=raw["T"],
-            R=raw["R"],
-            b=raw["b"],
-            stderr_b=raw["stderr_b"],
-            n_samples=raw["n_samples"],
-            seed=raw["seed"],
-            rng_algorithm=str(raw["rng_algorithm"]),
-        )
+        """The record that to_json wrote: a JSON object with exactly the
+        record's fields as keys.  Any other text raises ValueError."""
+        try:
+            raw = json.loads(text)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"calibration record text is not JSON: {exc}") from None
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(raw, dict) or set(raw) != set(keys):
+            raise ValueError(f"a calibration record must be a JSON object with exactly the keys {keys}")
+        return cls(**raw)
 
 
 def _fraction(m) -> float:

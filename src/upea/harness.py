@@ -127,21 +127,6 @@ class SweepConfig:
     def to_json(self) -> str:
         return json.dumps({**asdict(self), "theta_mode": str(self.theta_mode)}, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepConfig":
-        raw = json.loads(text)
-        r = raw["R"]
-        return cls(
-            experiment=str(raw["experiment"]),
-            T=raw["T"],
-            R=tuple(r) if isinstance(r, list) else r,
-            grid_points=raw["grid_points"],
-            n_samples=raw["n_samples"],
-            theta_mode=ThetaMode.parse(str(raw["theta_mode"])),
-            base_seed=raw["base_seed"],
-            output_path=raw.get("output_path"),
-        )
-
 
 @dataclass(frozen=True)
 class SweepReport:
@@ -308,19 +293,19 @@ def csv_text(entries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(report: SweepReport, path: str) -> None:
+def _write_text(path: str, text: str) -> None:
+    """The one writer of every output file: UTF-8 text with LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(csv_text(report.entries))
+        fh.write(text)
+
+
+def write_csv(report: SweepReport, path: str) -> None:
+    _write_text(path, csv_text(report.entries))
 
 
 def write_metadata(report: SweepReport, path: str) -> None:
-    payload = {
-        "config": json.loads(report.config.to_json()),
-        **report.metadata,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    payload = {"config": json.loads(report.config.to_json()), **report.metadata}
+    _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def run_verify_circuit(

@@ -110,9 +110,10 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class MleResult:
-    """One row's estimate and log likelihood, the number of candidate cells
-    scanned and the refinement loop steps in which any of the row's starts
-    was live; both counts are 0 on the R = 1 path."""
+    """One row's estimate and log likelihood, the fine grid's candidate
+    count (G = 4TR on [0, 1), G/2 + 1 on [0, 1/2], at every coarse width w)
+    and the refinement loop steps in which any of the row's starts was
+    live; both counts are 0 on the R = 1 path."""
 
     phi_hat: Phase
     log_likelihood: float

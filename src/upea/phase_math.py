@@ -88,13 +88,16 @@ class ThetaMode:
 
     @classmethod
     def parse(cls, text: str) -> "ThetaMode":
-        """Parse 'full' | 'period' | 'fixed:<x>'."""
-        if text == "full":
-            return cls.full()
-        if text == "period":
-            return cls.period()
-        if text.startswith("fixed:"):
-            return cls.fixed(float(text.split(":", 1)[1]))
+        """Parse 'full' | 'period' | 'fixed:<x>'; any other text, or a value
+        that is not a str, raises a ValueError quoting it."""
+        kind, colon, value = text.partition(":") if isinstance(text, str) else ("", "", "")
+        try:
+            if kind == "fixed":
+                return cls.fixed(float(value))
+            if kind in ("full", "period") and not colon:
+                return cls(kind)
+        except ValueError as exc:
+            raise ValueError(f"cannot parse theta mode {text!r}: {exc}") from None
         raise ValueError(f"cannot parse theta mode {text!r}")
 
 

@@ -149,10 +149,17 @@ def pea_circuit_pmf(t: int, phi, theta=0.0) -> MeasurementPmf:
     phi and theta broadcast against each other, and every (phi, theta) pair
     is one circuit of a batch run in one pass: probs has shape
     (*batch, 2^t), and (2^t,) for two scalars.  A non-integer t, t outside
-    [1, 12] and a non-finite phase raise ValueError.
+    [1, 12], a non-finite phase and shapes that do not broadcast raise
+    ValueError naming the argument, before any gate runs.
     """
     t = _int_in("t", t, 1, 12)
-    phi, theta = np.broadcast_arrays(_finite_array("phi", phi), _finite_array("theta", theta))
+    phi, theta = _finite_array("phi", phi), _finite_array("theta", theta)
+    try:
+        phi, theta = np.broadcast_arrays(phi, theta)
+    except ValueError:
+        raise ValueError(
+            f"phi and theta must broadcast together, got shapes {phi.shape} and {theta.shape}"
+        ) from None
     n = t + 1
     # register |0...0>, target eigenstate |1>
     amps = np.zeros((*phi.shape, 1 << n), dtype=complex)
@@ -176,9 +183,10 @@ def grover_pea_pmf(
     instance is one CountingInstance, giving probs of shape (2^t,), or a
     sequence of instances that share one n, run as one batch: each
     controlled application is one stacked matrix product, and probs has
-    shape (len(instance), 2^t).  theta is a scalar or one shift per
-    instance.  A non-integer t, t outside [1, 8], n > 6, mixed n and a
-    non-finite theta raise ValueError.
+    shape (len(instance), 2^t).  theta is a scalar, or for a sequence
+    one shift per instance.  A non-integer t, t outside [1, 8], n > 6,
+    mixed n, and a theta that is non-finite or of another shape raise
+    ValueError, before any gate runs.
     """
     t = _int_in("t", t, 1, 8)
     single = isinstance(instance, CountingInstance)
@@ -188,15 +196,16 @@ def grover_pea_pmf(
     n = _int_in("n", instances[0].n, 1, 6)
     if any(inst.n != n for inst in instances):
         raise ValueError("batched instances must share one n")
+    batch = () if single else (len(instances),)
     theta = _finite_array("theta", theta)
+    if theta.shape not in ((), batch):
+        raise ValueError(f"theta must be a scalar or one shift per instance, got shape {theta.shape}")
     T = 1 << t
     N = 1 << n
     nq = t + n
     # complex once here, not in each product
     gmat = np.stack([_grover_operator(inst) for inst in instances]).astype(complex)
-    if single:
-        gmat = gmat[0]
-    batch = gmat.shape[:-2]
+    gmat = gmat.reshape(*batch, N, N)
     amps = np.zeros((*batch, 1 << nq), dtype=complex)
     amps[..., 0] = 1.0
     for q in range(nq):  # uniform superposition on register and work qubits

@@ -1,18 +1,21 @@
 """The input contract of every public entry point: fed a bad value for any
 one argument, it raises a ValueError that names that argument.
 
-CONTRACT has one row per callable in upea.__all__ and per name that
+CONTRACT has one row per callable in upea.__all__, per public
+classmethod of a class there (as Class.name) and per name that
 tests/test_acceptance.py imports: a call that succeeds, and for each
 argument the bad values of its kind and the name its message uses (the
 argument's own, unless the row says otherwise).  Arguments whose values are
 objects the library builds and checks elsewhere (parameters, generators,
 configs, result records) are listed in UNPROBED with the reason.
-tests/test_package.py fails when a callable in upea.__all__ has no row."""
+tests/test_package.py fails when a callable in upea.__all__, or such a
+classmethod, has no row."""
 
 from __future__ import annotations
 
 import ast
 import inspect
+import json
 import math
 import re
 from pathlib import Path
@@ -56,6 +59,18 @@ T_MAX = 1 << _MAX_T
 P3 = upea.PeaParams(2, 3)
 
 
+_RECORD_ARGS = dict(T=16, R=3, b=0.01, stderr_b=0.001, n_samples=4096, seed=1)
+_RECORD_JSON = upea.CalibrationRecord(**_RECORD_ARGS).to_json()
+
+
+def record_text() -> list:
+    """Text that is not a calibration record: not JSON, not an object, or
+    an object with a key missing or one too many."""
+    raw = json.loads(_RECORD_JSON)
+    missing = {k: v for k, v in raw.items() if k != "seed"}
+    return ["null", "[]", "{}", "x", 5, json.dumps(missing), json.dumps({**raw, "extra": 1})]
+
+
 def _config() -> upea.SweepConfig:
     return upea.SweepConfig("upea-bias-mae", T=4, grid_points=2, n_samples=8)
 
@@ -71,6 +86,14 @@ CONTRACT: dict = {
     "ThetaMode": (upea.ThetaMode, dict(kind="fixed", value=0.3), {
         "kind": (["nope", 1, "full", "period"], "kind"),
         "value": (phase() + [-0.1, 1.0], "theta value"),
+    }),
+    "ThetaMode.full": (upea.ThetaMode.full, {}, {}),
+    "ThetaMode.period": (upea.ThetaMode.period, {}, {}),
+    "ThetaMode.fixed": (upea.ThetaMode.fixed, dict(value=0.3), {
+        "value": (phase() + [-0.1, 1.0], "theta value"),
+    }),
+    "ThetaMode.parse": (upea.ThetaMode.parse, dict(text="fixed:0.25"), {
+        "text": ([5, None, "fixed:", "fixed:abc", "fixed:1.0", "full:", "bogus"], "theta mode"),
     }),
     "PeaParams": (upea.PeaParams, dict(t=2, R=3), {
         "t": size(0, _MAX_T),
@@ -107,8 +130,7 @@ CONTRACT: dict = {
         "n": size(1, _MAX_N),
         "M": size(0, 4),
     }),
-    "CalibrationRecord": (upea.CalibrationRecord, dict(T=16, R=3, b=0.01, stderr_b=0.001,
-                                                       n_samples=4096, seed=1), {
+    "CalibrationRecord": (upea.CalibrationRecord, _RECORD_ARGS, {
         "T": power_of_two(T_MAX),
         "R": size(1),
         "b": phase(),
@@ -116,6 +138,9 @@ CONTRACT: dict = {
         "n_samples": size(2),
         "seed": seed(),
         "rng_algorithm": ["mt19937", "", 1],
+    }),
+    "CalibrationRecord.from_json": (upea.CalibrationRecord.from_json, dict(text=_RECORD_JSON), {
+        "text": (record_text(), "calibration record"),
     }),
     "SweepConfig": (upea.SweepConfig, dict(experiment="upea-bias-mae", T=4, grid_points=2,
                                            n_samples=8), {
@@ -197,15 +222,16 @@ CONTRACT: dict = {
     "csv_text": (csv_text, dict(entries=()), {}),
     "write_csv": (upea.write_csv, None, {}),
     "write_metadata": (upea.write_metadata, None, {}),
-    "pea_circuit_pmf": (upea.pea_circuit_pmf, dict(t=2, phi=0.3, theta=0.1), {
+    # two phases, so a theta of three shifts does not broadcast against them
+    "pea_circuit_pmf": (upea.pea_circuit_pmf, dict(t=2, phi=[0.3, 0.4], theta=0.1), {
         "t": size(1, 12),
         "phi": phase(),
-        "theta": phase(),
+        "theta": phase() + [[0.1, 0.2, 0.3]],
     }),
     "grover_pea_pmf": (upea.grover_pea_pmf, dict(t=2, instance=upea.CountingInstance(2, 1),
                                                  theta=0.1), {
         "t": size(1, 8),
-        "theta": phase(),
+        "theta": phase() + [[0.1, 0.2]],
     }),
     "analytic_counting_pmf": (upea.analytic_counting_pmf, dict(t=2, m=0.3, theta=0.1), {
         "t": size(0),

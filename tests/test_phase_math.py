@@ -4,6 +4,7 @@ the outcome kernel, and the closed-form error laws."""
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -334,6 +335,14 @@ def test_theta_mode_parse_and_str() -> None:
         ThetaMode.parse("bogus")
     with pytest.raises(ValueError):
         ThetaMode.parse("fixed:")
+
+
+@pytest.mark.parametrize("text", [5, None, "fixed:", "fixed:abc", "fixed:1.5", "period:0.5"])
+def test_theta_mode_parse_quotes_the_text_it_cannot_read(text) -> None:
+    # 5 and None raised AttributeError, and "fixed:abc" float()'s message,
+    # which named no argument
+    with pytest.raises(ValueError, match=re.escape(f"cannot parse theta mode {text!r}")):
+        ThetaMode.parse(text)
 
 
 def test_bias_mae_entry_validation() -> None:

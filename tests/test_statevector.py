@@ -336,6 +336,17 @@ def test_grover_batch_with_mixed_n_raises() -> None:
         grover_pea_pmf(2, [])
 
 
+def test_a_shift_of_the_wrong_shape_raises_naming_it_before_any_gate() -> None:
+    # the first and last raised NumPy's broadcast errors from inside a gate
+    with pytest.raises(ValueError, match=r"theta must be a scalar or one shift per instance"):
+        grover_pea_pmf(3, [CountingInstance(2, 1)], theta=[0.1, 0.2])
+    # one instance takes a scalar shift, as its probs take shape (2^t,)
+    with pytest.raises(ValueError, match=r"theta must be a scalar"):
+        grover_pea_pmf(3, CountingInstance(2, 1), theta=[0.1])
+    with pytest.raises(ValueError, match=r"phi and theta must broadcast together"):
+        pea_circuit_pmf(3, [0.1, 0.2], [0.1, 0.2, 0.3])
+
+
 # ---------------------------------------------------------------------------
 # non-finite and non-integer inputs
 
