@@ -55,6 +55,13 @@ def _parse_r(text: str) -> int | tuple[int, int]:
         raise _UsageError(f"--R expects an integer or lo..hi range, got {text!r}")
 
 
+def _theta_mode(text: str) -> ThetaMode:
+    try:  # argparse prints an ArgumentTypeError's message, not a ValueError's
+        return ThetaMode.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
     # each flag sets the SweepConfig field (or calibrate_b argument) named by
     # its dest; a flag left out leaves no attribute, so the value is the
@@ -75,7 +82,7 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     flag(
         "--theta-mode",
         dest="theta_mode",
-        type=ThetaMode.parse,
+        type=_theta_mode,
         metavar="{full|period|fixed:<x>}",
         help="reference-shift distribution",
     )

@@ -345,12 +345,13 @@ def run_verify_circuit(
         worst.append(np.max(np.abs(pmf - ref)))
     checks = [check("pea-circuit-vs-analytic", float(np.max(worst)))]
 
+    batches = {n: [CountingInstance(n=n, M=M) for M in range((1 << n) + 1)] for n in range(1, 5)}
     worst = []
     for t in range(1, 6):
-        for n in range(1, 5):
+        for n, batch in batches.items():
             N = 1 << n
             theta = float(rng.random())
-            pmf = grover_pea_pmf(t, [CountingInstance(n=n, M=M) for M in range(N + 1)], theta).probs
+            pmf = grover_pea_pmf(t, batch, theta).probs
             ref = analytic_counting_pmf(t, np.arange(N + 1) / N, theta)
             worst.append(np.max(np.abs(pmf - ref)))
     checks.append(check("counting-circuit-vs-mixture", float(np.max(worst))))

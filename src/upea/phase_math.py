@@ -310,8 +310,9 @@ def pea_kernel(T: int, delta) -> np.ndarray | float:
     every array the likelihood scores.
     """
     num, den, lattice = _kernel_parts(T, delta)
-    r = np.divide(num, den, out=num, where=~lattice)
-    np.copyto(r, 1.0, where=lattice)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lattice cells, set below
+        r = np.divide(num, den, out=num)
+    r[lattice] = 1.0
     r *= r
     return float(r) if r.ndim == 0 else r
 

@@ -12,18 +12,15 @@ measured integer s; register qubits are 0..t-1 and any target/work qubits sit
 above them.  The inverse QFT includes its bit-reversal swaps, so the measured
 integer aligns with the analytic outcome index directly.
 
-A state is a bare complex amplitude array.  Each circuit builds its start
-state with np.zeros, chains the gates below and hands the result to
-_register_pmf, which checks each state's norm once and marginalizes over
-the register, the low t bits of the state index.
-
-States are batched: amplitudes have shape (*batch, 2^n), one state per index
-of the leading batch axes, and every gate acts on each state.  A gate angle
-is a scalar for the whole batch or one angle per state.  pea_circuit_pmf
-broadcasts its phases and grover_pea_pmf takes a sequence of instances, so
-many circuits of one shape run gate by gate in one pass; a scalar call is
-the batch of shape ().  Every gate of every circuit is applied: the batch
-axis shares the Python work, not the circuit.
+A state is a bare complex array of shape (*batch, 2^n), one state per index
+of the leading batch axes; a gate angle is a scalar or one angle per state.
+Each circuit chains the gates below on np.zeros and hands the result to
+_register_pmf, which checks each state's norm once and marginalizes over the
+register, the low t bits of the state index.  pea_circuit_pmf broadcasts its
+phases and grover_pea_pmf takes a sequence of instances, so many circuits of
+one shape run gate by gate in one pass.  Every gate of every circuit is
+applied, each with only its matrix's arithmetic: H is a butterfly, Rz and
+the controlled phase multiply by a diagonal.
 """
 
 from __future__ import annotations
@@ -44,11 +41,11 @@ __all__ = [
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
-def _per_state(angle, axes: int) -> np.ndarray:
-    """A scalar angle or one angle per state, as a float array with `axes`
-    trailing unit axes, so it broadcasts against a view of the states."""
+def _per_state(angle) -> np.ndarray:
+    """A scalar angle or one angle per state, as a float array with three
+    trailing unit axes, so it broadcasts against a one- or two-qubit view."""
     angle = np.asarray(angle, dtype=float)
-    return angle.reshape(angle.shape + (1,) * axes)
+    return angle.reshape(angle.shape + (1, 1, 1))
 
 
 def _bit_view(amps: np.ndarray, num_qubits: int, *qubits: int) -> np.ndarray:
@@ -61,34 +58,29 @@ def _bit_view(amps: np.ndarray, num_qubits: int, *qubits: int) -> np.ndarray:
     return amps.reshape(*amps.shape[:-1], *shape, 1 << top)
 
 
-def _apply_single(amps: np.ndarray, n: int, q: int, u00, u01, u10, u11) -> np.ndarray:
-    """Apply a 2x2 unitary on qubit q of every state via a strided view;
-    each entry is a scalar or has shape (*batch, 1, 1).  Returns a new array."""
+def _h(amps: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Hadamard as a butterfly, a + b and a - b with a = s*v0, b = s*v1 and
+    s = 1/sqrt(2): the 2x2 form's products, up to the sign of a zero."""
     view = _bit_view(amps, n, q)
     out = np.empty_like(view)
-    out[..., 0, :] = u00 * view[..., 0, :] + u01 * view[..., 1, :]
-    out[..., 1, :] = u10 * view[..., 0, :] + u11 * view[..., 1, :]
+    a, b = _SQRT_HALF * view[..., 0, :], _SQRT_HALF * view[..., 1, :]
+    np.add(a, b, out=out[..., 0, :])
+    np.subtract(a, b, out=out[..., 1, :])
     return out.reshape(amps.shape)
 
 
-# The gates and the inverse QFT below act on bare amplitude arrays of n
-# qubits; the circuits chain them and check the state once, at the end.
-
-
-def _h(amps: np.ndarray, n: int, q: int) -> np.ndarray:
-    return _apply_single(amps, n, q, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF, -_SQRT_HALF)
-
-
 def _rz(amps: np.ndarray, n: int, q: int, angle) -> np.ndarray:
-    """Rz(angle) = diag(e^{-i angle/2}, e^{+i angle/2})."""
-    half = 0.5j * _per_state(angle, 2)
-    return _apply_single(amps, n, q, np.exp(-half), 0.0, 0.0, np.exp(half))
+    """Rz(angle) = diag(e^{-i angle/2}, e^{+i angle/2}), the phase the left
+    operand of each product: NumPy's complex u * x and x * u can differ."""
+    half = 0.5j * _per_state(angle)
+    phase = np.exp(np.concatenate([-half, half], axis=-2))  # (*batch, 1, 2, 1)
+    return (phase * _bit_view(amps, n, q)).reshape(amps.shape)
 
 
 def _cphase(amps: np.ndarray, n: int, a: int, b: int, angle) -> np.ndarray:
     """diag(1, 1, 1, e^{i angle}) on (a, b); symmetric in its two qubits."""
     amps = amps.copy()
-    _bit_view(amps, n, a, b)[..., 1, :, 1, :] *= np.exp(1j * _per_state(angle, 3))
+    _bit_view(amps, n, a, b)[..., 1, :, 1, :] *= np.exp(1j * _per_state(angle))
     return amps
 
 
@@ -129,12 +121,11 @@ def _register_pmf(amps: np.ndarray, n: int, t: int) -> MeasurementPmf:
     return MeasurementPmf(marg)
 
 
-def _grover_operator(instance: CountingInstance) -> np.ndarray:
-    """Dense search iteration: reflect about the mean after flipping the sign
-    of the marked items, the first M.  Real orthogonal (N x N)."""
-    oracle = np.where(np.arange(instance.N) < instance.M, -1.0, 1.0)
-    diffusion = 2.0 / instance.N - np.eye(instance.N)
-    return diffusion * oracle[None, :]
+def _grover_stack(N: int, M) -> np.ndarray:
+    """Dense search iterations, one per marked count in M, of shape (*M.shape,
+    N, N): flip the sign of the first M items, then reflect about the mean."""
+    flip = np.where(np.arange(N) < np.asarray(M)[..., None, None], -1.0, 1.0)
+    return ((2.0 / N - np.eye(N)) * flip).astype(complex)
 
 
 def pea_circuit_pmf(t: int, phi, theta=0.0) -> MeasurementPmf:
@@ -203,9 +194,7 @@ def grover_pea_pmf(
     T = 1 << t
     N = 1 << n
     nq = t + n
-    # complex once here, not in each product
-    gmat = np.stack([_grover_operator(inst) for inst in instances]).astype(complex)
-    gmat = gmat.reshape(*batch, N, N)
+    gmat = _grover_stack(N, np.reshape([inst.M for inst in instances], batch))
     amps = np.zeros((*batch, 1 << nq), dtype=complex)
     amps[..., 0] = 1.0
     for q in range(nq):  # uniform superposition on register and work qubits
@@ -218,6 +207,7 @@ def grover_pea_pmf(
         for _ in range(1 << k):
             sub = gmat @ sub
         grid[..., on] = sub
+    del grid, sub, gmat  # grid holds the state: let each gate below free the one it replaces
     for k in range(t):
         amps = _rz(amps, nq, k, 2.0 * np.pi * (1 << k) * theta)
     amps = _inverse_qft(amps, nq, list(range(t)))
@@ -235,4 +225,5 @@ def analytic_counting_pmf(t: int, m, theta: float = 0.0) -> np.ndarray:
     s = np.arange(T) / T
     # wrapped first: far outside [0, 1), s - theta would keep no fraction
     theta = _wrap_array(_finite("theta", theta))
-    return 0.5 * pea_kernel(T, s - phi - theta) + 0.5 * pea_kernel(T, s + phi - theta)
+    both = pea_kernel(T, np.stack([s - phi - theta, s + phi - theta]))  # one call for -phi and +phi
+    return 0.5 * both[0] + 0.5 * both[1]

@@ -512,6 +512,22 @@ def test_cli_usage_errors_exit_1(capsys) -> None:
     assert "needs a random shift" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, reason",
+    [
+        ("fixed:abc", "could not convert string to float: 'abc'"),
+        ("fixed:2.0", "theta value must lie in [0, 1) for a fixed mode, got 2.0"),
+        ("bogus", "cannot parse theta mode 'bogus'"),
+    ],
+)
+def test_cli_theta_mode_error_gives_the_parse_reason(mode: str, reason: str, capsys) -> None:
+    # argparse printed only "invalid parse value: 'fixed:abc'" for these
+    assert cli.main(["upea-bias-mae", "--theta-mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --theta-mode: cannot parse theta mode")
+    assert reason in err and "invalid parse value" not in err
+
+
 def test_cli_preset_with_overrides(capsys) -> None:
     code = cli.main(["upea-bias-mae", "--preset", "fig3", "--grid", "2", "--samples", "64"])
     assert code == 0

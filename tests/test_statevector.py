@@ -1,6 +1,7 @@
-"""Tests for the gate-level simulator: single gates against their matrices,
-the inverse QFT against the inverse DFT matrix, the register marginal, and
-the estimation circuits against the analytic laws."""
+"""Tests for the gate-level simulator: single gates against their matrices
+and the general 2x2 form, the inverse QFT against the inverse DFT matrix,
+the search operators against a per-instance oracle, the register marginal,
+and the estimation circuits against the analytic laws."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from upea.counting import CountingInstance
 from upea.phase_math import MeasurementPmf, pea_kernel
 from upea.statevector import (
     _cphase,
-    _grover_operator,
+    _grover_stack,
     _h,
     _inverse_qft,
     _register_pmf,
@@ -35,6 +36,23 @@ def _random_state(nq: int, seed: int, batch: tuple[int, ...] = ()) -> np.ndarray
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=(*batch, 1 << nq)) + 1j * rng.normal(size=(*batch, 1 << nq))
     return amps / np.linalg.norm(amps, axis=-1, keepdims=True)
+
+
+def _apply_single(amps: np.ndarray, n: int, q: int, u00, u01, u10, u11) -> np.ndarray:
+    """Oracle: the general 2x2 unitary on qubit q of every state, each entry
+    a scalar or of shape (*batch, 1, 1); the form H and Rz once ran through."""
+    view = amps.reshape(*amps.shape[:-1], 1 << (n - 1 - q), 2, 1 << q)
+    out = np.empty_like(view)
+    out[..., 0, :] = u00 * view[..., 0, :] + u01 * view[..., 1, :]
+    out[..., 1, :] = u10 * view[..., 0, :] + u11 * view[..., 1, :]
+    return out.reshape(amps.shape)
+
+
+def _grover_operator(instance: CountingInstance) -> np.ndarray:
+    """Oracle: one instance's search iteration, built on its own."""
+    oracle = np.where(np.arange(instance.N) < instance.M, -1.0, 1.0)
+    diffusion = 2.0 / instance.N - np.eye(instance.N)
+    return diffusion * oracle[None, :]
 
 
 def _gate(amps: np.ndarray, gate, *args) -> np.ndarray:
@@ -158,7 +176,8 @@ def test_measurement_pmf_marginalizes() -> None:
 @pytest.mark.parametrize("n,marked", [(2, range(1)), (3, range(2)), (3, range(0))])
 def test_grover_operator_is_orthogonal(n: int, marked: range) -> None:
     # the marked items are the first M: their columns of the diffusion flip sign
-    g = _grover_operator(CountingInstance(n=n, M=len(marked)))
+    g = _grover_stack(1 << n, len(marked))
+    assert g.dtype == complex and g.shape == (1 << n, 1 << n)
     assert np.allclose(g @ g.T, np.eye(1 << n), atol=1e-12)
     flip = np.where(np.isin(np.arange(1 << n), marked), -1.0, 1.0)
     assert np.array_equal(g, (2.0 / (1 << n) - np.eye(1 << n)) * flip)
@@ -166,12 +185,21 @@ def test_grover_operator_is_orthogonal(n: int, marked: range) -> None:
 
 def test_grover_operator_eigenphase_matches_count_fraction() -> None:
     inst = CountingInstance(n=3, M=3)
-    g = _grover_operator(inst)
+    g = _grover_stack(inst.N, inst.M)
     eig = np.angle(np.linalg.eigvals(g)) / (2 * np.pi)
     phi = inst.phi
     # rotation eigenphases come in a +-phi pair
     assert min(abs(e - phi) for e in eig) < 1e-12
     assert min(abs(e + phi) for e in eig) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_grover_stack_equals_the_stacked_per_instance_oracle_bit_for_bit(n: int) -> None:
+    insts = [CountingInstance(n=n, M=M) for M in range((1 << n) + 1)]
+    want = np.stack([_grover_operator(inst) for inst in insts]).astype(complex)
+    got = _grover_stack(1 << n, [inst.M for inst in insts])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert _grover_stack(1 << n, 1).tobytes() == want[1].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +243,17 @@ def test_grover_circuit_rejects_out_of_range_dims() -> None:
 
 
 def test_analytic_counting_pmf_is_half_half_mixture() -> None:
-    t, m, theta = 4, 0.3, 0.05
+    # bit for bit: one kernel call on the stacked -phi and +phi arguments
+    # gives each entry the bits of its own call
+    t, theta = 4, 0.05
     from upea.counting import phi_from_m
 
     T = 1 << t
-    phi = phi_from_m(m)
-    s = np.arange(T) / T
-    expect = 0.5 * pea_kernel(T, s - phi - theta) + 0.5 * pea_kernel(T, s + phi - theta)
-    assert np.allclose(analytic_counting_pmf(t, m, theta), expect, atol=1e-15)
+    for m in (0.3, [[0.0, 1 / 3, 0.5], [0.7, 0.999, 1.0]]):
+        phi = np.vectorize(phi_from_m)(m)[..., None]
+        s = np.arange(T) / T
+        expect = 0.5 * pea_kernel(T, s - phi - theta) + 0.5 * pea_kernel(T, s + phi - theta)
+        assert analytic_counting_pmf(t, m, theta).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("far", [1e300, -1e300, 1e17])
@@ -316,6 +347,41 @@ def test_batched_gates_act_on_each_state() -> None:
         got = gate(batch, angles)
         for i, s in enumerate(states):
             assert np.array_equal(got[i], gate(s, float(angles[i])))
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_h_and_rz_equal_the_general_2x2_form(batch: tuple, n: int) -> None:
+    # array_equal counts -0 and +0 as equal: the butterfly subtracts s*v1
+    # where the 2x2 form adds (-s)*v1, and Rz drops the form's 0*v terms,
+    # so only the sign of a zero may differ; every third amplitude is zero
+    states = _random_state(n, 40 + n, batch)
+    states[..., ::3] = 0.0
+    rng = np.random.default_rng(n)
+    s = 1.0 / np.sqrt(2.0)
+    for q in range(n):
+        assert np.array_equal(_h(states, n, q), _apply_single(states, n, q, s, s, s, -s))
+        for angle in (0.7, -13.1, rng.normal(size=batch) * 5):
+            half = 0.5j * np.reshape(angle, np.shape(angle) + (1, 1))
+            want = _apply_single(states, n, q, np.exp(-half), 0.0, 0.0, np.exp(half))
+            assert np.array_equal(_rz(states, n, q, angle), want)
+
+
+def test_gates_leave_their_input_unchanged() -> None:
+    # the tests, and the circuits' callers, reuse a state after a gate
+    states = _random_state(4, 9, (3,))
+    kept = states.copy()
+    angles = np.array([0.3, -1.1, 2.0])
+    for out in (
+        _h(states, 4, 2),
+        _rz(states, 4, 1, angles),
+        _rz(states, 4, 3, 0.4),
+        _cphase(states, 4, 0, 3, angles),
+        _swap(states, 4, 1, 2),
+        _inverse_qft(states, 4, [0, 1, 2]),
+    ):
+        assert out is not states and not np.shares_memory(out, states)
+        assert states.tobytes() == kept.tobytes()
 
 
 def test_batch_holding_one_unnormalized_state_raises() -> None:
