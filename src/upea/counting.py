@@ -2,12 +2,13 @@
 and the bias correction.
 
 A marked fraction m = M/N maps to the rotation phase phi = arcsin(sqrt(m))/pi
-in [0, 1/2]; the search operator has eigenphases +-phi, and the uniform start
-state weights them equally, so each trial estimates the phase of a coin-flip
-sign.  The estimate m_tilde has one affine bias law b(1 - 2m) with two
-sources of the slope b: a single randomized run has exactly b = 1/(2T), and
-the maximum-likelihood combination of R runs has b measured by simulation at
-m = 0.  The law inverts exactly as
+in [0, 1/2]; phi_from_m is the one checked form of that map, for one
+fraction or an array of them.  The search operator has eigenphases +-phi,
+and the uniform start state weights them equally, so each trial estimates
+the phase of a coin-flip sign.  The estimate m_tilde has one affine bias law
+b(1 - 2m) with two sources of the slope b: a single randomized run has
+exactly b = 1/(2T), and the maximum-likelihood combination of R runs has b
+measured by simulation at m = 0.  The law inverts exactly as
 
     m' = (m_tilde - b) / (1 - 2b),
 
@@ -41,8 +42,8 @@ __all__ = [
     "correct_mle",
 ]
 
-# largest work-register size n: the largest at which m = 1/N is still a
-# normal float, 2^-1022; from n = 1075 on, 1/N rounds to 0
+# largest work-register size n: the largest at which one marked item's
+# fraction 2^-n is a normal float; from n = 1075 on, 2^-n rounds to 0
 _MAX_N = 1022
 
 
@@ -61,14 +62,6 @@ class CountingInstance:
     @property
     def N(self) -> int:
         return 1 << self.n
-
-    @property
-    def m(self) -> float:
-        return self.M / self.N
-
-    @property
-    def phi(self) -> Phase:
-        return phi_from_m(self.m)
 
 
 @dataclass(frozen=True)
@@ -111,19 +104,24 @@ class CalibrationRecord:
         return cls(**raw)
 
 
-def _fraction(m) -> float:
-    """m as a float, or a ValueError naming it unless it is a finite number
-    in [0, 1]."""
-    m = _finite("m", m)
-    if not (0.0 <= m <= 1.0):
-        raise ValueError(f"m must lie in [0, 1], got {m!r}")
-    return m
+def _fraction(m) -> float | np.ndarray:
+    """m as a float for a scalar and a float array otherwise, or a
+    ValueError naming it unless each entry is a finite number in [0, 1]."""
+    m = _finite_array("m", m)
+    outside = (m < 0.0) | (m > 1.0)
+    if outside.any():
+        raise ValueError(f"m must lie in [0, 1], got {float(m[outside][0])!r}")
+    return m if m.ndim else float(m)
 
 
-def phi_from_m(m: float) -> Phase:
-    """Phase in [0, 1/2] whose squared sine of a half-turn equals m; m must
-    be a number in [0, 1]."""
-    return math.asin(math.sqrt(_fraction(m))) / math.pi
+def phi_from_m(m) -> Phase | np.ndarray:
+    """Phase in [0, 1/2] whose squared sine of a half-turn equals m: a float
+    for a scalar m and an array of m's shape for an array; each entry of m
+    must be a number in [0, 1]."""
+    m = _fraction(m)
+    # libm's asin, one entry at a time: NumPy's arcsin may differ in the last bit
+    phi = np.reshape([math.asin(math.sqrt(x)) / math.pi for x in np.ravel(m).tolist()], np.shape(m))
+    return phi if phi.ndim else float(phi)
 
 
 def sample_uqca_block(

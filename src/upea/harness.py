@@ -72,6 +72,8 @@ EXPERIMENTS = (
 _AUTO_CAL_SAMPLES = 1 << 16
 # largest max |circuit pmf - analytic law| that run_verify_circuit accepts
 _VERIFY_TOLERANCE = 1e-10
+# pairs per estimation-circuit call in run_verify_circuit: about 9 KB each at t = 6
+_VERIFY_PAIRS = 1 << 10
 
 CSV_HEADER = "ground_truth,bias,stderr_bias,mae,stderr_mae,n_samples"
 
@@ -317,9 +319,9 @@ def run_verify_circuit(
     """Run the two oracle-equivalence suites and report max deviations,
     each of which must stay below 1e-10.
 
-    Each register size is one batched simulator call: the estimation
-    circuit over all n_phi x n_theta pairs at each t in 1..6, the counting
-    circuit over every marked count M at each t in 1..5 and n in 1..4.
+    The estimation circuit runs on all n_phi x n_theta pairs at each t in
+    1..6, at most 2^10 pairs per call to bound memory; the counting circuit
+    on every marked count M in one call at each t in 1..5 and n in 1..4.
     corrupt_theta runs the estimation circuit at -theta (the Rz ladder's
     sign flipped), a negative control that must make the check fail.  Both
     counts must be integers >= 1: a check over no cases would pass without
@@ -338,11 +340,13 @@ def run_verify_circuit(
     worst = []
     for t in range(1, 7):
         T = 1 << t
-        phi = rng.random(n_phi)[:, None]
-        theta = rng.random(n_theta)[None, :]
-        pmf = pea_circuit_pmf(t, phi, -theta if corrupt_theta else theta).probs
-        ref = pea_kernel(T, np.arange(T) / T - (phi + theta)[..., None])
-        worst.append(np.max(np.abs(pmf - ref)))
+        phis, thetas = rng.random(n_phi), rng.random(n_theta)
+        for lo in range(0, n_phi * n_theta, _VERIFY_PAIRS):
+            i, j = divmod(np.arange(lo, min(lo + _VERIFY_PAIRS, n_phi * n_theta)), n_theta)
+            phi, theta = phis[i], thetas[j]
+            pmf = pea_circuit_pmf(t, phi, -theta if corrupt_theta else theta).probs
+            ref = pea_kernel(T, np.arange(T) / T - (phi + theta)[:, None])
+            worst.append(np.max(np.abs(pmf - ref)))
     checks = [check("pea-circuit-vs-analytic", float(np.max(worst)))]
 
     batches = {n: [CountingInstance(n=n, M=M) for M in range((1 << n) + 1)] for n in range(1, 5)}

@@ -17,10 +17,10 @@ of the leading batch axes; a gate angle is a scalar or one angle per state.
 Each circuit chains the gates below on np.zeros and hands the result to
 _register_pmf, which checks each state's norm once and marginalizes over the
 register, the low t bits of the state index.  pea_circuit_pmf broadcasts its
-phases and grover_pea_pmf takes a sequence of instances, so many circuits of
-one shape run gate by gate in one pass.  Every gate of every circuit is
-applied, each with only its matrix's arithmetic: H is a butterfly, Rz and
-the controlled phase multiply by a diagonal.
+phases and grover_pea_pmf takes a sequence of instances under one shift, so
+many circuits of one shape run gate by gate in one pass.  Every gate of
+every circuit is applied, each with only its matrix's arithmetic: H is a
+butterfly, Rz and the controlled phase multiply by a diagonal.
 """
 
 from __future__ import annotations
@@ -174,10 +174,9 @@ def grover_pea_pmf(
     instance is one CountingInstance, giving probs of shape (2^t,), or a
     sequence of instances that share one n, run as one batch: each
     controlled application is one stacked matrix product, and probs has
-    shape (len(instance), 2^t).  theta is a scalar, or for a sequence
-    one shift per instance.  A non-integer t, t outside [1, 8], n > 6,
-    mixed n, and a theta that is non-finite or of another shape raise
-    ValueError, before any gate runs.
+    shape (len(instance), 2^t).  theta is one shift for every instance.  A
+    non-integer t, t outside [1, 8], n > 6, mixed n, and a theta that is not
+    one finite number raise ValueError, before any gate runs.
     """
     t = _int_in("t", t, 1, 8)
     single = isinstance(instance, CountingInstance)
@@ -188,9 +187,7 @@ def grover_pea_pmf(
     if any(inst.n != n for inst in instances):
         raise ValueError("batched instances must share one n")
     batch = () if single else (len(instances),)
-    theta = _finite_array("theta", theta)
-    if theta.shape not in ((), batch):
-        raise ValueError(f"theta must be a scalar or one shift per instance, got shape {theta.shape}")
+    theta = _finite("theta", theta)
     T = 1 << t
     N = 1 << n
     nq = t + n
@@ -221,7 +218,7 @@ def analytic_counting_pmf(t: int, m, theta: float = 0.0) -> np.ndarray:
     is not an integer >= 0 and an m that is not numeric or lies outside
     [0, 1] raise ValueError."""
     T = 1 << _int_in("t", t, 0)
-    phi = np.reshape([phi_from_m(x) for x in np.ravel(_finite_array("m", m))], np.shape(m) + (1,))
+    phi = np.expand_dims(phi_from_m(m), -1)
     s = np.arange(T) / T
     # wrapped first: far outside [0, 1), s - theta would keep no fraction
     theta = _wrap_array(_finite("theta", theta))

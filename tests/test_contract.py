@@ -36,8 +36,8 @@ def phase() -> list:
 
 
 def fraction() -> list:
-    """A count fraction m = M/N, a number in [0, 1]."""
-    return phase() + [-0.1, 1.5]
+    """A count fraction m = M/N, a number in [0, 1], or an array of them."""
+    return phase() + [-0.1, 1.5, [0.5, 1.5], [0.5, math.nan], [True, 0.5]]
 
 
 def size(lo: int, hi: int | None = None) -> list:

@@ -52,7 +52,19 @@ def test_phi_from_m_edge_values() -> None:
         phi_from_m(-0.1)
 
 
-@pytest.mark.parametrize("bad", ["0.25", True, np.array(["0.25"]), [0.25], math.nan])
+def test_phi_from_m_on_an_array_is_the_scalar_map_entry_by_entry() -> None:
+    rng = np.random.default_rng(3)
+    m = np.concatenate([[0.0, 2.0**-1022, 0.5, 1.0], np.arange(17) / 16, rng.random(39)])
+    for shape in (m.shape, (3, 5, 4), (1, 60)):
+        got = phi_from_m(m.reshape(shape))
+        assert got.shape == shape
+        want = np.array([math.asin(math.sqrt(x)) / math.pi for x in m]).reshape(shape)
+        assert got.tobytes() == want.tobytes()
+    assert phi_from_m([]).shape == (0,)
+    assert type(phi_from_m(0.3)) is float and type(exact_bias_uqca_single(0.3, 16)) is float
+
+
+@pytest.mark.parametrize("bad", ["0.25", True, np.array(["0.25"]), math.nan])
 def test_count_fraction_inputs_must_be_numbers(bad) -> None:
     # phi_from_m("0.25") returned 1/6, phi_from_m(True) 0.5 and
     # exact_bias_uqca_single("0.2", 16) 0.01875
@@ -180,13 +192,12 @@ def test_calibration_record_json_round_trip() -> None:
 def test_counting_instance_from_a_marked_count() -> None:
     inst = CountingInstance(n=3, M=2)
     assert inst.N == 8 and inst.M == 2
-    assert inst.m == pytest.approx(0.25)
-    assert inst.phi == pytest.approx(phi_from_m(0.25))
+    assert phi_from_m(inst.M / inst.N) == phi_from_m(0.25)
 
 
 def test_counting_instance_from_count_only() -> None:
     inst = CountingInstance(n=2, M=4)
-    assert inst.m == 1.0
+    assert inst.M / inst.N == 1.0
 
 
 def test_counting_instance_validation() -> None:
@@ -201,7 +212,7 @@ def test_counting_instance_validation() -> None:
 def test_counting_instance_takes_n_while_one_marked_item_is_a_normal_fraction() -> None:
     # m = 1/N = 2^-1022 is the smallest normal float; at n = 10^5 m read 0.0
     inst = CountingInstance(n=1022, M=1)
-    assert inst.m == 2.0**-1022 and inst.phi > 0.0
+    assert inst.M / inst.N == 2.0**-1022 and phi_from_m(inst.M / inst.N) > 0.0
     with pytest.raises(ValueError, match=r"n must lie in \[1, 1022\], got 1023"):
         CountingInstance(n=1023, M=1)
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields
 from types import SimpleNamespace
@@ -353,6 +354,21 @@ def test_verify_circuit_passes_with_small_caps() -> None:
 def test_verify_circuit_negative_control() -> None:
     rep = run_verify_circuit(n_phi=2, n_theta=2, corrupt_theta=True)
     assert not rep["passed"]
+
+
+def test_verify_circuit_memory_is_bounded_by_its_pair_slices(monkeypatch) -> None:
+    # 64 x 40 pairs in one call per t peaked at 21.4 MiB; slices of 2^10
+    # pairs hold it near 9 MiB, and the report keeps its bits
+    tracemalloc.start()
+    try:
+        rep = run_verify_circuit(n_phi=64, n_theta=40, seed=5, corrupt_theta=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    monkeypatch.setattr(harness, "_VERIFY_PAIRS", 64 * 40)
+    one_call = run_verify_circuit(n_phi=64, n_theta=40, seed=5, corrupt_theta=True)
+    assert json.dumps(one_call) == json.dumps(rep)
 
 
 @pytest.mark.parametrize("name", ["n_phi", "n_theta"])

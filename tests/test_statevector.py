@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upea.counting import CountingInstance
+from upea.counting import CountingInstance, phi_from_m
 from upea.phase_math import MeasurementPmf, pea_kernel
 from upea.statevector import (
     _cphase,
@@ -187,7 +187,7 @@ def test_grover_operator_eigenphase_matches_count_fraction() -> None:
     inst = CountingInstance(n=3, M=3)
     g = _grover_stack(inst.N, inst.M)
     eig = np.angle(np.linalg.eigvals(g)) / (2 * np.pi)
-    phi = inst.phi
+    phi = phi_from_m(inst.M / inst.N)
     # rotation eigenphases come in a +-phi pair
     assert min(abs(e - phi) for e in eig) < 1e-12
     assert min(abs(e + phi) for e in eig) < 1e-12
@@ -246,8 +246,6 @@ def test_analytic_counting_pmf_is_half_half_mixture() -> None:
     # bit for bit: one kernel call on the stacked -phi and +phi arguments
     # gives each entry the bits of its own call
     t, theta = 4, 0.05
-    from upea.counting import phi_from_m
-
     T = 1 << t
     for m in (0.3, [[0.0, 1 / 3, 0.5], [0.7, 0.999, 1.0]]):
         phi = np.vectorize(phi_from_m)(m)[..., None]
@@ -318,11 +316,6 @@ def test_batched_grover_circuit_equals_per_instance_calls_bit_for_bit(t: int, n:
     assert got.shape == (len(insts), 1 << t)
     for row, inst in zip(got, insts):
         assert row.tobytes() == grover_pea_pmf(t, inst, theta).probs.tobytes()
-    # one shift per instance
-    thetas = np.linspace(0.0, 1.0, len(insts), endpoint=False)
-    got = grover_pea_pmf(t, insts, thetas).probs
-    for row, inst, th in zip(got, insts, thetas):
-        assert row.tobytes() == grover_pea_pmf(t, inst, float(th)).probs.tobytes()
 
 
 def test_batched_analytic_counting_pmf_equals_scalar_calls_bit_for_bit() -> None:
@@ -331,6 +324,13 @@ def test_batched_analytic_counting_pmf_equals_scalar_calls_bit_for_bit() -> None
     assert got.shape == (9, 16)
     for row, x in zip(got, m):
         assert row.tobytes() == analytic_counting_pmf(4, float(x), 0.21).tobytes()
+    # the verify-circuit grid: every fraction M/N at each t in 1..5, n in 1..4
+    for t in range(1, 6):
+        for n in range(1, 5):
+            m = np.arange((1 << n) + 1) / (1 << n)
+            got = analytic_counting_pmf(t, m, 0.37)
+            want = [analytic_counting_pmf(t, float(x), 0.37) for x in m]
+            assert got.tobytes() == np.stack(want).tobytes()
 
 
 def test_batched_gates_act_on_each_state() -> None:
@@ -403,12 +403,12 @@ def test_grover_batch_with_mixed_n_raises() -> None:
 
 
 def test_a_shift_of_the_wrong_shape_raises_naming_it_before_any_gate() -> None:
-    # the first and last raised NumPy's broadcast errors from inside a gate
-    with pytest.raises(ValueError, match=r"theta must be a scalar or one shift per instance"):
-        grover_pea_pmf(3, [CountingInstance(2, 1)], theta=[0.1, 0.2])
-    # one instance takes a scalar shift, as its probs take shape (2^t,)
-    with pytest.raises(ValueError, match=r"theta must be a scalar"):
-        grover_pea_pmf(3, CountingInstance(2, 1), theta=[0.1])
+    # shapes that once raised NumPy's broadcast errors from inside a gate; a
+    # batch of instances runs under one shift, so one per instance raises too
+    for insts, theta in (([CountingInstance(2, 1)], [0.1, 0.2]), (CountingInstance(2, 1), [0.1]),
+                         ([CountingInstance(2, 0), CountingInstance(2, 1)], [0.1, 0.2])):
+        with pytest.raises(ValueError, match=r"theta must be a scalar"):
+            grover_pea_pmf(3, insts, theta=theta)
     with pytest.raises(ValueError, match=r"phi and theta must broadcast together"):
         pea_circuit_pmf(3, [0.1, 0.2], [0.1, 0.2, 0.3])
 
