@@ -1,9 +1,9 @@
 """Command-line front end: a subcommand per sweep, plus calibrate and verify-circuit.
 
-Sweep subcommands print CSV to stdout, or write it to --out together with a
-.meta.json sidecar (config, RNG algorithm, wall time, calibration records).
-calibrate emits calibrate_b's record as JSON; verify-circuit emits a check
-report and signals failure through its exit code.
+Each subcommand prints its output (a sweep's CSV, calibrate_b's record or
+verify-circuit's check report) to stdout, or writes the same bytes to --out;
+a sweep's --out also gets a <out>.meta.json sidecar (config, RNG algorithm,
+wall time, calibration records).
 
 Exit codes: 0 success, 1 usage error, 2 verify-circuit check failure,
 3 I/O error.
@@ -26,7 +26,6 @@ from .harness import (
     csv_text,
     run_sweep,
     run_verify_circuit,
-    write_csv,
     write_metadata,
 )
 from .phase_math import ThetaMode
@@ -34,29 +33,24 @@ from .phase_math import ThetaMode
 __all__ = ["main", "build_parser"]
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract reserves 2 for
-    # verify-circuit failures, so route usage problems through an exception
+    # verify-circuit failures, so usage problems raise the ValueError that
+    # main reports, as the library's own input checks do
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_r(text: str) -> int | tuple[int, int]:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return int(lo), int(hi)
-        return int(text)
+    try:  # argparse prints an ArgumentTypeError's message, not a ValueError's
+        lo, _, hi = text.partition("..")
+        return (int(lo), int(hi)) if hi else int(text)
     except ValueError:
-        raise _UsageError(f"--R expects an integer or lo..hi range, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expects an integer or lo..hi range, got {text!r}")
 
 
 def _theta_mode(text: str) -> ThetaMode:
-    try:  # argparse prints an ArgumentTypeError's message, not a ValueError's
+    try:
         return ThetaMode.parse(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -71,7 +65,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     flag("--R", dest="R", type=_parse_r, help="repetitions: integer, or lo..hi for range sweeps")
     flag("--samples", dest="n_samples", type=int, help="trials (per grid cell in a sweep)")
     flag("--seed", dest="base_seed", type=int, help="base seed (default 1)")
-    flag("--out", dest="output_path", help="output path (stdout if omitted)")
+    p.add_argument("--out", help="output path (stdout if omitted)")
     p.add_argument("--workers", type=int, default=1, help="threads, which do not change the output")
 
 
@@ -97,9 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         _add_sweep_flags(sub.add_parser(name, help=f"run the {name} sweep"))
     c = sub.add_parser("calibrate", help="measure the counting bias slope b for (T, R)")
     _add_run_flags(c)
-    c.set_defaults(T=16, R=1, n_samples=1 << 16, base_seed=1, output_path=None)
+    c.set_defaults(T=16, R=1, n_samples=1 << 16, base_seed=1)
     v = sub.add_parser("verify-circuit", help="check circuits against analytic laws")
-    v.add_argument("--seed", type=int, help="base seed (default 1)")
+    v.add_argument("--seed", type=int, default=1, help="base seed (default 1)")
     v.add_argument("--out", help="report JSON path (stdout if omitted)")
     return parser
 
@@ -110,16 +104,17 @@ def _build_config(name: str, args: argparse.Namespace) -> SweepConfig:
         return SweepConfig(experiment=name, **kwargs)
     base = PRESETS[args.preset]
     if base.experiment != name:
-        raise _UsageError(f"preset {args.preset} belongs to {base.experiment}, not {name}")
+        raise ValueError(f"preset {args.preset} belongs to {base.experiment}, not {name}")
     return replace(base, **kwargs)
 
 
 def _load_calibration(path: str) -> CalibrationRecord:
+    # an OSError passes through: a file that cannot be read is an I/O error
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return CalibrationRecord.from_json(fh.read())
     except ValueError as exc:
-        raise _UsageError(f"bad calibration record {path!r}: {exc}")
+        raise ValueError(f"bad calibration record {path!r}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,16 +125,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify-circuit":
-            report = run_verify_circuit(seed=args.seed if args.seed is not None else 1)
+            report = run_verify_circuit(seed=args.seed)
             _emit(json.dumps(report, indent=2) + "\n", args.out)
             if not report["passed"]:
                 print("verify-circuit: FAILED", file=sys.stderr)
@@ -148,24 +137,18 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "calibrate":
             record = calibrate_b(args.T, args.R, args.n_samples, args.base_seed, args.workers)
-            _emit(record.to_json() + "\n", args.output_path)
+            _emit(record.to_json() + "\n", args.out)
             return 0
 
         config = _build_config(args.command, args)
-        calibration = _load_calibration(args.calibration) if args.calibration else None
+        calibration = None if args.calibration is None else _load_calibration(args.calibration)
         report = run_sweep(config, calibration=calibration, workers=args.workers)
-
-        if config.output_path is None:
-            sys.stdout.write(csv_text(report.entries))
-        else:
-            write_csv(report, config.output_path)
-            write_metadata(report, config.output_path + ".meta.json")
-            print(
-                f"wrote {len(report.entries)} rows to {config.output_path}",
-                file=sys.stderr,
-            )
+        _emit(csv_text(report.entries), args.out)
+        if args.out is not None:
+            write_metadata(report, args.out + ".meta.json")
+            print(f"wrote {len(report.entries)} rows to {args.out}", file=sys.stderr)
         return 0
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -94,7 +94,6 @@ class SweepConfig:
     n_samples: int = 1 << 16
     theta_mode: ThetaMode = field(default_factory=ThetaMode.full)
     base_seed: int = 1
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:

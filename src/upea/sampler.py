@@ -40,12 +40,10 @@ RNG_ALGORITHM = "numpy-pcg64"
 RngSeed = int
 _MAX_SEED = (1 << 64) - 1
 
-# trials per slice of sample_upea_block's atom stage
-_SLICE = 1 << 12
 # proposals per pending trial in each rejection round of _tail, and the
 # pending trials that one round takes
 _PROPOSALS = 4
-_ROUND = _SLICE // _PROPOSALS
+_ROUND = 1 << 10
 # csc^2(z) - 1/z^2 rises on (0, pi/2] from 1/3 to this value
 _CSC_EXCESS = 1.0 - 4.0 / np.pi**2
 
@@ -91,9 +89,9 @@ def sample_upea_block(
     arrays.  phi may be a scalar or a vector of 1 or n per-trial true
     phases; a phi that is not finite and numeric or of another shape, and
     an n that is not an integer >= 0, raise ValueError before any draw.  The
-    draws follow the module docstring's stream order.  Beyond the outputs,
-    which it allocates first, the block works in arrays of at most _SLICE
-    entries and in the trials past the atoms (at most 19 % of them)."""
+    draws follow the module docstring's stream order.  Its temporaries
+    scale with the block: a few arrays of n entries, and the trials past
+    the atoms (at most 19 % of them)."""
     T = params.T
     n = _int_in("n", n, 0)
     phi = _finite_array("phi", phi)
@@ -102,29 +100,22 @@ def sample_upea_block(
     phi_tilde = np.empty(n)
     s = np.empty(n, dtype=int)
     theta = _draw_theta(params.theta_mode, T, rng, n)
-    phi = np.broadcast_to(phi, theta.shape)
-    rest = [
-        _atoms(T, phi[i : i + _SLICE] + theta[i : i + _SLICE], rng, s[i : i + _SLICE], i)
-        for i in range(0, n, _SLICE)
-    ]
-    if rest:
-        trials, f, a, sign = map(np.concatenate, zip(*rest))
-        sign *= _tail(T, f, rng)
-        a += sign
-        s[trials] = np.mod(a, T)
+    trials, f, a, sign = _atoms(T, phi + theta, rng, s)
+    sign *= _tail(T, f, rng)
+    a += sign
+    s[trials] = np.mod(a, T)
     np.divide(s, T, out=phi_tilde)
     phi_tilde -= theta
     return s, theta, _wrap_array(phi_tilde, out=phi_tilde)
 
 
 def _atoms(
-    T: int, y: np.ndarray, rng: np.random.Generator, out: np.ndarray, first: int
+    T: int, y: np.ndarray, rng: np.random.Generator, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Set out to the outcomes a + j (mod T) of the shifted phases y, with j
     = 0 or sign(e) drawn from one uniform per trial against their exact
     probabilities, and return (trial, f, a, sign(e)) of the trials past both
-    atoms, trial counted from first, for _tail to draw.  Works in place on
-    y, a fresh array."""
+    atoms, for _tail to draw.  Works in place on y, a fresh array."""
     # y = T wrap(phi + theta) and a = rint(y); then y becomes f = |y - a|
     a = np.floor(y)
     y -= a
@@ -157,7 +148,7 @@ def _atoms(
         np.divide(r, p, out=p)
         p *= p
         past = np.flatnonzero(u >= p)
-    rest = (past + first, f[past], a[past], sign[past])
+    rest = (past, f[past], a[past], sign[past])
     sign *= j
     a += sign
     np.mod(a, T, out=out, casting="unsafe")

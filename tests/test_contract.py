@@ -257,7 +257,6 @@ UNPROBED: dict[tuple[str, str], str] = {
     ("csv_text", "entries"): "BiasMaeEntry records, which the sweeps build",
     ("write_csv", "path"): "a file path, handed to open()",
     ("write_metadata", "path"): "a file path, handed to open()",
-    ("SweepConfig", "output_path"): "a file path, which the CLI hands to open()",
     ("run_verify_circuit", "corrupt_theta"): "a switch for the negative control",
     ("derive_seed", "path"): "labels, each rendered with str()",
 }

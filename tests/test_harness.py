@@ -452,14 +452,29 @@ def test_cli_matches_library_output(capsys) -> None:
     assert out == csv_text(run_sweep(cfg).entries)
 
 
-def test_cli_writes_files(tmp_path, capsys) -> None:
-    out = tmp_path / "series.csv"
-    code = cli.main(
-        ["upea-bias-mae", "--grid", "2", "--samples", "100", "--out", str(out)]
-    )
-    assert code == 0
-    assert out.exists() and (tmp_path / "series.csv.meta.json").exists()
-    assert capsys.readouterr().out == ""  # CSV went to the file, not stdout
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upea-bias-mae", "--grid", "2", "--samples", "100"],
+        ["calibrate", "--R", "2", "--samples", "256", "--seed", "3"],
+        ["verify-circuit", "--seed", "2"],
+    ],
+)
+def test_cli_out_writes_the_bytes_stdout_gets(argv, tmp_path, capsys) -> None:
+    assert cli.main(argv) == 0
+    want = capsys.readouterr().out
+    out = tmp_path / "series.out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""  # the output went to the file, not stdout
+    assert out.read_bytes() == want.encode("utf-8")
+    sidecar = tmp_path / "series.out.meta.json"
+    assert sidecar.exists() == (argv[0] == "upea-bias-mae")
+    if sidecar.exists():  # a sweep's sidecar records the config, not where it went
+        assert captured.err == f"wrote 2 rows to {out}\n"
+        config = json.loads(sidecar.read_text(encoding="utf-8"))["config"]
+        cfg = SweepConfig("upea-bias-mae", grid_points=2, n_samples=100)
+        assert config == json.loads(cfg.to_json()) and "output_path" not in config
 
 
 @pytest.mark.parametrize(
@@ -518,14 +533,44 @@ def test_cli_calibration_flag_rejected_by_other_experiments(tmp_path, capsys) ->
     assert "calibration record" in capsys.readouterr().err
 
 
-def test_cli_usage_errors_exit_1(capsys) -> None:
-    assert cli.main(["upea-bias-mae", "--badflag"]) == 1
-    assert cli.main(["upea-bias-mae", "--T", "12"]) == 1
-    assert cli.main(["pea-bias-mae", "--grid", "2", "--samples", "10"]) == 1
-    assert cli.main(["mle-bias-mae", "--R", "x..y"]) == 1
-    assert cli.main(["upea-bias-mae", "--preset", "fig5"]) == 1  # preset/command clash
-    assert cli.main(["uqca-corrected", "--grid", "2", "--theta-mode", "fixed:0.3"]) == 1
-    assert "needs a random shift" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["upea-bias-mae", "--badflag"], "unrecognized arguments: --badflag"),
+        (["mle-bias-mae", "--R", "x..y"],
+         "argument --R: expects an integer or lo..hi range, got 'x..y'"),
+        (["mle-bias-mae", "--R", "1..2..3"],
+         "argument --R: expects an integer or lo..hi range, got '1..2..3'"),
+        (["upea-bias-mae", "--T", "x"], "argument --T: invalid int value: 'x'"),
+        (["upea-bias-mae", "--T", "12"], "T must be a positive power of two, got 12"),
+        (["pea-bias-mae", "--grid", "2", "--samples", "10"],
+         "pea-bias-mae requires a fixed theta mode (no random shift)"),
+        (["upea-bias-mae", "--preset", "fig5"],
+         "preset fig5 belongs to mle-bias-mae, not upea-bias-mae"),
+        (["upea-bias-mae", "--theta-mode", "fixed:abc"],
+         "argument --theta-mode: cannot parse theta mode 'fixed:abc': "
+         "could not convert string to float: 'abc'"),
+        (["uqca-corrected", "--grid", "2", "--theta-mode", "fixed:0.3"],
+         "uqca-corrected needs a random shift: its slope assumes one"),
+        (["calibrate", "--samples", "1"], "n_samples must be >= 2, got 1"),
+        (["verify-circuit", "--seed", "-1"], f"seed must lie in [0, {2**64 - 1}], got -1"),
+        (["upea-bias-mae", "--grid", "2", "--samples", "8", "--workers", "0"],
+         "workers must be >= 1, got 0"),
+        # a calibration file holding a JSON list once ended in a TypeError traceback
+        (["uqca-corrected", "--R", "3", "--grid", "2", "--samples", "8", "--calibration", "{cal}"],
+         "bad calibration record '{cal}': a calibration record must be a JSON object with "
+         "exactly the keys ['T', 'R', 'b', 'stderr_b', 'n_samples', 'seed', 'rng_algorithm']"),
+    ],
+)
+def test_cli_usage_error_exits_1_with_one_error_line(argv, message, tmp_path, capsys) -> None:
+    cal = tmp_path / "cal.json"
+    cal.write_text("[1, 2]")
+    argv = [a.format(cal=cal) for a in argv]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(cal=cal)}\n"  # no traceback
 
 
 @pytest.mark.parametrize(
@@ -557,13 +602,21 @@ def test_cli_range_r(capsys) -> None:
     assert len(out.splitlines()) == 3  # header + one row per R
 
 
-def test_cli_io_error_exit_3(capsys) -> None:
-    code = cli.main(
-        ["upea-bias-mae", "--grid", "2", "--samples", "50",
-         "--out", "/nonexistent-dir/x.csv"]
-    )
-    assert code == 3
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["upea-bias-mae", "--grid", "2", "--samples", "50", "--out", "/nonexistent-dir/x.csv"],
+        # an empty path was once read as "no record" and the sweep ran uncorrected
+        ["uqca-corrected", "--R", "1", "--grid", "2", "--samples", "16", "--calibration", ""],
+        ["uqca-corrected", "--R", "1", "--grid", "2", "--samples", "16",
+         "--calibration", "/nonexistent-dir/cal.json"],
+    ],
+)
+def test_cli_io_error_exit_3(argv, capsys) -> None:
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_verify_circuit_failure_exit_2(monkeypatch, capsys) -> None:
@@ -674,18 +727,6 @@ def test_cli_rejects_a_malformed_calibration_file_when_it_loads(tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert "bad calibration record" in err and "T must be a positive power of two" in err
-
-
-def test_cli_rejects_a_calibration_file_that_is_not_a_json_object(tmp_path, capsys) -> None:
-    # a JSON list once ended the run in a TypeError traceback
-    cal = tmp_path / "cal.json"
-    cal.write_text("[1, 2]")
-    code = cli.main(
-        ["uqca-corrected", "--R", "3", "--samples", "8", "--grid", "2",
-         "--calibration", str(cal)]
-    )
-    assert code == 1
-    assert "error: bad calibration record" in capsys.readouterr().err
 
 
 def test_a_calibration_record_of_another_generator_is_refused(tmp_path, capsys) -> None:
